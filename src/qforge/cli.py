@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -41,6 +42,7 @@ from .lattice import (
     span,
 )
 from .limits import DEFAULT_LIMITS, SearchLimits
+from .linalg import snf_invariant_factors
 from .padic import invariant_triple, rationally_equivalent
 from .forge import SmallnessCertificate, verify_certificate
 
@@ -154,7 +156,9 @@ def cmd_hyperbolic(args) -> dict:
             "w": encode_vector(result.w),
             "certificate": _certificate_obj(result.certificate),
             "certificate_valid": verify_certificate(result.certificate, args.n_bound),
-            "saturation_index_of_span": 1,
+            "saturation_index_of_span": encode_int(
+                saturation_index(span(latt, [result.v1, result.w]))
+            ),
         },
         "isometry": {
             "matrix": encode_matrix(iso.matrix),
@@ -209,19 +213,11 @@ def cmd_parabolic(args) -> dict:
             "invariant-level certificates only"
         )
     else:
-        glue_data = rep.glue
         out["embedding"] = {
             "matrix": encode_fraction_matrix(rep.embedding),
             "index_d": encode_int(rep.index_d),
             "d_squared_n": encode_int(rep.index_d**2 * args.n_bound),
             "prime": rep.prime,
-        }
-        out["glue"] = {
-            "lambda_gram": encode_matrix(glue_data.lam.gram),
-            "lambda_prime_gram": encode_matrix(glue_data.lam_prime.gram),
-            "overlattice_gram": encode_matrix(glue_data.overlattice.gram),
-            "overlattice_det": encode_int(glue_data.overlattice.det()),
-            "anti_isometry": [list(t) for t in glue_data.anti_isometry],
         }
         out["sublattice"] = {
             "basis": [encode_vector(v) for v in rep.lambda_in_source.basis],
@@ -362,6 +358,10 @@ def verify_report(report: dict) -> list[str]:
             n_bound = report["input"]["n_bound"]
             if not verify_certificate(cert, n_bound):
                 failures.append("certificate does not verify")
+            pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
+            claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])
+            if math.prod(snf_invariant_factors(pair)) != claimed_index:
+                failures.append("saturation index of span(v1, w) misstated")
             ok, _ = all_values_divisible_by(latt, cert.p, 60)
             if not ok:
                 failures.append("values not all divisible by p")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateLatticeError,
+    InternalInconsistencyError,
     InvalidPrimeError,
     NotFoundWithinBoundError,
     PoolExhaustedError,
@@ -254,9 +255,12 @@ def find_rank2_avoiding(
             w = comp.to_ambient(w_coords)
             alpha1 = qvalue(latt, v1)
             alpha2 = qvalue(latt, w)
-            assert alpha1 == beta1 * p ** (2 * n1 + 1)
-            assert alpha2 == beta2 * p ** (2 * n2 + 1)
-            assert pairing(latt, v1, w) == 0
+            if (alpha1 != beta1 * p ** (2 * n1 + 1)
+                    or alpha2 != beta2 * p ** (2 * n2 + 1)
+                    or pairing(latt, v1, w) != 0):
+                raise InternalInconsistencyError(
+                    "v1, w do not give the certificate's orthogonal diagonal"
+                )
             cert = SmallnessCertificate(
                 p=p, alpha1=alpha1, alpha2=alpha2,
                 beta1=beta1, beta2=beta2, n1=n1, n2=n2,
@@ -298,11 +302,11 @@ def _post_verify(result: Rank2Result, n_bound: int, quick_height: int = 40) -> N
     cert = result.certificate
     pos, neg = signature(sat.as_lattice())
     if (pos, neg) != (1, 1):
-        raise AssertionError("constructed lattice is not of signature (1,1)")
+        raise InternalInconsistencyError("constructed lattice is not of signature (1,1)")
     sat_latt = sat.as_lattice()
     ok, counterexample = all_values_divisible_by(sat_latt, cert.p, quick_height)
     if not ok:
-        raise AssertionError(f"value not divisible by p at {counterexample}")
+        raise InternalInconsistencyError(f"value not divisible by p at {counterexample}")
     smallest, _ = min_nonzero_abs(sat_latt, quick_height)
     if smallest is not None and smallest < max(n_bound, 1):
-        raise AssertionError("small value slipped through the certificate")
+        raise InternalInconsistencyError("small value slipped through the certificate")

@@ -25,6 +25,7 @@ from .errors import (
 from .intmath import (
     first_primes_excluding,
     is_prime,
+    is_rational_square,
     prime_support,
     primes_from,
     sqrt_mod,
@@ -48,11 +49,10 @@ from .linalg import (
     det_bareiss,
     freeze,
     hermite_rows,
-    identity,
+    invert,
     left_kernel,
     mat_mul,
     rational_rank,
-    smith_normal_form,
     snf_invariant_factors,
     solve,
     transpose,
@@ -237,7 +237,7 @@ def explicit_rational_isometry(
             ratio = Fraction(value) / delta
             if ratio <= 0:
                 continue
-            if _is_square_fraction(ratio):
+            if is_rational_square(ratio):
                 scale = _fraction_sqrt(ratio)
                 w = tuple(
                     Fraction(sum(x[i] * basis[i][r] for i in support)) / scale
@@ -259,8 +259,7 @@ def explicit_rational_isometry(
                                     len(basis) - 1)
 
     s = transpose(columns)  # columns as matrix
-    c1_inv = _fraction_inverse(c1)
-    t_mat = mat_mul(s, c1_inv)
+    t_mat = mat_mul(s, invert(c1))
     check = mat_mul(transpose(t_mat), mat_mul(g2, t_mat))
     if check != freeze([[Fraction(x) for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
@@ -279,20 +278,8 @@ def _primitive_int_vector(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _is_square_fraction(q: Fraction) -> bool:
-    from .intmath import is_square
-
-    return q > 0 and is_square(q.numerator) and is_square(q.denominator)
-
-
 def _fraction_sqrt(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-
-
-def _fraction_inverse(mat):
-    from .linalg import invert
-
-    return invert(mat)
 
 
 def _independent_subset(vectors, count: int):
@@ -338,11 +325,6 @@ class GlueData:
     glue_vectors: tuple[tuple[Fraction, ...], ...]
     lam_embedding: tuple[tuple[int, ...], ...]  # lam basis in overlattice coords
     lam_prime_embedding: tuple[tuple[int, ...], ...]
-
-    @property
-    def prime(self) -> int | None:
-        entries = {abs(x) for row in self.lam.gram for x in row if abs(x) > 1}
-        return max(entries) if entries else None
 
 
 def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], list[int]]:
@@ -401,7 +383,7 @@ def nikulin_glue(
 
     if p is None:
         lam_prime = standard_lattice(need_pos, need_neg)
-        return _assemble_glue(lam, lam_prime, p=None, pairs=[], units=[])
+        return _assemble_glue(lam, lam_prime, p=None, pairs=[])
 
     m = len(eps)
     k_eps = sum(1 for e in eps if e > 0)
@@ -451,7 +433,7 @@ def nikulin_glue(
         ) if filler_pos + filler_neg else rescale(diag_lattice(*delta), p)
         pairs = [(i, units[i], i) for i in range(m)]
         try:
-            return _assemble_glue(lam, lam_prime, p=p, pairs=pairs, units=units)
+            return _assemble_glue(lam, lam_prime, p=p, pairs=pairs)
         except InternalInconsistencyError:
             continue
     raise AntiIsometryNotFoundError(
@@ -459,7 +441,7 @@ def nikulin_glue(
     )
 
 
-def _assemble_glue(lam, lam_prime, p, pairs, units) -> GlueData:
+def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     n1, n2 = lam.rank, lam_prime.rank
     n = n1 + n2
     total = direct_sum(lam, lam_prime)
@@ -553,8 +535,6 @@ class EmbeddingReport:
     embedding: tuple[tuple[Fraction, ...], ...] | None  # source basis -> ambient coords
     index_d: int | None
     prime: int | None
-    glue: GlueData | None
-    lambda_in_ambient: Sublattice | None
     lambda_in_source: Sublattice | None
     sat_index: int | None
     oracle: dict | None
@@ -710,16 +690,13 @@ def embed_pipeline(
     if certificate_level:
         return EmbeddingReport(
             source=source, ambient=ambient, extension=ext,
-            embedding=None, index_d=None, prime=None, glue=None,
-            lambda_in_ambient=None, lambda_in_source=None,
+            embedding=None, index_d=None, prime=None, lambda_in_source=None,
             sat_index=None, oracle=None, certificate_level=True,
         )
 
     d = _embedding_index(embedding, b2 + 3)
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2
-    lam = build_scaled_lattice(p, (1, s_lam))
-    glue = nikulin_glue(lam, target)
     lam_sub = _two_squares_embedding(p, s_lam, ambient)
     raw = _intersect_with_image(embedding, b2, lam_sub, source)
     sat_idx = saturation_index(raw)
@@ -757,15 +734,14 @@ def embed_pipeline(
         raise InternalInconsistencyError("oracle found a small value")
     return EmbeddingReport(
         source=source, ambient=ambient, extension=ext,
-        embedding=embedding, index_d=d, prime=p, glue=glue,
-        lambda_in_ambient=lam_sub, lambda_in_source=trimmed,
+        embedding=embedding, index_d=d, prime=p, lambda_in_source=trimmed,
         sat_index=sat_idx, oracle=oracle, certificate_level=False,
     )
 
 
 def _next_glue_prime(bound: int) -> int:
-    """Smallest prime p > bound with p ≡ 1 (mod 4), so that sqrt(-1) exists
-    mod p (needed by both the anti-isometry and the two-squares blocks)."""
+    """Smallest prime p > bound with p ≡ 1 (mod 4), so that p is a sum of
+    two squares (needed by the two-squares blocks)."""
     for p in primes_from(max(bound + 1, 5)):
         if p % 4 == 1:
             return p

@@ -14,7 +14,7 @@ from sympy.ntheory import isprime as _sympy_isprime
 from sympy.ntheory import nextprime as _sympy_nextprime
 from sympy.ntheory.residue_ntheory import sqrt_mod as _sympy_sqrt_mod
 
-from .errors import IsotropicFormError
+from .errors import InternalInconsistencyError, IsotropicFormError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -142,7 +142,7 @@ def two_squares(p: int) -> tuple[int, int]:
         rest = p - a * a
         if is_square(rest):
             return a, math.isqrt(rest)
-    raise AssertionError("unreachable for p ≡ 1 mod 4")
+    raise InternalInconsistencyError("unreachable for p ≡ 1 mod 4")
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:

@@ -42,6 +42,7 @@ from .linalg import (
     det_bareiss,
     freeze,
     identity,
+    invert_unimodular,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -74,11 +75,11 @@ class Isometry:
 
     def power(self, k: int) -> "Isometry":
         if k < 0:
-            return Isometry(self.lattice, inverse_isometry_matrix(self.matrix)).power(-k)
+            return self.inverse().power(-k)
         return Isometry(self.lattice, mat_pow(self.matrix, k))
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, inverse_isometry_matrix(self.matrix))
+        return Isometry(self.lattice, invert_unimodular(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,6 @@ def is_isometry(matrix, latt: QuadLattice) -> bool:
     if mat_mul(transpose(matrix), mat_mul(latt.gram, matrix)) != freeze(latt.gram):
         return False
     return abs(det_bareiss(matrix)) == 1
-
-
-def inverse_isometry_matrix(matrix) -> tuple[tuple[int, ...], ...]:
-    from .linalg import invert_unimodular
-
-    return invert_unimodular(matrix)
 
 
 def _exact_order(matrix, k: int) -> int:

@@ -37,13 +37,6 @@ def encode_fraction(q) -> str | int:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decode_fraction(x) -> Fraction:
-    if isinstance(x, str) and "/" in x:
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(decode_int(x))
-
-
 def encode_matrix(mat):
     return [[encode_int(x) for x in row] for row in mat]
 

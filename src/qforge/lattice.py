@@ -16,6 +16,7 @@ from .errors import (
     DegenerateLatticeError,
     DimensionMismatchError,
 )
+from .limits import DEFAULT_LIMITS
 from .linalg import (
     hermite_rows,
     invert_unimodular,
@@ -26,8 +27,6 @@ from .linalg import (
 )
 
 Vector = tuple[int, ...]
-
-DEFAULT_ENUM_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -382,7 +381,7 @@ def iter_box_values(latt: QuadLattice, height: int):
 
 
 def enumerate_values(
-    latt: QuadLattice, height: int, budget: int = DEFAULT_ENUM_BUDGET
+    latt: QuadLattice, height: int, budget: int = DEFAULT_LIMITS.enum_budget
 ) -> dict[int, Vector]:
     """All attained q-values with one witness each (first in lexicographic
     order). Errors out rather than truncating when over budget."""
@@ -395,7 +394,7 @@ def enumerate_values(
 
 
 def min_nonzero_abs(
-    latt: QuadLattice, height: int, budget: int = DEFAULT_ENUM_BUDGET
+    latt: QuadLattice, height: int, budget: int = DEFAULT_LIMITS.enum_budget
 ) -> tuple[int | None, Vector | None]:
     """Minimum |q| over nonzero values in the box, with a witness.
 
@@ -433,7 +432,7 @@ def _min_nonzero_abs_rank2(latt: QuadLattice, height: int):
 
 
 def all_values_divisible_by(
-    latt: QuadLattice, p: int, height: int, budget: int = DEFAULT_ENUM_BUDGET
+    latt: QuadLattice, p: int, height: int, budget: int = DEFAULT_LIMITS.enum_budget
 ) -> tuple[bool, Vector | None]:
     """Check every q-value in the box is a multiple of p; returns a
     counterexample witness when one exists."""

@@ -5,9 +5,10 @@ algorithms). No floating point anywhere.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, PreconditionError
 
 Matrix = tuple[tuple, ...]
 
@@ -43,16 +44,8 @@ def mat_vec(mat, vec) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
 
 
-def mat_add(a, b) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def mat_sub(a, b) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(a, c) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def is_zero(mat) -> bool:
@@ -71,127 +64,106 @@ def mat_pow(mat, k: int) -> Matrix:
     return out
 
 
-def det_bareiss(mat) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    a = thaw(mat)
-    n = len(a)
-    if n == 0:
-        return 1
+def _row_denominator(row) -> int:
+    return math.lcm(*(x.denominator for x in row))
+
+
+def _bareiss(mat, pivot_cols: int | None = None) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which leaves the row space, the pivots and the solutions of an
+    augmented system unchanged. Pivots are taken left to right among the
+    first `pivot_cols` columns (default: all). Returns (rows, pivots,
+    sign): row i < len(pivots) holds the common pivot value D at column
+    pivots[i] and zeros in every other pivot column, the remaining rows
+    are zero in the searched columns, and sign is (-1)^(row swaps). Every
+    division is exact, since each entry is a minor of the scaled input.
+    """
+    a = []
+    for row in mat:
+        scale = _row_denominator(row)
+        a.append([int(x * scale) for x in row])
+    m = len(a)
+    n = len(a[0]) if a else 0
+    if pivot_cols is None:
+        pivot_cols = n
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def det_fraction(mat) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+    for c in range(pivot_cols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pr = a[r]
+        p = pr[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            # a row that is zero in column c is only rescaled by p / prev
+            if i != r and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, sign
+
+
+def det_bareiss(mat) -> int | Fraction:
+    """Exact determinant; an int for an integer matrix."""
+    n = len(mat)
+    a, pivots, sign = _bareiss(mat)
+    if len(pivots) < n:
+        return 0
+    det = sign * a[-1][-1] if n else 1
+    den = math.prod(map(_row_denominator, mat))
+    return det if den == 1 else Fraction(det, den)
+
+
+def rational_rank(mat) -> int:
+    return len(_bareiss(mat)[1])
+
+
+def solve(mat, rhs) -> tuple | None:
+    """The rational solution x of mat @ x == rhs in reduced echelon form
+    (free variables 0), or None when the system is inconsistent."""
+    n = len(mat[0]) if mat else 0
+    a, pivots, _ = _bareiss([list(row) + [r] for row, r in zip(mat, rhs)], n)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row[n], row[c])
+    return tuple(x)
+
+
+def _inverse_scaled(mat) -> tuple[list[list[int]], int]:
+    """(X, D) with mat^-1 == X / D, from the reduction of [mat | I]."""
+    n = len(mat)
+    a, pivots, _ = _bareiss(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n
+    )
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in a], a[n - 1][n - 1] if n else 1
 
 
 def invert(mat) -> Matrix:
     """Exact inverse over the rationals (Fractions)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    x, d = _inverse_scaled(mat)
+    return tuple(tuple(Fraction(v, d) for v in row) for row in x)
 
 
 def invert_unimodular(mat) -> Matrix:
-    """Integer inverse of a matrix with determinant ±1."""
-    inv = invert(mat)
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def solve(mat, rhs) -> tuple | None:
-    """One rational solution x of mat @ x == rhs, or None."""
-    m, n = len(mat), len(mat[0]) if mat else 0
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in pivots:
-        x[c] = a[i][n]
-    return tuple(x)
-
-
-def rational_rank(mat) -> int:
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Integer inverse of an integer matrix with determinant ±1."""
+    x, d = _inverse_scaled(mat)
+    if d not in (1, -1):
+        raise PreconditionError("matrix is not unimodular")
+    return tuple(tuple(v * d for v in row) for row in x)
 
 
 # ---------------------------------------------------------------------------

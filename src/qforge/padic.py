@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import (
     DegenerateLatticeError,
     InconsistentTargetsError,
+    InternalInconsistencyError,
     InvalidPrimeError,
     RankMismatchError,
     SearchExhaustedError,
@@ -357,7 +358,8 @@ def choose_pair_prescribed(
             x += max(modulus, 1)
     y = solve_prescribed_hilbert(x, targets, sign=sign_y)
     for place in set(targets) | {2, INF} | set(prime_support(x)) | set(prime_support(y)):
-        assert hilbert_symbol(x, y, place) == targets.get(place, 1)
+        if hilbert_symbol(x, y, place) != targets.get(place, 1):
+            raise InternalInconsistencyError(f"(x, y) misses its Hilbert symbol at {place}")
     return x, y
 
 

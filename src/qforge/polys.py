@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import NotMonicError
+from .errors import InternalInconsistencyError, NotMonicError
 from .intmath import factorize
 
 Poly = tuple[int, ...]
@@ -75,7 +75,8 @@ def cyclotomic(m: int) -> Poly:
     for d in range(1, m):
         if m % d == 0:
             f, r = poly_divmod(f, cyclotomic(d))
-            assert r == ()
+            if r != ():
+                raise InternalInconsistencyError(f"Phi_{d} does not divide x^{m} - 1")
     return f
 
 

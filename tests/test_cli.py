@@ -209,6 +209,17 @@ def test_verify_report_catches_tampering(capsys):
     assert verify_report(obj)
 
 
+def test_verify_report_rechecks_saturation_index(capsys):
+    rc, obj = run_cli(
+        capsys,
+        ["hyperbolic", "--lattice", "catalog:U+U+<2>", "--n-bound", "4"],
+    )
+    assert rc == 0 and obj["sublattice"]["saturation_index_of_span"] == 1
+    assert verify_report(obj) == []
+    obj["sublattice"]["saturation_index_of_span"] = 2
+    assert verify_report(obj) == ["saturation index of span(v1, w) misstated"]
+
+
 def test_search_exhausted_exit_code(capsys):
     rc, obj = run_cli(
         capsys,
