@@ -14,7 +14,7 @@ import os
 import re
 
 from .errors import BadInputError
-from .jsonio import lattice_from_obj
+from .jsonio import lattice_from_obj, read_json
 from .lattice import QuadLattice, diag_lattice, direct_sum, from_rows, rescale
 
 _ENV_VAR = "QFORGE_CATALOG"
@@ -27,10 +27,10 @@ def _bundled() -> dict:
 
 def _external() -> dict:
     path = os.environ.get(_ENV_VAR)
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+    entries = read_json(path, _ENV_VAR) if path else {}
+    if not isinstance(entries, dict):
+        raise BadInputError(f"{_ENV_VAR} must name a JSON object of catalog entries")
+    return entries
 
 
 def _named_entries() -> dict:
@@ -47,11 +47,14 @@ def _parse_diag_args(body: str) -> list[int]:
     out: list[int] = []
     for part in body.split(","):
         part = part.strip()
-        if "^" in part:
-            base, _, count = part.partition("^")
-            out.extend([int(base)] * int(count))
-        else:
-            out.append(int(part))
+        base, caret, count = part.partition("^")
+        try:
+            entry, repeat = int(base), int(count) if caret else 1
+        except ValueError:
+            raise BadInputError(f"diag entry {part!r} must be an integer a or a^k") from None
+        if repeat < 1:
+            raise BadInputError(f"diag entry {part!r} repeats fewer than once")
+        out.extend([entry] * repeat)
     return out
 
 

@@ -2,12 +2,13 @@
 
 qforge <command> --lattice <file|catalog:NAME> --n-bound <int>
        [--target-signature r,s] [--height-bound B] [--budget B]
-       [--seed S] [--verify] [--out report.json]
+       [--verify] [--out report.json]
 
 Reports are JSON with every numeric claim accompanied by a re-runnable
 verification command; identical inputs and flags yield byte-identical
 reports apart from the timings block. Exit codes: 0 success,
-2 precondition, 3 search exhausted, 4 internal inconsistency.
+2 precondition or malformed input (argv and input files included),
+3 search exhausted, 4 internal inconsistency; stdout is JSON in every case.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import sys
 import time
 
 from . import __version__, catalog, forge, glue, isom, jsonio
-from .errors import QforgeError
+from .errors import BadInputError, QforgeError
 from .jsonio import (
     dump_json,
     encode_fraction_matrix,
@@ -30,6 +31,7 @@ from .jsonio import (
     encode_vector,
     lattice_to_obj,
     load_lattice_file,
+    read_json,
 )
 from .lattice import (
     QuadLattice,
@@ -42,12 +44,14 @@ from .lattice import (
     span,
 )
 from .limits import DEFAULT_LIMITS, SearchLimits
-from .linalg import snf_invariant_factors
+from .linalg import freeze, snf_invariant_factors
 from .padic import invariant_triple, rationally_equivalent
 from .forge import SmallnessCertificate, verify_certificate
 
 
-def _load_lattice(spec: str) -> QuadLattice:
+def _load_lattice(spec: str | None) -> QuadLattice:
+    if spec is None:
+        raise BadInputError("--lattice is required")
     if spec.startswith("catalog:"):
         return catalog.resolve(spec[len("catalog:"):])
     return load_lattice_file(spec)
@@ -59,6 +63,8 @@ def _lattice_hash(latt: QuadLattice) -> str:
 
 
 def _limits_from_args(args) -> SearchLimits:
+    if (args.height_bound or 0) < 0 or (args.budget or 0) < 0:
+        raise BadInputError("--height-bound and --budget must be >= 0")
     kw = {}
     if getattr(args, "height_bound", None):
         kw["enum_height"] = args.height_bound
@@ -87,6 +93,10 @@ def _certificate_obj(cert: SmallnessCertificate) -> dict:
 
 
 def _certificate_from_obj(obj) -> SmallnessCertificate:
+    pairs = ("alpha", "beta", "n")
+    if not (isinstance(obj, dict) and {"p", *pairs} <= obj.keys()
+            and all(isinstance(obj[k], list) and len(obj[k]) == 2 for k in pairs)):
+        raise BadInputError('a certificate needs "p" and pairs "alpha", "beta" and "n"')
     return SmallnessCertificate(
         p=jsonio.decode_int(obj["p"]),
         alpha1=jsonio.decode_int(obj["alpha"][0]),
@@ -147,7 +157,6 @@ def cmd_hyperbolic(args) -> dict:
             "hash": _lattice_hash(latt),
             "rank": latt.rank,
             "n_bound": args.n_bound,
-            "seed": args.seed,
         },
         "sublattice": {
             "basis": [encode_vector(v) for v in result.lattice.basis],
@@ -194,7 +203,6 @@ def cmd_parabolic(args) -> dict:
             "hash": _lattice_hash(latt),
             "rank": latt.rank,
             "n_bound": args.n_bound,
-            "seed": args.seed,
         },
         "extension": {
             "b": [encode_int(rep.extension.b0), encode_int(rep.extension.b1),
@@ -265,16 +273,14 @@ def cmd_equiv(args) -> dict:
 
 def cmd_classify(args) -> dict:
     latt = _load_lattice(args.lattice)
-    with open(args.matrix) as fh:
-        matrix = tuple(tuple(jsonio.decode_int(x) for x in row) for row in json.load(fh))
+    matrix = freeze(jsonio.decode_matrix(read_json(args.matrix, "--matrix")))
     iso = isom.Isometry(latt, matrix)
     return {"classification": _classification_obj(isom.classify(iso))}
 
 
 def cmd_saturate(args) -> dict:
     latt = _load_lattice(args.lattice)
-    with open(args.basis) as fh:
-        rows = [tuple(jsonio.decode_int(x) for x in row) for row in json.load(fh)]
+    rows = jsonio.decode_matrix(read_json(args.basis, "--basis"))
     sub = span(latt, rows)
     sat = saturate(sub)
     return {
@@ -317,8 +323,7 @@ def cmd_isotropic(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    with open(args.certificate) as fh:
-        cert = _certificate_from_obj(json.load(fh))
+    cert = _certificate_from_obj(read_json(args.certificate, "--certificate"))
     ok, reason = forge.check_certificate(cert, args.n_bound)
     return {"valid": ok, "reason": reason}
 
@@ -336,9 +341,12 @@ def cmd_enumerate(args) -> dict:
     }
 
 
-def _parse_signature(text: str) -> tuple[int, int]:
-    r, _, s = text.partition(",")
-    return int(r), int(s)
+def _parse_signature(text: str | None) -> tuple[int, int]:
+    r, _, s = (text or "").partition(",")
+    try:
+        return int(r), int(s)
+    except ValueError:
+        raise BadInputError(f"--target-signature must be r,s, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +417,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad argv exits 2 with JSON, like any bad input
+        raise BadInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qforge",
         description="exact constructions on integer quadratic lattices",
     )
@@ -426,16 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target-signature", help="r,s")
         p.add_argument("--height-bound", type=int)
         p.add_argument("--budget", type=int)
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in reports; all searches are deterministic")
         p.add_argument("--verify", action="store_true")
         p.add_argument("--out", help="write the JSON report here")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = _COMMANDS[args.command](args)
         if args.verify:
             failures = verify_report(report)
@@ -451,8 +462,8 @@ def main(argv=None) -> int:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dump_json(error))
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(dump_json({"error": {"type": "FileNotFound", "message": str(exc)}}))
+    except OSError as exc:  # an input file or --out path that cannot be opened
+        print(dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
 
 

@@ -56,10 +56,6 @@ class NotFoundWithinBoundError(QforgeError):
     exit_code = 3
 
 
-class PoolExhaustedError(QforgeError):
-    exit_code = 3
-
-
 class IsotropicFormError(QforgeError):
     """Binary form represents zero, so it has no Pell automorph."""
 

@@ -1,11 +1,12 @@
 """Rank-2 sublattices avoiding small nonzero represented numbers.
 
-The construction: pick two isotropic vectors v, v' with b(v, v') != 0,
-set v1 = a*v + b*v' (so q(v1) = 2ab*b(v,v')), pick w in the complement of
-the pair with q(w) of odd valuation at a prime p > N, and tune a, b so
-that the diagonal lattice <v1, w> is anisotropic mod p. Every integer
-value of q on its rational span is then divisible by p, which is exactly
-what the emitted certificate witnesses.
+The construction: take an isotropic vector v and build an isotropic v'
+with b(v, v') != 0, set v1 = a*v + b*v' (so q(v1) = 2ab*b(v,v')), build w
+in the complement of the pair with q(w) of p-valuation 1 at a prime
+p > N, and choose a, b so that the diagonal lattice <v1, w> is
+anisotropic mod p. Every integer value of q on its rational span is then
+divisible by p, which is exactly what the emitted certificate witnesses.
+Only v is searched for; each later step is guaranteed by a theorem.
 """
 from __future__ import annotations
 
@@ -17,10 +18,9 @@ from .errors import (
     InternalInconsistencyError,
     InvalidPrimeError,
     NotFoundWithinBoundError,
-    PoolExhaustedError,
     PreconditionError,
 )
-from .intmath import is_prime, primes_from, valuation
+from .intmath import is_prime, primes_from, sqrt_mod
 from .lattice import (
     QuadLattice,
     Sublattice,
@@ -29,6 +29,7 @@ from .lattice import (
     is_indefinite,
     iter_search_vectors,
     min_nonzero_abs,
+    orthogonal_complement,
     pairing,
     qvalue,
     saturate,
@@ -36,7 +37,8 @@ from .lattice import (
     span,
 )
 from .limits import DEFAULT_LIMITS, SearchLimits
-from .padic import legendre
+from .linalg import identity, mat_vec
+from .padic import legendre, rational_diagonalize
 
 
 @dataclass(frozen=True)
@@ -120,94 +122,107 @@ def find_isotropic(
 def find_isotropic_pair(
     latt: QuadLattice, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[Vector, Vector]:
-    """Two primitive isotropic vectors with nonzero pairing.
-
-    Zero pairing would kill q(a*v + b*v'), so such partners are skipped.
-    """
-    first = None
-    scanned = 0
-    for v in iter_search_vectors(latt.rank, limits.max_l1):
-        scanned += 1
-        if scanned > limits.vector_budget:
-            break
-        if qvalue(latt, v) != 0:
-            continue
-        if first is None:
-            first = v
-            continue
-        if pairing(latt, first, v) != 0:
-            return first, v
-    raise NotFoundWithinBoundError("no isotropic pair with nonzero pairing found")
+    """Two primitive isotropic vectors with nonzero pairing: v from
+    find_isotropic and, with c = (G v)_i the first nonzero entry of G v,
+    v' = 2c e_i - q(e_i) v divided by its content (q(v') = 0, b(v, v') = 2c^2
+    before the division)."""
+    v = find_isotropic(latt, limits)
+    i, c = next(((i, c) for i, c in enumerate(mat_vec(latt.gram, v)) if c), (0, 0))
+    if c == 0:
+        raise DegenerateLatticeError("the isotropic vector lies in the radical")
+    vp = [2 * c * (j == i) - latt.gram[i][i] * x for j, x in enumerate(v)]
+    return v, tuple(x // math.gcd(*vp) for x in vp)
 
 
 def find_w_odd_valuation(
-    comp: Sublattice,
-    p: int,
-    want_negative: bool = True,
-    limits: SearchLimits = DEFAULT_LIMITS,
+    comp: Sublattice, p: int, want_negative: bool = True
 ) -> tuple[Vector, int, int]:
-    """(w, beta, n) with w primitive in comp, q(w) = beta * p^(2n+1), p ∤ beta.
+    """(w, beta, 0) with w primitive in comp, q(w) = beta * p and p ∤ beta.
 
-    w is returned in the coordinates of comp; the sign of q(w) is selected
-    by want_negative.
+    w is in comp's coordinates; q(w) < 0 if want_negative, else q(w) > 0,
+    unless comp has no vector of that sign. If no basis vector qualifies,
+    p must be odd with p ∤ det(comp), and PreconditionError then means
+    comp is anisotropic mod p, so that no such w exists.
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    gram = comp.gram()
-    comp_latt = QuadLattice(gram)
-    scanned = 0
-    for w in iter_search_vectors(comp.rank, limits.max_l1):
-        scanned += 1
-        if scanned > limits.vector_budget:
-            break
-        value = qvalue(comp_latt, w)
-        if value == 0 or (value < 0) != want_negative:
-            continue
-        v = valuation(value, p)
-        if v % 2 == 1:
-            n = (v - 1) // 2
-            beta = value // p**v
-            return w, beta, n
-    raise NotFoundWithinBoundError(
-        f"no vector with odd {p}-valuation of the requested sign within bounds"
-    )
+    latt = comp.as_lattice()
+    diag, diag_basis = rational_diagonalize(latt.gram)
+    if all((d < 0) != want_negative for d in diag):
+        want_negative = not want_negative
+
+    def sign_ok(value) -> bool:
+        return value != 0 and (value < 0) == want_negative
+
+    def valuation_one(w) -> bool:
+        value = qvalue(latt, w)
+        return value % p == 0 and value % (p * p) != 0
+
+    units = identity(latt.rank)
+    w = next((e for e in units if sign_ok(qvalue(latt, e)) and valuation_one(e)), None)
+    if w is None:
+        if p == 2 or latt.det() % p == 0:
+            raise PreconditionError("no basis vector qualifies, and p is 2 or divides det")
+        x = _isotropic_mod_p(latt.gram, p)
+        if x is None:
+            raise PreconditionError(f"the form is anisotropic mod {p}")
+        # G x ≢ 0 and q(x ± p e_j) ≡ q(x) ± 2p (G x)_j (mod p^2): a sign gives valuation 1
+        j = next(j for j, c in enumerate(mat_vec(latt.gram, x)) if c % p)
+        moved = [w for w in (_add(x, units[j], p), _add(x, units[j], -p)) if valuation_one(w)]
+        w = next((w for w in moved if sign_ok(qvalue(latt, w))), moved[0])
+        # w + p^2 k s keeps q(w) mod p^2, and takes the sign of q(s) for large k
+        idx = next(i for i, d in enumerate(diag) if sign_ok(d))
+        den = math.lcm(*(row[idx].denominator for row in diag_basis))
+        s = [int(row[idx] * den) for row in diag_basis]
+        k = 0
+        while not sign_ok(qvalue(latt, _add(w, s, p * p * k))):
+            k = max(1, 2 * k)
+        w = _add(w, s, p * p * k)
+        w = tuple(c // math.gcd(*w) for c in w)  # the content is prime to p: w ≢ 0 mod p
+    if not (sign_ok(qvalue(latt, w)) and valuation_one(w)):
+        raise InternalInconsistencyError(f"constructed w = {w} does not qualify")
+    return w, qvalue(latt, w) // p, 0
+
+
+def _add(x, y, c: int) -> Vector:
+    return tuple(a + c * b for a, b in zip(x, y))
+
+
+def _isotropic_mod_p(gram, p: int) -> Vector | None:
+    """x ≢ 0 with q(x) ≡ 0 (mod p), entries in (-p/2, p/2]; None if anisotropic.
+
+    p is odd and ∤ det. Gram-Schmidt mod p on e1, e2, e3 stops at an
+    isotropic projection; otherwise x = s u1 + u2 solves a1 s^2 + a2 ≡ 0,
+    or x = s u1 + t u2 + u3 solves a1 s^2 + a2 t^2 + a3 ≡ 0, which always
+    has a solution with t < p.
+    """
+    n = len(gram)
+
+    def bmod(x, y) -> int:
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n)) % p
+
+    def centered(x) -> Vector:
+        return tuple(c % p - p if 2 * (c % p) > p else c % p for c in x)
+
+    pieces: list[tuple[Vector, int]] = []
+    for y in identity(n)[:3]:
+        for u, a in pieces:
+            y = _add(y, u, -bmod(y, u) * pow(a, -1, p))
+        if bmod(y, y) == 0:
+            return centered(y)
+        pieces.append((y, bmod(y, y)))
+    if len(pieces) == 1:
+        return None
+    (u1, a1), (u2, _), *rest = pieces
+    for tail in (_add(rest[0][0], u2, t) for t in range(p)) if rest else [u2]:
+        s = sqrt_mod(-bmod(tail, tail) * pow(a1, -1, p) % p, p)
+        if s is not None:
+            return centered(_add(tail, u1, s))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # The rank-2 construction
-
-
-def _multiplier_search(
-    g: int, p: int, beta2: int, want_positive: bool, limits: SearchLimits
-) -> tuple[int, int, int, int] | None:
-    """(a, b, beta1, n1) with 2*a*b*g = beta1 * p^(2n1+1), p ∤ beta1,
-    sign as requested, and beta1 x^2 + beta2 y^2 anisotropic mod p.
-
-    beta1 is scanned smallest first (then n1), and for each admissible
-    target the factor pair a*b minimizing |a| + |b| is chosen.
-    """
-    inv_beta2 = pow(beta2, -1, p)
-    sign = 1 if want_positive else -1
-    for n1 in (0, 1, 2):
-        power = p ** (2 * n1 + 1)
-        for mag in range(1, limits.multiplier_bound + 1):
-            beta1 = sign * mag
-            if beta1 % p == 0:
-                continue
-            if legendre((-beta1 * inv_beta2) % p, p) != -1:
-                continue
-            target, rem = divmod(beta1 * power, 2 * g)
-            if rem != 0 or target == 0:
-                continue
-            best = None
-            for d in range(1, math.isqrt(abs(target)) + 1):
-                if target % d == 0:
-                    a, b = d, target // d
-                    if best is None or abs(a) + abs(b) < abs(best[0]) + abs(best[1]):
-                        best = (a, b)
-            if best is not None:
-                return best[0], best[1], beta1, n1
-    return None
 
 
 def find_rank2_avoiding(
@@ -219,7 +234,9 @@ def find_rank2_avoiding(
     nonzero number of absolute value < n_bound, with its certificate.
 
     Requires an indefinite non-degenerate lattice of rank >= 5 (which
-    guarantees isotropic vectors exist).
+    guarantees isotropic vectors exist). p is the least prime > max(N, 2)
+    not dividing 2 b(v, v') det(comp): comp, of rank >= 3, is then
+    non-degenerate and so isotropic mod p, and w exists.
     """
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
@@ -232,69 +249,39 @@ def find_rank2_avoiding(
 
     v, vp = find_isotropic_pair(latt, limits)
     g = pairing(latt, v, vp)
-    comp = _pair_complement(latt, v, vp)
-    comp_pos, comp_neg = signature(comp.as_lattice())
-
-    tried = 0
-    for p in primes_from(max(n_bound + 1, 3)):
-        if tried >= limits.prime_pool:
-            break
-        tried += 1
-        for w_negative in _orientation_order(comp_pos, comp_neg):
-            try:
-                w_coords, beta2, n2 = find_w_odd_valuation(
-                    comp, p, want_negative=w_negative, limits=limits
-                )
-            except NotFoundWithinBoundError:
-                continue
-            found = _multiplier_search(g, p, beta2, want_positive=w_negative, limits=limits)
-            if found is None:
-                continue
-            a, b, beta1, n1 = found
-            v1 = tuple(a * x + b * y for x, y in zip(v, vp))
-            w = comp.to_ambient(w_coords)
-            alpha1 = qvalue(latt, v1)
-            alpha2 = qvalue(latt, w)
-            if (alpha1 != beta1 * p ** (2 * n1 + 1)
-                    or alpha2 != beta2 * p ** (2 * n2 + 1)
-                    or pairing(latt, v1, w) != 0):
-                raise InternalInconsistencyError(
-                    "v1, w do not give the certificate's orthogonal diagonal"
-                )
-            cert = SmallnessCertificate(
-                p=p, alpha1=alpha1, alpha2=alpha2,
-                beta1=beta1, beta2=beta2, n1=n1, n2=n2,
-            )
-            if not verify_certificate(cert, n_bound):
-                continue
-            sat = saturate(span(latt, [v1, w]))
-            result = Rank2Result(lattice=sat, v1=v1, w=w, certificate=cert)
-            _post_verify(result, n_bound)
-            return result
-    raise PoolExhaustedError(
-        f"no workable prime among the first {limits.prime_pool} candidates"
+    comp = orthogonal_complement(span(latt, [v, vp]))
+    obstruction = 2 * g * comp.as_lattice().det()
+    p = next(p for p in primes_from(max(n_bound + 1, 3)) if obstruction % p)
+    # q(w) < 0 whenever comp allows it, so that q(v1) > 0
+    w_coords, beta2, n2 = find_w_odd_valuation(comp, p, want_negative=True)
+    # beta1 = ±2|g| k has the sign opposite to beta2; as k runs over 1..p-1,
+    # -beta1/beta2 runs over every nonzero residue, so some k gives a non-residue
+    unit = -2 * abs(g) if beta2 > 0 else 2 * abs(g)
+    k = next(k for k in range(1, p) if legendre(-unit * k * pow(beta2, -1, p) % p, p) == -1)
+    beta1 = unit * k
+    ab = beta1 * p // (2 * g)  # split into the factor pair with least |a| + |b|
+    a = max(d for d in range(1, math.isqrt(abs(ab)) + 1) if ab % d == 0)
+    b = ab // a
+    v1 = tuple(a * x + b * y for x, y in zip(v, vp))
+    w = comp.to_ambient(w_coords)
+    alpha1 = qvalue(latt, v1)
+    alpha2 = qvalue(latt, w)
+    if (alpha1 != beta1 * p
+            or alpha2 != beta2 * p ** (2 * n2 + 1)
+            or pairing(latt, v1, w) != 0):
+        raise InternalInconsistencyError(
+            "v1, w do not give the certificate's orthogonal diagonal"
+        )
+    cert = SmallnessCertificate(
+        p=p, alpha1=alpha1, alpha2=alpha2, beta1=beta1, beta2=beta2, n1=0, n2=n2,
     )
-
-
-def select_prime(latt: QuadLattice, n_bound: int,
-                 limits: SearchLimits = DEFAULT_LIMITS) -> int:
-    """Smallest prime > n_bound for which the whole construction succeeds."""
-    return find_rank2_avoiding(latt, n_bound, limits).certificate.p
-
-
-def _orientation_order(comp_pos: int, comp_neg: int):
-    # prefer q(w) < 0 (so q(v1) > 0); a definite complement forces the flip
-    if comp_neg == 0:
-        return (False,)
-    if comp_pos == 0:
-        return (True,)
-    return (True, False)
-
-
-def _pair_complement(latt, v, vp) -> Sublattice:
-    from .lattice import orthogonal_complement
-
-    return orthogonal_complement(span(latt, [v, vp]))
+    ok, reason = check_certificate(cert, n_bound)
+    if not ok:
+        raise InternalInconsistencyError(f"constructed certificate fails: {reason}")
+    sat = saturate(span(latt, [v1, w]))
+    result = Rank2Result(lattice=sat, v1=v1, w=w, certificate=cert)
+    _post_verify(result, n_bound)
+    return result
 
 
 def _post_verify(result: Rank2Result, n_bound: int, quick_height: int = 40) -> None:

@@ -20,7 +20,6 @@ from .errors import (
     InternalInconsistencyError,
     IsotropicFormError,
     NotBinaryError,
-    NotFoundWithinBoundError,
     NotIsometryError,
     WrongSignatureError,
 )
@@ -29,7 +28,6 @@ from .intmath import pell_fundamental, is_square
 from .lattice import (
     QuadLattice,
     Vector,
-    iter_search_vectors,
     orthogonal_complement,
     pairing,
     qvalue,
@@ -329,27 +327,22 @@ def _proportional(v, a) -> bool:
 def find_parabolic(
     latt: QuadLattice, limits: SearchLimits = DEFAULT_LIMITS
 ) -> Isometry:
-    """Verified parabolic isometry: isotropic v, then a transvection along
-    a direction a ⊥ v with q(a) != 0."""
+    """Verified parabolic isometry: isotropic v, then the transvection along
+    the first basis vector a of v⊥ with q(a) != 0."""
     pos, neg = signature(latt)
     if pos != 1 or neg < 2:
         raise WrongSignatureError("need signature (1, n) with n >= 2")
     v = find_isotropic(latt, limits)
     comp = orthogonal_complement(span(latt, [v]))
-    scanned = 0
-    for coords in iter_search_vectors(comp.rank, limits.max_l1):
-        scanned += 1
-        if scanned > limits.vector_budget:
-            break
-        a = comp.to_ambient(coords)
-        if qvalue(latt, a) == 0 or _proportional(v, a):
-            continue
-        iso = eichler_transvection(latt, v, a)
-        tag = classify(iso).tag
-        if tag is not Tag.PARABOLIC:
-            raise InternalInconsistencyError(f"transvection classified {tag}")
-        return iso
-    raise NotFoundWithinBoundError("no usable transvection direction found")
+    # v⊥/v is negative definite, so every basis vector of v⊥ outside Qv has q != 0
+    a = next((a for a in comp.basis if qvalue(latt, a) != 0), None)
+    if a is None:
+        raise InternalInconsistencyError("v⊥ has no anisotropic basis vector")
+    iso = eichler_transvection(latt, v, a)
+    tag = classify(iso).tag
+    if tag is not Tag.PARABOLIC:
+        raise InternalInconsistencyError(f"transvection classified {tag}")
+    return iso
 
 
 def find_hyperbolic(latt: QuadLattice) -> Isometry:

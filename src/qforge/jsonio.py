@@ -25,7 +25,7 @@ def decode_int(x) -> int:
         raise BadInputError("expected an integer")
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and x.removeprefix("-").isdecimal():
         return int(x)
     raise BadInputError(f"expected an integer, got {x!r}")
 
@@ -46,6 +46,8 @@ def encode_fraction_matrix(mat):
 
 
 def decode_matrix(rows):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise BadInputError("expected a list of integer rows")
     return [[decode_int(x) for x in row] for row in rows]
 
 
@@ -65,14 +67,24 @@ def lattice_to_obj(latt: QuadLattice) -> dict:
 
 
 def lattice_from_obj(obj: dict) -> QuadLattice:
-    if "gram" not in obj:
+    if not isinstance(obj, dict) or "gram" not in obj:
         raise BadInputError('lattice JSON needs a "gram" field')
     return from_rows(decode_matrix(obj["gram"]), label=obj.get("label"))
 
 
-def load_lattice_file(path: str) -> QuadLattice:
+def read_json(path: str | None, what: str):
+    """Parsed content of a JSON input file; `what` names it in errors."""
+    if path is None:
+        raise BadInputError(f"{what} is required")
     with open(path) as fh:
-        return lattice_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadInputError(f"{what} {path!r} is not JSON: {exc}") from None
+
+
+def load_lattice_file(path: str) -> QuadLattice:
+    return lattice_from_obj(read_json(path, "lattice file"))
 
 
 def dump_json(obj, path: str | None = None) -> str:

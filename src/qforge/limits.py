@@ -8,8 +8,6 @@ from dataclasses import dataclass
 class SearchLimits:
     max_l1: int = 48  # L1-norm shell cap for vector hunts
     vector_budget: int = 2_000_000  # vectors scanned per hunt
-    prime_pool: int = 25  # candidate primes tried per construction
-    multiplier_bound: int = 10_000  # |beta| cap in the rank-2 step
     witness_max_l1: int = 10  # isometry witness search shells
     witness_budget: int = 200_000  # vectors per witness representation step
     enum_height: int = 1000  # oracle box height for rank-2 checks

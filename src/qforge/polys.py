@@ -24,17 +24,6 @@ def is_monic(f: Poly) -> bool:
     return bool(f) and f[-1] == 1
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return trim(out)
-
-
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Division by a monic divisor stays in Z[x]."""
     if not is_monic(g):
@@ -66,7 +55,7 @@ def euler_phi(m: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)  # a parabolic benchmark round peaks at 9 entries
 def cyclotomic(m: int) -> Poly:
     """The m-th cyclotomic polynomial."""
     if m == 1:

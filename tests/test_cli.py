@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.cli import main, verify_report
 from qforge.jsonio import dump_json, load_lattice_file
@@ -184,8 +188,6 @@ def test_report_determinism(tmp_path, capsys):
                 "catalog:U+U+<2>",
                 "--n-bound",
                 "4",
-                "--seed",
-                "7",
                 "--out",
                 str(out),
             ]
@@ -197,6 +199,15 @@ def test_report_determinism(tmp_path, capsys):
     a.pop("timings")
     b.pop("timings")
     assert dump_json(a) == dump_json(b)
+
+
+def test_hyperbolic_k3_large_bound(capsys):
+    rc, obj = run_cli(
+        capsys,
+        ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "1000", "--verify"],
+    )
+    assert rc == 0 and obj["verified"] is True
+    assert obj["sublattice"]["certificate"]["p"] == 1009
 
 
 def test_verify_report_catches_tampering(capsys):
@@ -251,3 +262,83 @@ def test_catalog_env_override(tmp_path, monkeypatch, capsys):
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:mine"])
     assert rc == 0
     assert obj["triple"]["disc_squarefree"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract: malformed input ends in 0/2/3/4 with JSON on stdout
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    contents = {
+        "not_json": "xx{",
+        "binary": b"\xff\xfe\x00",
+        "scalar": "5",
+        "list_of_ints": "[1, 2]",
+        "no_gram": '{"label": "x"}',
+        "ragged": '{"gram": [[1, 0], [0]]}',
+        "bad_entry": '{"gram": [["a"]]}',
+        "matrix": "[[1, 0], [0, 1]]",
+        "certificate": '{"p": 5}',
+        "bad_pairs": '{"p": 5, "alpha": 5, "beta": [1, 1], "n": [0, 0]}',
+    }
+    paths = {}
+    for name, text in contents.items():
+        path = root / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        paths[name] = str(path)
+    paths["missing"] = str(root / "missing.json")
+    paths["directory"] = str(root)
+    paths["no_such_dir"] = str(root / "no_such_dir" / "out.json")
+    return paths
+
+
+_FILES = ("not_json", "binary", "scalar", "list_of_ints", "no_gram", "ragged",
+          "bad_entry", "matrix", "certificate", "bad_pairs", "missing", "directory")
+_LATTICES = ("catalog:U", "catalog:<2>", "catalog:diag(1,-1)", "catalog:diag(1,x)",
+             "catalog:diag(1^-2)", "catalog:diag()", "catalog:nope", "catalog:") + _FILES
+_VALUES = {
+    "--lattice": _LATTICES,
+    "--other": _LATTICES,
+    "--target-signature": ("3,3", "2,0", "a,b", "1", ",", ""),
+    "--height-bound": ("-3", "0", "2", "x"),
+    "--n-bound": ("-1", "0", "3", "x"),
+    "--budget": ("-5", "0", "1000", "x"),
+    "--matrix": _FILES,
+    "--basis": _FILES,
+    "--certificate": _FILES,
+    "--out": ("directory", "no_such_dir"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["hyperbolic", "parabolic", "invariants", "equiv", "classify",
+                             "saturate", "extend", "glue", "isotropic", "certify",
+                             "enumerate", "no-such-command"]),
+    flags=st.dictionaries(st.sampled_from(sorted(_VALUES)), st.integers(0, 20)),
+)
+def test_malformed_input_exit_codes(input_files, command, flags):
+    argv = [command]
+    for flag, index in sorted(flags.items()):
+        choices = _VALUES[flag]
+        value = choices[index % len(choices)]
+        argv += [flag, input_files.get(value, value)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), argv
+    json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("text", ["xx{", "[1, 2]"])
+def test_catalog_env_malformed(tmp_path, monkeypatch, capsys, text):
+    extra = tmp_path / "cat.json"
+    extra.write_text(text)
+    monkeypatch.setenv("QFORGE_CATALOG", str(extra))
+    rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U"])
+    assert rc == 2 and obj["error"]["type"] == "BadInputError"

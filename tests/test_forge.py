@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qforge.catalog import resolve
 from qforge.errors import (
@@ -15,7 +18,6 @@ from qforge.forge import (
     find_isotropic_pair,
     find_rank2_avoiding,
     find_w_odd_valuation,
-    select_prime,
     verify_certificate,
 )
 from qforge.lattice import (
@@ -76,6 +78,48 @@ def test_find_isotropic_pair_generic():
     assert pairing(latt, v, vp) != 0
 
 
+@pytest.mark.parametrize(
+    "name", ["U+U+<2>", "K3", "U+E8(-1)", "diag(1,-1,-1,1,-1)", "diag(2,-3,5,-7,11)"]
+)
+def test_find_isotropic_pair_contract(name):
+    latt = resolve(name)
+    v, vp = find_isotropic_pair(latt)
+    assert qvalue(latt, v) == 0 and qvalue(latt, vp) == 0
+    assert pairing(latt, v, vp) != 0
+    assert math.gcd(*v) == 1 and math.gcd(*vp) == 1
+
+
+@st.composite
+def _nondegenerate_grams(draw):
+    n = draw(st.integers(3, 6))
+    entries = st.integers(-6, 6)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    latt = from_rows(rows)
+    assume(latt.det() != 0)
+    return latt
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    latt=_nondegenerate_grams(),
+    p=st.sampled_from([3, 5, 7, 11, 13, 31, 101, 1009]),
+    want_negative=st.booleans(),
+)
+def test_find_w_odd_valuation_contract(latt, p, want_negative):
+    assume(latt.det() % p != 0)
+    comp = span(latt, [tuple(int(i == j) for j in range(latt.rank)) for i in range(latt.rank)])
+    w, beta, n = find_w_odd_valuation(comp, p, want_negative=want_negative)
+    value = qvalue(latt, w)
+    assert math.gcd(*w) == 1
+    assert n == 0 and value == beta * p and beta % p != 0
+    pos, neg = signature(latt)
+    if (neg if want_negative else pos) > 0:
+        assert (value < 0) == want_negative
+
+
 def test_find_w_worked_instance():
     comp = orthogonal_complement(span(UU2, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
     w, beta, n = find_w_odd_valuation(comp, 5, want_negative=True)
@@ -91,9 +135,10 @@ def test_find_w_rank1():
 
 
 def test_find_w_unreachable_valuation():
-    comp = span(diag_lattice(-2, -2), [(1, 0), (0, 1)])
-    with pytest.raises(NotFoundWithinBoundError):
-        find_w_odd_valuation(comp, 5, want_negative=True, limits=SearchLimits(max_l1=2))
+    # x^2 + y^2 is anisotropic mod 3, so no primitive w has q(w) divisible by 3
+    comp = span(diag_lattice(1, 1), [(1, 0), (0, 1)])
+    with pytest.raises(PreconditionError):
+        find_w_odd_valuation(comp, 3, want_negative=True)
 
 
 def test_certificate_worked_example():
@@ -155,8 +200,8 @@ def test_rank2_values_multiples_of_p():
 
 
 def test_select_prime():
-    assert select_prime(UU2, 4) == 5
-    assert select_prime(UU2, 0) == 3
+    assert find_rank2_avoiding(UU2, 4).certificate.p == 5
+    assert find_rank2_avoiding(UU2, 0).certificate.p == 3
 
 
 def test_av_bvp_identity():
