@@ -21,7 +21,7 @@ def main():
     print(f"sublattice : rank {final.rank}, signature {signature(final.as_lattice())}")
     print(f"  basis    : {final.basis}")
     print(f"  gram     : {final.gram()}")
-    print(f"  oracle   : {rep.oracle}")
+    print(f"  oracle   : Gram ≡ 0 mod {rep.prime}, so every nonzero |value| >= {rep.prime}")
     iso = find_parabolic(final.as_lattice())
     cls = classify(iso)
     print(f"isometry   : {iso.matrix}")

@@ -22,6 +22,7 @@ import time
 
 from . import __version__, catalog, forge, glue, isom, jsonio
 from .errors import BadInputError, QforgeError
+from .intmath import is_prime
 from .jsonio import (
     dump_json,
     encode_fraction_matrix,
@@ -35,9 +36,11 @@ from .jsonio import (
 )
 from .lattice import (
     QuadLattice,
-    all_values_divisible_by,
+    binary_minimum,
     enumerate_values,
+    gram_divisible_by,
     min_nonzero_abs,
+    qvalue,
     saturate,
     saturation_index,
     signature,
@@ -62,13 +65,19 @@ def _lattice_hash(latt: QuadLattice) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# Height of the one box enumeration left on the hyperbolic path: the --verify
+# cross-check of the exact minimum, also printed as a re-runnable check.
+CROSS_CHECK_HEIGHT = 60
+
+
+def _decode_matrix(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(jsonio.decode_int(x) for x in row) for row in rows)
+
+
 def _limits_from_args(args) -> SearchLimits:
     if (args.height_bound or 0) < 0 or (args.budget or 0) < 0:
         raise BadInputError("--height-bound and --budget must be >= 0")
     kw = {}
-    if getattr(args, "height_bound", None):
-        kw["enum_height"] = args.height_bound
-        kw["enum_height_highrank"] = args.height_bound
     if getattr(args, "budget", None):
         kw["enum_budget"] = args.budget
         kw["vector_budget"] = min(args.budget, DEFAULT_LIMITS.vector_budget * 10)
@@ -142,11 +151,7 @@ def cmd_hyperbolic(args) -> dict:
     sub_latt = result.lattice.as_lattice(label="constructed rank-2")
     iso = isom.find_hyperbolic(sub_latt)
     cls = isom.classify(iso)
-    height = limits.enum_height
-    smallest, witness = min_nonzero_abs(sub_latt, height, budget=limits.enum_budget)
-    divisible, _ = all_values_divisible_by(
-        sub_latt, result.certificate.p, height, budget=limits.enum_budget
-    )
+    smallest, witness = binary_minimum(sub_latt)
     elapsed = time.monotonic() - t0
     report = {
         "tool": {"name": "qforge", "version": __version__},
@@ -174,15 +179,14 @@ def cmd_hyperbolic(args) -> dict:
             "classification": _classification_obj(cls),
         },
         "oracle": {
-            "height": height,
-            "min_nonzero_abs": encode_int(smallest) if smallest is not None else None,
-            "min_witness": encode_vector(witness) if witness else None,
-            "all_values_divisible_by_p": divisible,
+            "min_nonzero_abs": encode_int(smallest),
+            "min_witness": encode_vector(witness),
+            "all_values_divisible_by_p": gram_divisible_by(sub_latt.gram, result.certificate.p),
         },
         "checks": [
             f"qforge certify --certificate <sublattice.certificate> --n-bound {args.n_bound}",
             "qforge classify --lattice <sublattice.gram> --matrix <isometry.matrix>",
-            f"qforge enumerate --lattice <sublattice.gram> --height-bound {height}",
+            f"qforge enumerate --lattice <sublattice.gram> --height-bound {CROSS_CHECK_HEIGHT}",
         ],
     }
     report["timings"] = {"seconds": round(elapsed, 3)}
@@ -233,10 +237,7 @@ def cmd_parabolic(args) -> dict:
             "signature": list(signature(rep.lambda_in_source.as_lattice())),
             "saturation_index_of_intersection": encode_int(rep.sat_index),
         }
-        out["oracle"] = {
-            k: (encode_vector(v) if k == "min_witness" and v else v)
-            for k, v in rep.oracle.items()
-        }
+        out["oracle"] = {"gram_divisible_by": rep.prime}
         final = rep.lambda_in_source.as_lattice(label="constructed sublattice")
         iso = isom.find_parabolic(final, limits)
         cls = isom.classify(iso)
@@ -359,43 +360,64 @@ def verify_report(report: dict) -> list[str]:
     failures: list[str] = []
     sub = report.get("sublattice")
     if sub and "gram" in sub:
-        gram = tuple(tuple(jsonio.decode_int(x) for x in row) for row in sub["gram"])
+        gram = _decode_matrix(sub["gram"])
         latt = QuadLattice(gram)
+        n_bound = report["input"]["n_bound"]
         if "certificate" in sub:
             cert = _certificate_from_obj(sub["certificate"])
-            n_bound = report["input"]["n_bound"]
             if not verify_certificate(cert, n_bound):
                 failures.append("certificate does not verify")
             pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
             claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])
             if math.prod(snf_invariant_factors(pair)) != claimed_index:
                 failures.append("saturation index of span(v1, w) misstated")
-            ok, _ = all_values_divisible_by(latt, cert.p, 60)
-            if not ok:
-                failures.append("values not all divisible by p")
+            oracle = report["oracle"]
+            if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):
+                failures.append("Gram is not 0 mod p")
+            claimed = jsonio.decode_int(oracle["min_nonzero_abs"])
+            witness = tuple(jsonio.decode_int(x) for x in oracle["min_witness"])
+            failures += _minimum_failures(latt, claimed, witness)
+            smallest, _ = min_nonzero_abs(latt, CROSS_CHECK_HEIGHT)
+            if smallest is not None and smallest < claimed:
+                failures.append(f"a value below the claimed minimum at height {CROSS_CHECK_HEIGHT}")
+        emb = report.get("embedding")
+        if emb:
+            prime = jsonio.decode_int(emb["prime"])
+            d = jsonio.decode_int(emb["index_d"])
+            if not is_prime(prime) or prime <= d * d * n_bound:
+                failures.append("P is not a prime above d^2 N")
+            claimed = jsonio.decode_int(report["oracle"]["gram_divisible_by"])
+            if claimed != prime or not gram_divisible_by(gram, prime):
+                failures.append("Gram is not 0 mod P")
         iso_obj = report.get("isometry")
         if iso_obj:
-            matrix = tuple(
-                tuple(jsonio.decode_int(x) for x in row) for row in iso_obj["matrix"]
-            )
             try:
-                iso = isom.Isometry(latt, matrix)
+                iso = isom.Isometry(latt, _decode_matrix(iso_obj["matrix"]))
             except QforgeError:
                 failures.append("isometry congruence fails")
             else:
                 tag = isom.classify(iso).tag.value
                 if tag != iso_obj["classification"]["tag"]:
                     failures.append("classification tag mismatch")
-        oracle = report.get("oracle")
-        if oracle and oracle.get("min_nonzero_abs") is not None:
-            height = min(oracle.get("height", oracle.get("enumerated_height", 10)), 60)
-            smallest, _ = min_nonzero_abs(latt, height)
-            claimed = jsonio.decode_int(oracle["min_nonzero_abs"])
-            if smallest is not None and smallest < claimed:
-                failures.append("oracle minimum overstated")
     ext = report.get("extension")
     if ext and not ext.get("triples_equal", True):
         failures.append("extension triples differ")
+    return failures
+
+
+def _minimum_failures(latt: QuadLattice, claimed: int, witness) -> list[str]:
+    """The claimed global minimum against the cycle walk, and its witness."""
+    failures = []
+    try:
+        exact, _ = binary_minimum(latt)
+    except QforgeError:
+        return ["sublattice form is not anisotropic indefinite binary"]
+    if exact < claimed:
+        failures.append("oracle minimum overstated")
+    elif exact > claimed:
+        failures.append("oracle minimum understated")
+    if len(witness) != 2 or abs(qvalue(latt, witness)) != claimed:
+        failures.append("oracle witness does not attain the claimed minimum")
     return failures
 
 

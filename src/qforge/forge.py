@@ -25,10 +25,10 @@ from .lattice import (
     QuadLattice,
     Sublattice,
     Vector,
-    all_values_divisible_by,
+    binary_minimum,
+    gram_divisible_by,
     is_indefinite,
     iter_search_vectors,
-    min_nonzero_abs,
     orthogonal_complement,
     pairing,
     qvalue,
@@ -284,16 +284,13 @@ def find_rank2_avoiding(
     return result
 
 
-def _post_verify(result: Rank2Result, n_bound: int, quick_height: int = 40) -> None:
-    sat = result.lattice
-    cert = result.certificate
-    pos, neg = signature(sat.as_lattice())
-    if (pos, neg) != (1, 1):
+def _post_verify(result: Rank2Result, n_bound: int) -> None:
+    sat_latt = result.lattice.as_lattice()
+    p = result.certificate.p
+    if signature(sat_latt) != (1, 1):
         raise InternalInconsistencyError("constructed lattice is not of signature (1,1)")
-    sat_latt = sat.as_lattice()
-    ok, counterexample = all_values_divisible_by(sat_latt, cert.p, quick_height)
-    if not ok:
-        raise InternalInconsistencyError(f"value not divisible by p at {counterexample}")
-    smallest, _ = min_nonzero_abs(sat_latt, quick_height)
-    if smallest is not None and smallest < max(n_bound, 1):
-        raise InternalInconsistencyError("small value slipped through the certificate")
+    if not gram_divisible_by(sat_latt.gram, p):
+        raise InternalInconsistencyError(f"Gram of the sublattice is not 0 mod {p}")
+    smallest, witness = binary_minimum(sat_latt)
+    if smallest < max(n_bound, 1):
+        raise InternalInconsistencyError(f"small value {smallest} slipped through at {witness}")

@@ -37,7 +37,7 @@ from .lattice import (
     Sublattice,
     diag_lattice,
     direct_sum,
-    min_nonzero_abs,
+    gram_divisible_by,
     rescale,
     saturate,
     saturation_index,
@@ -537,7 +537,6 @@ class EmbeddingReport:
     prime: int | None
     lambda_in_source: Sublattice | None
     sat_index: int | None
-    oracle: dict | None
     certificate_level: bool
 
 
@@ -653,7 +652,8 @@ def embed_pipeline(
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> EmbeddingReport:
     """Primitive sublattice of signature (1, rank/2 - 3) of `source`
-    representing no nonzero number of absolute value < n_bound.
+    representing no nonzero number of absolute value < n_bound: its Gram
+    is 0 mod a prime P > d^2 N, so every nonzero value is a multiple of P.
 
     Falls back to a certificate-level report (invariants proven, explicit
     matrices absent) when the witness search for the rational embedding
@@ -691,7 +691,7 @@ def embed_pipeline(
         return EmbeddingReport(
             source=source, ambient=ambient, extension=ext,
             embedding=None, index_d=None, prime=None, lambda_in_source=None,
-            sat_index=None, oracle=None, certificate_level=True,
+            sat_index=None, certificate_level=True,
         )
 
     d = _embedding_index(embedding, b2 + 3)
@@ -708,34 +708,16 @@ def embed_pipeline(
     final_gram = trimmed.gram()
     if signature(QuadLattice(final_gram)) != (1, want_neg):
         raise InternalInconsistencyError("trimmed lattice has wrong signature")
-    if any(x % p for row in final_gram for x in row):
+    if not gram_divisible_by(final_gram, p):
         raise InternalInconsistencyError(
             "Gram of the saturation is not divisible by the scaling prime"
         )
     if saturation_index(trimmed) != 1:
         raise InternalInconsistencyError("result is not primitive")
-
-    rank_f = len(final_gram)
-    height = limits.enum_height_highrank
-    enum_height = height
-    while (2 * enum_height + 1) ** rank_f - 1 > limits.vector_budget:
-        enum_height -= 1
-    best, witness = min_nonzero_abs(QuadLattice(final_gram), enum_height,
-                                    budget=limits.enum_budget)
-    oracle = {
-        "requested_height": height,
-        "enumerated_height": enum_height,
-        "min_nonzero_abs": best,
-        "min_witness": witness,
-        "gram_divisible_by": p,
-        "divisibility_bound_all_heights": p,
-    }
-    if best is not None and best < n_bound:
-        raise InternalInconsistencyError("oracle found a small value")
     return EmbeddingReport(
         source=source, ambient=ambient, extension=ext,
         embedding=embedding, index_d=d, prime=p, lambda_in_source=trimmed,
-        sat_index=sat_idx, oracle=oracle, certificate_level=False,
+        sat_index=sat_idx, certificate_level=False,
     )
 
 

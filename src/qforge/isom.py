@@ -250,14 +250,17 @@ def pell_automorph(latt: QuadLattice) -> Isometry:
     """Infinite-order isometry of an anisotropic binary form of signature
     (1,1), from the fundamental solution of t^2 - D u^2 = 4.
 
-    With Gram [[g11, g12], [g12, g22]] the form is g11 x^2 + 2 g12 xy +
-    g22 y^2; its discriminant D = 4 (g12^2 - g11 g22) is 4 * |det| > 0 and
-    D/4 square exactly when the form represents zero.
+    With Gram [[g11, g12], [g12, g22]] divided by its content, the form is
+    g11 x^2 + 2 g12 xy + g22 y^2; its discriminant D = 4 (g12^2 - g11 g22)
+    is 4 * |det| > 0 and D/4 square exactly when the form represents zero.
+    An automorph of the divided form preserves the lattice's own form, and
+    the division keeps D, hence the Pell period, free of the content.
     """
     if latt.rank != 2:
         raise NotBinaryError("Pell automorphs exist for binary forms only")
-    g11, g12 = latt.gram[0][0], latt.gram[0][1]
-    g22 = latt.gram[1][1]
+    (g11, g12), (_, g22) = latt.gram
+    content = math.gcd(g11, g12, g22) or 1
+    g11, g12, g22 = g11 // content, g12 // content, g22 // content
     d4 = g12 * g12 - g11 * g22  # D/4
     if d4 <= 0:
         raise IsotropicFormError("form is not indefinite")

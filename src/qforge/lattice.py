@@ -15,7 +15,11 @@ from .errors import (
     BudgetExceededError,
     DegenerateLatticeError,
     DimensionMismatchError,
+    InternalInconsistencyError,
+    IsotropicFormError,
+    NotBinaryError,
 )
+from .intmath import is_square
 from .limits import DEFAULT_LIMITS
 from .linalg import (
     hermite_rows,
@@ -452,6 +456,64 @@ def all_values_divisible_by(
         if value % p:
             return False, vec
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Exact value bounds: divisibility of the Gram, the reduced-form cycle
+
+
+def gram_divisible_by(gram, p: int) -> bool:
+    """Gram ≡ 0 mod p. For odd p this is the same as p dividing every value
+    q(x), at every height: q(x) = sum G_ii x_i^2 + 2 sum_{i<j} G_ij x_i x_j."""
+    return all(x % p == 0 for row in gram for x in row)
+
+
+
+def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
+    """Exact min |q| over Z^2 \\ 0 of an anisotropic indefinite binary
+    lattice, with a witness (first nonzero coordinate positive).
+
+    With the Gram divided by its content g, the form f = (a, 2b, c) has
+    non-square discriminant D > 0. Its minimum is at most sqrt(D/5)
+    (Markov), below sqrt(D)/2, and every primitive value below sqrt(D)/2
+    is the first coefficient of a reduced form properly equivalent to f
+    (Lagrange); those forms make up the rho-cycle of f (Buchmann-Vollmer,
+    Binary Quadratic Forms, ch. 6). So walking f to its cycle and once
+    around it visits the minimum. The witness is the first vector of the
+    walk, from f itself on, whose value attains it.
+    """
+    if latt.rank != 2:
+        raise NotBinaryError("binary_minimum needs a rank-2 lattice")
+    (g11, g12), (_, g22) = latt.gram
+    d4 = g12 * g12 - g11 * g22
+    if d4 <= 0 or is_square(d4):
+        raise IsotropicFormError("form is definite, degenerate or isotropic")
+    g = math.gcd(g11, g12, g22)
+    a, b, c = g11 // g, 2 * g12 // g, g22 // g
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc)
+    # the form (a, b, c) is f(T x) for the matrix T with columns col1, col2
+    col1, col2 = (1, 0), (0, 1)
+    best, witness = abs(a), col1
+    start = None
+    while (a, b, c) != start:
+        if start is None and 0 < b <= s and 2 * abs(a) - b <= s < 2 * abs(a) + b:
+            start = (a, b, c)  # the first reduced form: the cycle begins here
+        # rho: (a, b, c) -> (c, r, a - b t + c t^2), r = -b + 2 c t in the
+        # normal range, -|c| < r <= |c| if |c| > sqrt(D), else (sqrt(D) - 2|c|, sqrt(D))
+        top = abs(c) if abs(c) > s else s
+        r = top - (top + b) % (2 * abs(c))
+        t = (r + b) // (2 * c)
+        a, b, c = c, r, a - b * t + c * t * t
+        col1, col2 = col2, (t * col2[0] - col1[0], t * col2[1] - col1[1])
+        if abs(a) < best:
+            best, witness = abs(a), col1
+    if witness < (0, 0):
+        witness = (-witness[0], -witness[1])
+    m = g * best
+    if abs(qvalue(latt, witness)) != m or 5 * best * best > disc:
+        raise InternalInconsistencyError(f"cycle minimum {m} at {witness} does not check")
+    return m, witness
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ class SearchLimits:
     vector_budget: int = 2_000_000  # vectors scanned per hunt
     witness_max_l1: int = 10  # isometry witness search shells
     witness_budget: int = 200_000  # vectors per witness representation step
-    enum_height: int = 1000  # oracle box height for rank-2 checks
-    enum_height_highrank: int = 100  # requested oracle height for rank >= 5
     enum_budget: int = 100_000_000
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -210,6 +211,18 @@ def test_hyperbolic_k3_large_bound(capsys):
     assert obj["sublattice"]["certificate"]["p"] == 1009
 
 
+def test_hyperbolic_k3_content_of_the_gram(capsys):
+    """At N = 10^5 the sublattice Gram is 2p diag(2, -1): the Pell automorph
+    comes from the divided form, whose period does not grow with p."""
+    rc, obj = run_cli(
+        capsys,
+        ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "100000", "--verify"],
+    )
+    assert rc == 0 and obj["verified"] is True
+    p = obj["sublattice"]["certificate"]["p"]
+    assert obj["oracle"]["min_nonzero_abs"] == 2 * p
+
+
 def test_verify_report_catches_tampering(capsys):
     rc, obj = run_cli(
         capsys,
@@ -229,6 +242,57 @@ def test_verify_report_rechecks_saturation_index(capsys):
     assert verify_report(obj) == []
     obj["sublattice"]["saturation_index_of_span"] = 2
     assert verify_report(obj) == ["saturation index of span(v1, w) misstated"]
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """One hyperbolic and one explicit parabolic report, without --verify."""
+    out = {}
+    for mode, lattice, n_bound in (("hyperbolic", "catalog:U+U+<2>", "4"),
+                                   ("parabolic", "catalog:diag(1,1,1,-1^11)", "3")):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main([mode, "--lattice", lattice, "--n-bound", n_bound]) == 0
+        out[mode] = json.loads(text.getvalue())
+    return out
+
+
+def _shift_minimum(delta):
+    def tamper(report):
+        report["oracle"]["min_nonzero_abs"] += delta
+    return tamper
+
+
+def _double_witness(report):
+    report["oracle"]["min_witness"] = [2 * x for x in report["oracle"]["min_witness"]]
+
+
+def _bump_gram_diagonal(report):
+    report["sublattice"]["gram"][0][0] += 1
+
+
+def _prime_at_d2n(report):
+    report["embedding"]["prime"] = report["embedding"]["d_squared_n"]
+
+
+_ORACLE_TAMPERS = {
+    "understated minimum": ("hyperbolic", _shift_minimum(-1), "oracle minimum understated"),
+    "overstated minimum": ("hyperbolic", _shift_minimum(1), "oracle minimum overstated"),
+    "wrong witness": ("hyperbolic", _double_witness,
+                      "oracle witness does not attain the claimed minimum"),
+    "hyperbolic Gram not 0 mod p": ("hyperbolic", _bump_gram_diagonal, "Gram is not 0 mod p"),
+    "P <= d^2 N": ("parabolic", _prime_at_d2n, "P is not a prime above d^2 N"),
+    "parabolic Gram not 0 mod P": ("parabolic", _bump_gram_diagonal, "Gram is not 0 mod P"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_TAMPERS))
+def test_verify_report_rechecks_oracle_claims(reports, name):
+    mode, tamper, failure = _ORACLE_TAMPERS[name]
+    report = copy.deepcopy(reports[mode])
+    assert verify_report(report) == []
+    tamper(report)
+    assert failure in verify_report(report)
 
 
 def test_search_exhausted_exit_code(capsys):

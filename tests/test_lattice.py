@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qforge.catalog import resolve
-from qforge.errors import BudgetExceededError, DegenerateLatticeError
+from qforge.errors import BudgetExceededError, DegenerateLatticeError, IsotropicFormError
 from qforge.lattice import (
     QuadLattice,
     all_values_divisible_by,
+    binary_minimum,
     diag_lattice,
     direct_sum,
     discriminant_group,
@@ -158,6 +160,45 @@ def test_divisibility_scan():
     assert ok
     ok, witness = all_values_divisible_by(diag_lattice(20, -9), 5, 50)
     assert not ok and witness is not None
+
+
+_SCALED_ENTRIES = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(*[st.integers(-50 // k, 50 // k).map(lambda x: k * x)] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_SCALED_ENTRIES)
+@example(entries=(6, 3, -6))  # content 3, off-diagonal
+@example(entries=(2, 1, -2))  # 2x^2 + 2xy - 2y^2: Markov's bound is attained
+@example(entries=(30, 0, -10))
+def test_binary_minimum_against_box(entries):
+    """The cycle-walk minimum against the box oracle on anisotropic
+    indefinite binary Grams with entries |.| <= 50, contents > 1 included."""
+    a, b, c = entries
+    d4 = b * b - a * c
+    assume(d4 > 0 and math.isqrt(d4) ** 2 != d4)
+    latt = from_rows([[a, b], [b, c]])
+    height = 30
+    m, witness = binary_minimum(latt)
+    box_min, _ = min_nonzero_abs(latt, height)
+    assert abs(qvalue(latt, witness)) == m
+    assert m <= box_min
+    if max(abs(x) for x in witness) <= height:
+        assert m == box_min
+
+
+@pytest.mark.parametrize("gram", [
+    [[0, 1], [1, 0]],  # U: D/4 = 1
+    [[1, 0], [0, -4]],  # D/4 = 4
+    [[3, 3], [3, 0]],  # D/4 = 9, off-diagonal
+    [[1, 1], [1, 1]],  # degenerate: D = 0
+    [[0, 0], [0, 0]],
+    [[1, 0], [0, 1]],  # definite
+    [[-4, 2], [2, -6]],  # negative definite
+])
+def test_binary_minimum_rejects_isotropic_and_definite(gram):
+    with pytest.raises(IsotropicFormError):
+        binary_minimum(from_rows(gram))
 
 
 def test_search_order_canon():
