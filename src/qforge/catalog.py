@@ -13,7 +13,7 @@ import json
 import os
 import re
 
-from .errors import BadInputError
+from .errors import PreconditionError
 from .jsonio import lattice_from_obj, read_json
 from .lattice import QuadLattice, diag_lattice, direct_sum, from_rows, rescale
 
@@ -29,7 +29,7 @@ def _external() -> dict:
     path = os.environ.get(_ENV_VAR)
     entries = read_json(path, _ENV_VAR) if path else {}
     if not isinstance(entries, dict):
-        raise BadInputError(f"{_ENV_VAR} must name a JSON object of catalog entries")
+        raise PreconditionError(f"{_ENV_VAR} must name a JSON object of catalog entries")
     return entries
 
 
@@ -51,9 +51,9 @@ def _parse_diag_args(body: str) -> list[int]:
         try:
             entry, repeat = int(base), int(count) if caret else 1
         except ValueError:
-            raise BadInputError(f"diag entry {part!r} must be an integer a or a^k") from None
+            raise PreconditionError(f"diag entry {part!r} must be an integer a or a^k") from None
         if repeat < 1:
-            raise BadInputError(f"diag entry {part!r} repeats fewer than once")
+            raise PreconditionError(f"diag entry {part!r} repeats fewer than once")
         out.extend([entry] * repeat)
     return out
 
@@ -74,14 +74,14 @@ def _atom(name: str) -> QuadLattice:
     m = _DIAG_RE.match(name)
     if m:
         return diag_lattice(*_parse_diag_args(m.group(1)), label=name)
-    raise BadInputError(f"unknown catalog name: {name!r}")
+    raise PreconditionError(f"unknown catalog name: {name!r}")
 
 
 def resolve(name: str) -> QuadLattice:
     """Resolve a catalog name, possibly a "+"-joined direct sum."""
     parts = [p.strip() for p in _split_atoms(name)]
     if not parts:
-        raise BadInputError("empty catalog name")
+        raise PreconditionError("empty catalog name")
     if len(parts) == 1:
         return _atom(parts[0])
     return direct_sum(*[_atom(p) for p in parts], label=name)

@@ -19,9 +19,10 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__, catalog, forge, glue, isom, jsonio
-from .errors import BadInputError, QforgeError
+from .errors import PreconditionError, QforgeError
 from .intmath import is_prime
 from .jsonio import (
     dump_json,
@@ -54,7 +55,7 @@ from .forge import SmallnessCertificate, verify_certificate
 
 def _load_lattice(spec: str | None) -> QuadLattice:
     if spec is None:
-        raise BadInputError("--lattice is required")
+        raise PreconditionError("--lattice is required")
     if spec.startswith("catalog:"):
         return catalog.resolve(spec[len("catalog:"):])
     return load_lattice_file(spec)
@@ -76,7 +77,7 @@ def _decode_matrix(rows) -> tuple[tuple[int, ...], ...]:
 
 def _limits_from_args(args) -> SearchLimits:
     if (args.height_bound or 0) < 0 or (args.budget or 0) < 0:
-        raise BadInputError("--height-bound and --budget must be >= 0")
+        raise PreconditionError("--height-bound and --budget must be >= 0")
     kw = {}
     if getattr(args, "budget", None):
         kw["enum_budget"] = args.budget
@@ -105,7 +106,7 @@ def _certificate_from_obj(obj) -> SmallnessCertificate:
     pairs = ("alpha", "beta", "n")
     if not (isinstance(obj, dict) and {"p", *pairs} <= obj.keys()
             and all(isinstance(obj[k], list) and len(obj[k]) == 2 for k in pairs)):
-        raise BadInputError('a certificate needs "p" and pairs "alpha", "beta" and "n"')
+        raise PreconditionError('a certificate needs "p" and pairs "alpha", "beta" and "n"')
     return SmallnessCertificate(
         p=jsonio.decode_int(obj["p"]),
         alpha1=jsonio.decode_int(obj["alpha"][0]),
@@ -347,7 +348,7 @@ def _parse_signature(text: str | None) -> tuple[int, int]:
     try:
         return int(r), int(s)
     except ValueError:
-        raise BadInputError(f"--target-signature must be r,s, got {text!r}") from None
+        raise PreconditionError(f"--target-signature must be r,s, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +387,12 @@ def verify_report(report: dict) -> list[str]:
             d = jsonio.decode_int(emb["index_d"])
             if not is_prime(prime) or prime <= d * d * n_bound:
                 failures.append("P is not a prime above d^2 N")
+            matrix = [[Fraction(x) for x in row] for row in emb["matrix"]]
+            if glue._embedding_index(matrix, len(matrix)) != d:
+                failures.append("index d does not match the embedding matrix")
+            want = [1, report["input"]["rank"] // 2 - 3]
+            if list(signature(latt)) != want or sub["signature"] != want:
+                failures.append("sublattice signature is not (1, rank/2 - 3)")
             claimed = jsonio.decode_int(report["oracle"]["gram_divisible_by"])
             if claimed != prime or not gram_divisible_by(gram, prime):
                 failures.append("Gram is not 0 mod P")
@@ -393,10 +400,10 @@ def verify_report(report: dict) -> list[str]:
         if iso_obj:
             try:
                 iso = isom.Isometry(latt, _decode_matrix(iso_obj["matrix"]))
-            except QforgeError:
-                failures.append("isometry congruence fails")
-            else:
                 tag = isom.classify(iso).tag.value
+            except QforgeError as exc:
+                failures.append(f"isometry does not verify: {exc}")
+            else:
                 if tag != iso_obj["classification"]["tag"]:
                     failures.append("classification tag mismatch")
     ext = report.get("extension")
@@ -441,7 +448,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad argv exits 2 with JSON, like any bad input
-        raise BadInputError(message)
+        raise PreconditionError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

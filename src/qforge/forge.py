@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateLatticeError,
-    InternalInconsistencyError,
-    InvalidPrimeError,
-    NotFoundWithinBoundError,
-    PreconditionError,
-)
+from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import is_prime, primes_from, sqrt_mod
 from .lattice import (
     QuadLattice,
@@ -113,7 +107,7 @@ def find_isotropic(
             break
         if qvalue(latt, v) == 0:
             return v
-    raise NotFoundWithinBoundError(
+    raise SearchExhaustedError(
         "no isotropic vector within the search bound"
         + ("" if latt.rank >= 5 else " (inconclusive below rank 5)")
     )
@@ -129,7 +123,7 @@ def find_isotropic_pair(
     v = find_isotropic(latt, limits)
     i, c = next(((i, c) for i, c in enumerate(mat_vec(latt.gram, v)) if c), (0, 0))
     if c == 0:
-        raise DegenerateLatticeError("the isotropic vector lies in the radical")
+        raise PreconditionError("the isotropic vector lies in the radical")
     vp = [2 * c * (j == i) - latt.gram[i][i] * x for j, x in enumerate(v)]
     return v, tuple(x // math.gcd(*vp) for x in vp)
 
@@ -145,7 +139,7 @@ def find_w_odd_valuation(
     comp is anisotropic mod p, so that no such w exists.
     """
     if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
+        raise PreconditionError(f"{p} is not prime")
     latt = comp.as_lattice()
     diag, diag_basis = rational_diagonalize(latt.gram)
     if all((d < 0) != want_negative for d in diag):
@@ -241,7 +235,7 @@ def find_rank2_avoiding(
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
     if latt.det() == 0:
-        raise DegenerateLatticeError("ambient lattice is degenerate")
+        raise PreconditionError("ambient lattice is degenerate")
     if not is_indefinite(latt):
         raise PreconditionError("ambient lattice must be indefinite")
     if n_bound < 0:

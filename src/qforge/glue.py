@@ -15,12 +15,10 @@ from fractions import Fraction
 
 from . import lattice as lat
 from .errors import (
-    AntiIsometryNotFoundError,
     InconsistentTargetsError,
     InternalInconsistencyError,
     PreconditionError,
     SearchExhaustedError,
-    UnsupportedLatticeError,
 )
 from .intmath import (
     first_primes_excluding,
@@ -334,7 +332,7 @@ def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], li
     for i in range(n):
         for j in range(n):
             if i != j and latt.gram[i][j] != 0:
-                raise UnsupportedLatticeError("gluing supports diagonal lattices only")
+                raise PreconditionError("gluing supports diagonal lattices only")
     p = None
     eps: list[int] = []
     units: list[int] = []
@@ -344,13 +342,13 @@ def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], li
             units.append(e)
         else:
             if not is_prime(abs(e)):
-                raise UnsupportedLatticeError(f"diagonal entry {e} is not +-1 or +-prime")
+                raise PreconditionError(f"diagonal entry {e} is not +-1 or +-prime")
             if abs(e) == 2:
-                raise UnsupportedLatticeError("discriminant group has 2-torsion")
+                raise PreconditionError("discriminant group has 2-torsion")
             if p is None:
                 p = abs(e)
             elif p != abs(e):
-                raise UnsupportedLatticeError("multiple scaling primes are unsupported")
+                raise PreconditionError("multiple scaling primes are unsupported")
             eps.append(1 if e > 0 else -1)
     return p, eps, units
 
@@ -432,11 +430,8 @@ def nikulin_glue(
             standard_lattice(filler_pos, filler_neg),
         ) if filler_pos + filler_neg else rescale(diag_lattice(*delta), p)
         pairs = [(i, units[i], i) for i in range(m)]
-        try:
-            return _assemble_glue(lam, lam_prime, p=p, pairs=pairs)
-        except InternalInconsistencyError:
-            continue
-    raise AntiIsometryNotFoundError(
+        return _assemble_glue(lam, lam_prime, p=p, pairs=pairs)
+    raise SearchExhaustedError(
         "no diagonal anti-isometry pattern fits the target signature"
     )
 

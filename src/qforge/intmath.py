@@ -14,7 +14,7 @@ from sympy.ntheory import isprime as _sympy_isprime
 from sympy.ntheory import nextprime as _sympy_nextprime
 from sympy.ntheory.residue_ntheory import sqrt_mod as _sympy_sqrt_mod
 
-from .errors import InternalInconsistencyError, IsotropicFormError
+from .errors import InternalInconsistencyError, PreconditionError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -133,16 +133,24 @@ def first_primes_excluding(count: int, excluded: frozenset[int] | set[int]) -> l
 
 
 def two_squares(p: int) -> tuple[int, int]:
-    """(a, b) with a**2 + b**2 == p, for p == 2 or p ≡ 1 (mod 4)."""
+    """(a, b), a <= b, with a**2 + b**2 == p, for p == 2 or a prime p ≡ 1 (mod 4).
+
+    Hermite–Serret: Euclid's algorithm on (p, x) with x**2 ≡ -1 (mod p)
+    reaches a remainder below √p, and that remainder is one of the legs.
+    O(log p) divisions; the representation is unique up to order and sign.
+    """
     if p == 2:
         return 1, 1
     if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"{p} is not a sum of two coprime squares")
-    for a in range(1, math.isqrt(p) + 1):
-        rest = p - a * a
-        if is_square(rest):
-            return a, math.isqrt(rest)
-    raise InternalInconsistencyError("unreachable for p ≡ 1 mod 4")
+        raise PreconditionError(f"{p} is not a sum of two coprime squares")
+    root = math.isqrt(p)
+    a, b = p, sqrt_mod(p - 1, p)
+    while b > root:
+        a, b = b, a % b
+    c = math.isqrt(p - b * b)
+    if b * b + c * c != p:
+        raise InternalInconsistencyError(f"Hermite–Serret misses {p}")
+    return min(b, c), max(b, c)
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:
@@ -152,7 +160,7 @@ def pell_fundamental(d: int) -> tuple[int, int]:
     Pell solution automatically when the period is odd.
     """
     if d <= 0 or is_square(d):
-        raise IsotropicFormError(f"{d} is a square or non-positive")
+        raise PreconditionError(f"{d} is a square or non-positive")
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0

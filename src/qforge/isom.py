@@ -13,16 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    BadInputError,
-    DegenerateDirectionError,
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    IsotropicFormError,
-    NotBinaryError,
-    NotIsometryError,
-    WrongSignatureError,
-)
+from .errors import InternalInconsistencyError, PreconditionError
 from .forge import find_isotropic
 from .intmath import pell_fundamental, is_square
 from .lattice import (
@@ -66,7 +57,7 @@ class Isometry:
 
     def __post_init__(self):
         if not is_isometry(self.matrix, self.lattice):
-            raise NotIsometryError("matrix does not preserve the Gram matrix")
+            raise PreconditionError("matrix does not preserve the Gram matrix")
 
     def apply(self, v) -> Vector:
         return mat_vec(self.matrix, v)
@@ -97,7 +88,7 @@ class IsomClass:
 def is_isometry(matrix, latt: QuadLattice) -> bool:
     n = latt.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise DimensionMismatchError("matrix rank != lattice rank")
+        raise PreconditionError("matrix rank != lattice rank")
     if mat_mul(transpose(matrix), mat_mul(latt.gram, matrix)) != freeze(latt.gram):
         return False
     return abs(det_bareiss(matrix)) == 1
@@ -182,7 +173,7 @@ def classify(g: Isometry) -> IsomClass:
     off the unit circle) or parabolic (infinite order, quasi-unipotent)."""
     pos, neg = signature(g.lattice)
     if pos != 1 or neg < 1:
-        raise WrongSignatureError("classification needs signature (1, n), n >= 1")
+        raise PreconditionError("classification needs signature (1, n), n >= 1")
     cp = char_poly(g.matrix)
     rest, cyclo = strip_cyclotomic(cp)
     cone = _positive_cone_flag(g)
@@ -257,15 +248,15 @@ def pell_automorph(latt: QuadLattice) -> Isometry:
     the division keeps D, hence the Pell period, free of the content.
     """
     if latt.rank != 2:
-        raise NotBinaryError("Pell automorphs exist for binary forms only")
+        raise PreconditionError("Pell automorphs exist for binary forms only")
     (g11, g12), (_, g22) = latt.gram
     content = math.gcd(g11, g12, g22) or 1
     g11, g12, g22 = g11 // content, g12 // content, g22 // content
     d4 = g12 * g12 - g11 * g22  # D/4
     if d4 <= 0:
-        raise IsotropicFormError("form is not indefinite")
+        raise PreconditionError("form is not indefinite")
     if is_square(d4):
-        raise IsotropicFormError("form represents zero; no Pell automorph")
+        raise PreconditionError("form represents zero; no Pell automorph")
     x, y = pell_fundamental(d4)
     t, u = 2 * x, y
     a, b, c = g11, 2 * g12, g22
@@ -286,15 +277,15 @@ def eichler_transvection(
     """
     n = latt.rank
     if n < 3:
-        raise BadInputError("rank >= 3 required (the complement of v is too small)")
+        raise PreconditionError("rank >= 3 required (the complement of v is too small)")
     if qvalue(latt, v) != 0:
-        raise BadInputError("v must be isotropic")
+        raise PreconditionError("v must be isotropic")
     if pairing(latt, v, a) != 0:
-        raise BadInputError("a must pair to zero with v")
+        raise PreconditionError("a must pair to zero with v")
     if _proportional(v, a):
-        raise BadInputError("a must not be proportional to v")
+        raise PreconditionError("a must not be proportional to v")
     if qvalue(latt, a) == 0:
-        raise DegenerateDirectionError(
+        raise PreconditionError(
             "q(a) = 0 gives a shear with a rank-2 Jordan cell; pick another a"
         )
     if qvalue(latt, a) % 2 != 0:
@@ -313,7 +304,7 @@ def eichler_transvection(
     iso = Isometry(latt, matrix)
     b = mat_sub(matrix, identity(n))
     if is_zero(mat_mul(b, b)):
-        raise DegenerateDirectionError("transvection collapsed to a small Jordan cell")
+        raise PreconditionError("transvection collapsed to a small Jordan cell")
     if not is_zero(mat_mul(mat_mul(b, b), b)):
         raise InternalInconsistencyError("(g - I)^3 != 0 for a transvection")
     if iso.apply(v) != tuple(v):
@@ -334,7 +325,7 @@ def find_parabolic(
     the first basis vector a of v⊥ with q(a) != 0."""
     pos, neg = signature(latt)
     if pos != 1 or neg < 2:
-        raise WrongSignatureError("need signature (1, n) with n >= 2")
+        raise PreconditionError("need signature (1, n) with n >= 2")
     v = find_isotropic(latt, limits)
     comp = orthogonal_complement(span(latt, [v]))
     # v⊥/v is negative definite, so every basis vector of v⊥ outside Qv has q != 0

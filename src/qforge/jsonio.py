@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import BadInputError
+from .errors import PreconditionError
 from .lattice import QuadLattice, from_rows
 from .padic import INF
 
@@ -22,12 +22,12 @@ def encode_int(x: int):
 
 def decode_int(x) -> int:
     if isinstance(x, bool):
-        raise BadInputError("expected an integer")
+        raise PreconditionError("expected an integer")
     if isinstance(x, int):
         return x
     if isinstance(x, str) and x.removeprefix("-").isdecimal():
         return int(x)
-    raise BadInputError(f"expected an integer, got {x!r}")
+    raise PreconditionError(f"expected an integer, got {x!r}")
 
 
 def encode_fraction(q) -> str | int:
@@ -47,7 +47,7 @@ def encode_fraction_matrix(mat):
 
 def decode_matrix(rows):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise BadInputError("expected a list of integer rows")
+        raise PreconditionError("expected a list of integer rows")
     return [[decode_int(x) for x in row] for row in rows]
 
 
@@ -68,19 +68,19 @@ def lattice_to_obj(latt: QuadLattice) -> dict:
 
 def lattice_from_obj(obj: dict) -> QuadLattice:
     if not isinstance(obj, dict) or "gram" not in obj:
-        raise BadInputError('lattice JSON needs a "gram" field')
+        raise PreconditionError('lattice JSON needs a "gram" field')
     return from_rows(decode_matrix(obj["gram"]), label=obj.get("label"))
 
 
 def read_json(path: str | None, what: str):
     """Parsed content of a JSON input file; `what` names it in errors."""
     if path is None:
-        raise BadInputError(f"{what} is required")
+        raise PreconditionError(f"{what} is required")
     with open(path) as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise BadInputError(f"{what} {path!r} is not JSON: {exc}") from None
+            raise PreconditionError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
 def load_lattice_file(path: str) -> QuadLattice:

@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    BudgetExceededError,
-    DegenerateLatticeError,
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    IsotropicFormError,
-    NotBinaryError,
-)
+from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import is_square
 from .limits import DEFAULT_LIMITS
 from .linalg import (
@@ -44,11 +37,11 @@ class QuadLattice:
         n = len(self.gram)
         for row in self.gram:
             if len(row) != n:
-                raise DimensionMismatchError("gram matrix must be square")
+                raise PreconditionError("gram matrix must be square")
         for i in range(n):
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
-                    raise DimensionMismatchError("gram matrix must be symmetric")
+                    raise PreconditionError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -103,9 +96,9 @@ class Sublattice:
     def __post_init__(self):
         for v in self.basis:
             if len(v) != self.ambient.rank:
-                raise DimensionMismatchError("basis vector length != ambient rank")
+                raise PreconditionError("basis vector length != ambient rank")
         if self.basis and linalg.rational_rank(self.basis) != len(self.basis):
-            raise DimensionMismatchError("basis vectors are linearly dependent")
+            raise PreconditionError("basis vectors are linearly dependent")
 
     @property
     def rank(self) -> int:
@@ -122,7 +115,7 @@ class Sublattice:
 
     def to_ambient(self, coords) -> Vector:
         if len(coords) != self.rank:
-            raise DimensionMismatchError("coordinate length != sublattice rank")
+            raise PreconditionError("coordinate length != sublattice rank")
         n = self.ambient.rank
         out = [0] * n
         for c, v in zip(coords, self.basis):
@@ -146,7 +139,7 @@ def qvalue(latt: QuadLattice, v) -> int:
 def pairing(latt: QuadLattice, u, v) -> int:
     n = latt.rank
     if len(u) != n or len(v) != n:
-        raise DimensionMismatchError("vector length != lattice rank")
+        raise PreconditionError("vector length != lattice rank")
     total = 0
     for i, ui in enumerate(u):
         if ui:
@@ -207,7 +200,7 @@ def _symmetric_diagonalize(gram, order: list[int] | None = None):
                 None,
             )
             if pair is None:
-                raise DegenerateLatticeError("form is degenerate")
+                raise PreconditionError("form is degenerate")
             col_add(pair[0], pair[1], 1)
             piv = pair[0]
         if piv != step:
@@ -304,7 +297,7 @@ def discriminant_group(latt: QuadLattice) -> DiscriminantGroup:
     n = latt.rank
     det = latt.det()
     if det == 0:
-        raise DegenerateLatticeError("degenerate lattice has no discriminant group")
+        raise PreconditionError("degenerate lattice has no discriminant group")
     d, u, _ = smith_normal_form(latt.gram)
     uinv = invert_unimodular(u)
     ginv = linalg.invert(latt.gram)
@@ -349,7 +342,7 @@ def _check_budget(rank: int, height: int, budget: int) -> None:
         raise ValueError("height bound must be >= 1")
     total = (2 * height + 1) ** rank - 1
     if total > budget:
-        raise BudgetExceededError(
+        raise SearchExhaustedError(
             f"enumeration of {total} vectors exceeds budget {budget}"
         )
 
@@ -483,11 +476,11 @@ def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
     walk, from f itself on, whose value attains it.
     """
     if latt.rank != 2:
-        raise NotBinaryError("binary_minimum needs a rank-2 lattice")
+        raise PreconditionError("binary_minimum needs a rank-2 lattice")
     (g11, g12), (_, g22) = latt.gram
     d4 = g12 * g12 - g11 * g22
     if d4 <= 0 or is_square(d4):
-        raise IsotropicFormError("form is definite, degenerate or isotropic")
+        raise PreconditionError("form is definite, degenerate or isotropic")
     g = math.gcd(g11, g12, g22)
     a, b, c = g11 // g, 2 * g12 // g, g22 // g
     disc = b * b - 4 * a * c

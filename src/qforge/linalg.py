@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import PreconditionError
 
 Matrix = tuple[tuple, ...]
 
@@ -31,7 +31,7 @@ def transpose(mat) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     if a and b and len(a[0]) != len(b):
-        raise DimensionMismatchError("matrix product shape mismatch")
+        raise PreconditionError("matrix product shape mismatch")
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -40,7 +40,7 @@ def mat_mul(a, b) -> Matrix:
 
 def mat_vec(mat, vec) -> tuple:
     if mat and len(mat[0]) != len(vec):
-        raise DimensionMismatchError("matrix-vector shape mismatch")
+        raise PreconditionError("matrix-vector shape mismatch")
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
 
 

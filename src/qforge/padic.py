@@ -12,13 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegenerateLatticeError,
     InconsistentTargetsError,
     InternalInconsistencyError,
-    InvalidPrimeError,
-    RankMismatchError,
+    PreconditionError,
     SearchExhaustedError,
-    ZeroArgumentError,
 )
 from .intmath import (
     first_primes_excluding,
@@ -39,7 +36,7 @@ Place = float | int  # a prime, or INF
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p; 0 iff p | a."""
     if p == 2 or not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not an odd prime")
+        raise PreconditionError(f"{p} is not an odd prime")
     a %= p
     if a == 0:
         return 0
@@ -63,12 +60,12 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
-        raise ZeroArgumentError("Hilbert symbol needs nonzero arguments")
+        raise PreconditionError("Hilbert symbol needs nonzero arguments")
     if place == INF:
         return -1 if a < 0 and b < 0 else 1
     p = int(place)
     if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not a prime")
+        raise PreconditionError(f"{p} is not a prime")
     alpha = valuation(a, p)
     beta = valuation(b, p)
     u = unit_part(a, p)
@@ -97,7 +94,7 @@ def symbol_support(a, b) -> list[Place]:
 def is_local_square(x: Fraction | int, place: Place) -> bool:
     x = Fraction(x)
     if x == 0:
-        raise ZeroArgumentError("zero is not classified")
+        raise PreconditionError("zero is not classified")
     if place == INF:
         return x > 0
     p = int(place)
@@ -150,7 +147,7 @@ def _diag_of(form, rng=None) -> list[Fraction]:
     else:
         diag = [Fraction(x) for x in form]
     if any(d == 0 for d in diag):
-        raise DegenerateLatticeError("form is degenerate")
+        raise PreconditionError("form is degenerate")
     return list(diag)
 
 
@@ -184,7 +181,7 @@ def rationally_equivalent(f1, f2) -> bool:
     t1 = invariant_triple(f1)
     t2 = invariant_triple(f2)
     if t1.rank != t2.rank:
-        raise RankMismatchError("forms have different ranks")
+        raise PreconditionError("forms have different ranks")
     return t1 == t2
 
 
@@ -232,7 +229,7 @@ def _normalize_targets(targets) -> dict[Place, int]:
         if delta not in (1, -1):
             raise InconsistentTargetsError(f"target at {place} must be +-1")
         if place != INF and not is_prime(int(place)):
-            raise InvalidPrimeError(f"{place} is not a prime")
+            raise PreconditionError(f"{place} is not a prime")
         out[place] = delta
     return out
 
@@ -252,7 +249,7 @@ def solve_prescribed_hilbert(
     """
     x = Fraction(x)
     if x == 0:
-        raise ZeroArgumentError("x must be nonzero")
+        raise PreconditionError("x must be nonzero")
     targets = _normalize_targets(targets)
     prod = 1
     for delta in targets.values():

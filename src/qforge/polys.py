@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import InternalInconsistencyError, NotMonicError
+from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import factorize
 
 Poly = tuple[int, ...]
@@ -27,7 +27,7 @@ def is_monic(f: Poly) -> bool:
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Division by a monic divisor stays in Z[x]."""
     if not is_monic(g):
-        raise NotMonicError("divisor must be monic")
+        raise PreconditionError("divisor must be monic")
     rem = list(f)
     dg = degree(g)
     q = [0] * max(len(f) - dg, 1)
@@ -82,7 +82,7 @@ def strip_cyclotomic(f: Poly) -> tuple[Poly, dict[int, int]]:
     unit circle is cyclotomic.
     """
     if not is_monic(f):
-        raise NotMonicError("expected a monic polynomial")
+        raise PreconditionError("expected a monic polynomial")
     found: dict[int, int] = {}
     rest = f
     for m in cyclotomic_candidates(degree(f)):

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own algorithms: local solvability
 is decided by exhaustive modular search, spectral questions by Sturm
-sequences, and isometry sets by raw enumeration.
+sequences, isometry sets by raw enumeration, and sums of two squares by
+a scan of the smaller leg.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -261,3 +263,16 @@ def brute_char_poly(mat):
         for t, c in enumerate(basis):
             coeffs[t] += ys[i] * c / denom
     return tuple(int(c) for c in coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Sums of two squares by scanning the smaller leg, O(sqrt(p))
+
+
+def two_squares_scan(p: int) -> tuple[int, int] | None:
+    """(a, b), a <= b, with a^2 + b^2 == p and the least such a, else None."""
+    for a in range(1, math.isqrt(p // 2) + 1):
+        b = math.isqrt(p - a * a)
+        if a * a + b * b == p:
+            return a, b
+    return None

@@ -246,14 +246,16 @@ def test_verify_report_rechecks_saturation_index(capsys):
 
 @pytest.fixture(scope="module")
 def reports():
-    """One hyperbolic and one explicit parabolic report, without --verify."""
+    """One hyperbolic and two explicit parabolic reports, without --verify;
+    "parabolic" embeds with d = 1, "parabolic U" with d = 4 and P = 53."""
     out = {}
-    for mode, lattice, n_bound in (("hyperbolic", "catalog:U+U+<2>", "4"),
-                                   ("parabolic", "catalog:diag(1,1,1,-1^11)", "3")):
+    for name, lattice, n_bound in (("hyperbolic", "catalog:U+U+<2>", "4"),
+                                   ("parabolic", "catalog:diag(1,1,1,-1^11)", "3"),
+                                   ("parabolic U", "catalog:U+U+U+diag(-1^8)", "3")):
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            assert main([mode, "--lattice", lattice, "--n-bound", n_bound]) == 0
-        out[mode] = json.loads(text.getvalue())
+            assert main([name.split()[0], "--lattice", lattice, "--n-bound", n_bound]) == 0
+        out[name] = json.loads(text.getvalue())
     return out
 
 
@@ -275,6 +277,16 @@ def _prime_at_d2n(report):
     report["embedding"]["prime"] = report["embedding"]["d_squared_n"]
 
 
+def _lower_index_d(report):
+    # d = 4 -> 3: P = 53 > d^2 N = 27 still holds, so only the recomputed d catches it
+    report["embedding"]["index_d"] -= 1
+
+
+def _negate_gram(report):
+    # still 0 mod P and still preserved by the isometry, but of signature (4, 1)
+    report["sublattice"]["gram"] = [[-x for x in row] for row in report["sublattice"]["gram"]]
+
+
 _ORACLE_TAMPERS = {
     "understated minimum": ("hyperbolic", _shift_minimum(-1), "oracle minimum understated"),
     "overstated minimum": ("hyperbolic", _shift_minimum(1), "oracle minimum overstated"),
@@ -283,6 +295,10 @@ _ORACLE_TAMPERS = {
     "hyperbolic Gram not 0 mod p": ("hyperbolic", _bump_gram_diagonal, "Gram is not 0 mod p"),
     "P <= d^2 N": ("parabolic", _prime_at_d2n, "P is not a prime above d^2 N"),
     "parabolic Gram not 0 mod P": ("parabolic", _bump_gram_diagonal, "Gram is not 0 mod P"),
+    "index d misstated": ("parabolic U", _lower_index_d,
+                          "index d does not match the embedding matrix"),
+    "negated parabolic Gram": ("parabolic", _negate_gram,
+                               "sublattice signature is not (1, rank/2 - 3)"),
 }
 
 
@@ -405,4 +421,4 @@ def test_catalog_env_malformed(tmp_path, monkeypatch, capsys, text):
     extra.write_text(text)
     monkeypatch.setenv("QFORGE_CATALOG", str(extra))
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U"])
-    assert rc == 2 and obj["error"]["type"] == "BadInputError"
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"

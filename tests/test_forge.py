@@ -6,10 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qforge.catalog import resolve
-from qforge.errors import (
-    NotFoundWithinBoundError,
-    PreconditionError,
-)
+from qforge.errors import PreconditionError, SearchExhaustedError
 from qforge.forge import (
     Rank2Result,
     SmallnessCertificate,
@@ -55,7 +52,7 @@ def test_find_isotropic_output_contract():
 
 
 def test_find_isotropic_not_found():
-    with pytest.raises(NotFoundWithinBoundError):
+    with pytest.raises(SearchExhaustedError, match="no isotropic vector within the search bound"):
         find_isotropic(diag_lattice(5, -15), SearchLimits(max_l1=12))
 
 

@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qforge.catalog import resolve
-from qforge.errors import (
-    PreconditionError,
-    SearchExhaustedError,
-    UnsupportedLatticeError,
-)
+from qforge.errors import PreconditionError, SearchExhaustedError
 from qforge.glue import (
     build_scaled_lattice,
     embed_pipeline,
@@ -143,7 +139,7 @@ def test_nikulin_glue_unimodular_input():
 
 
 def test_nikulin_glue_rejects_2_torsion():
-    with pytest.raises(UnsupportedLatticeError):
+    with pytest.raises(PreconditionError, match="discriminant group has 2-torsion"):
         nikulin_glue(diag_lattice(-2), (3, 3))
 
 

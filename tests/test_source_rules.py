@@ -46,3 +46,40 @@ def test_no_box_enumeration_on_default_paths():
             if name in BOX_ENUMERATIONS and id(node) not in exempt:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def _except_names():
+    """(file:line, class name) for every class an `except` clause names."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, ast.Name):
+                        yield f"{path.name}:{node.lineno}", name.id
+
+
+def test_no_internal_inconsistency_caught():
+    """An InternalInconsistencyError is a bug: catching it would turn an
+    exit 4 into a retry or a different outcome."""
+    found = [where for where, name in _except_names() if name == "InternalInconsistencyError"]
+    assert not found, found
+
+
+# The class each exit code documents; any other class must be one a caller branches on.
+EXIT_CODE_CLASSES = {2: "PreconditionError", 3: "SearchExhaustedError",
+                     4: "InternalInconsistencyError"}
+
+
+def test_every_error_class_is_caught_or_documented():
+    from qforge import errors
+
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.QforgeError)
+        and cls is not errors.QforgeError
+    }
+    caught = {name for _, name in _except_names()}
+    for code, name in EXIT_CODE_CLASSES.items():
+        assert classes[name].exit_code == code
+    unused = sorted(set(classes) - caught - set(EXIT_CODE_CLASSES.values()))
+    assert not unused, unused
