@@ -6,14 +6,15 @@ in the complement of the pair with q(w) of p-valuation 1 at a prime
 p > N, and choose a, b so that the diagonal lattice <v1, w> is
 anisotropic mod p. Every integer value of q on its rational span is then
 divisible by p, which is exactly what the emitted certificate witnesses.
-Only v is searched for; each later step is guaranteed by a theorem.
+v is constructed by padic.isotropic_vector; each later step is
+guaranteed by a theorem.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
+from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import is_prime, primes_from, sqrt_mod
 from .lattice import (
     QuadLattice,
@@ -22,7 +23,6 @@ from .lattice import (
     binary_minimum,
     gram_divisible_by,
     is_indefinite,
-    iter_search_vectors,
     orthogonal_complement,
     pairing,
     qvalue,
@@ -30,9 +30,8 @@ from .lattice import (
     signature,
     span,
 )
-from .limits import DEFAULT_LIMITS, SearchLimits
-from .linalg import identity, mat_vec
-from .padic import legendre, rational_diagonalize
+from .linalg import freeze, identity, lll_gram, mat_mul, mat_vec, transpose
+from .padic import isotropic_vector, legendre, rational_diagonalize
 
 
 @dataclass(frozen=True)
@@ -93,34 +92,22 @@ def verify_certificate(cert: SmallnessCertificate, n_bound: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vector hunts
+# Isotropic vectors
 
 
-def find_isotropic(
-    latt: QuadLattice, limits: SearchLimits = DEFAULT_LIMITS
-) -> Vector:
-    """First primitive isotropic vector in canonical search order."""
-    scanned = 0
-    for v in iter_search_vectors(latt.rank, limits.max_l1):
-        scanned += 1
-        if scanned > limits.vector_budget:
-            break
-        if qvalue(latt, v) == 0:
-            return v
-    raise SearchExhaustedError(
-        "no isotropic vector within the search bound"
-        + ("" if latt.rank >= 5 else " (inconclusive below rank 5)")
-    )
+def find_isotropic(latt: QuadLattice) -> Vector:
+    """A primitive isotropic vector, constructed (padic.isotropic_vector):
+    the first basis vector with q = 0 when there is one. PreconditionError
+    when the form is anisotropic over Q."""
+    return isotropic_vector(latt.gram)
 
 
-def find_isotropic_pair(
-    latt: QuadLattice, limits: SearchLimits = DEFAULT_LIMITS
-) -> tuple[Vector, Vector]:
+def find_isotropic_pair(latt: QuadLattice) -> tuple[Vector, Vector]:
     """Two primitive isotropic vectors with nonzero pairing: v from
     find_isotropic and, with c = (G v)_i the first nonzero entry of G v,
     v' = 2c e_i - q(e_i) v divided by its content (q(v') = 0, b(v, v') = 2c^2
     before the division)."""
-    v = find_isotropic(latt, limits)
+    v = find_isotropic(latt)
     i, c = next(((i, c) for i, c in enumerate(mat_vec(latt.gram, v)) if c), (0, 0))
     if c == 0:
         raise PreconditionError("the isotropic vector lies in the radical")
@@ -222,7 +209,6 @@ def _isotropic_mod_p(gram, p: int) -> Vector | None:
 def find_rank2_avoiding(
     latt: QuadLattice,
     n_bound: int,
-    limits: SearchLimits = DEFAULT_LIMITS,
 ) -> Rank2Result:
     """Primitive rank-2 sublattice of signature (1,1) representing no
     nonzero number of absolute value < n_bound, with its certificate.
@@ -230,7 +216,8 @@ def find_rank2_avoiding(
     Requires an indefinite non-degenerate lattice of rank >= 5 (which
     guarantees isotropic vectors exist). p is the least prime > max(N, 2)
     not dividing 2 b(v, v') det(comp): comp, of rank >= 3, is then
-    non-degenerate and so isotropic mod p, and w exists.
+    non-degenerate and so isotropic mod p, and w exists. Without an
+    isotropic basis vector the construction runs in an LLL-reduced basis.
     """
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
@@ -240,10 +227,26 @@ def find_rank2_avoiding(
         raise PreconditionError("ambient lattice must be indefinite")
     if n_bound < 0:
         raise PreconditionError("bound must be >= 0")
+    if all(latt.gram[i][i] for i in range(latt.rank)):
+        # no isotropic basis vector: construct in an LLL-reduced basis, whose
+        # small Gram keeps v, v', w and so the rank-2 discriminant small
+        h, gram, _ = lll_gram(latt.gram)
+        reduced = _construct(QuadLattice(freeze(gram)), n_bound, reduce_complement=True)
+        v1, w = (mat_vec(transpose(h), x) for x in (reduced.v1, reduced.w))
+        result = Rank2Result(saturate(span(latt, [v1, w])), v1, w, reduced.certificate)
+    else:
+        result = _construct(latt, n_bound)
+    _post_verify(result, n_bound)
+    return result
 
-    v, vp = find_isotropic_pair(latt, limits)
+
+def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False) -> Rank2Result:
+    v, vp = find_isotropic_pair(latt)
     g = pairing(latt, v, vp)
     comp = orthogonal_complement(span(latt, [v, vp]))
+    if reduce_complement:
+        h, _, _ = lll_gram(comp.gram())
+        comp = Sublattice(latt, freeze(mat_mul(h, comp.basis)))
     obstruction = 2 * g * comp.as_lattice().det()
     p = next(p for p in primes_from(max(n_bound + 1, 3)) if obstruction % p)
     # q(w) < 0 whenever comp allows it, so that q(v1) > 0
@@ -272,10 +275,7 @@ def find_rank2_avoiding(
     ok, reason = check_certificate(cert, n_bound)
     if not ok:
         raise InternalInconsistencyError(f"constructed certificate fails: {reason}")
-    sat = saturate(span(latt, [v1, w]))
-    result = Rank2Result(lattice=sat, v1=v1, w=w, certificate=cert)
-    _post_verify(result, n_bound)
-    return result
+    return Rank2Result(saturate(span(latt, [v1, w])), v1, w, cert)
 
 
 def _post_verify(result: Rank2Result, n_bound: int) -> None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lattice as lat
 from .errors import (
     InconsistentTargetsError,
     InternalInconsistencyError,
@@ -21,9 +20,9 @@ from .errors import (
     SearchExhaustedError,
 )
 from .intmath import (
+    bezout,
     first_primes_excluding,
     is_prime,
-    is_rational_square,
     prime_support,
     primes_from,
     sqrt_mod,
@@ -36,21 +35,25 @@ from .lattice import (
     diag_lattice,
     direct_sum,
     gram_divisible_by,
+    pairing,
+    qvalue,
     rescale,
     saturate,
     saturation_index,
     signature,
     span,
 )
-from .limits import DEFAULT_LIMITS, SearchLimits
 from .linalg import (
     det_bareiss,
     freeze,
     hermite_rows,
-    invert,
+    identity,
+    invert_unimodular,
     left_kernel,
+    lll_gram,
     mat_mul,
-    rational_rank,
+    mat_vec,
+    smith_normal_form,
     snf_invariant_factors,
     solve,
     transpose,
@@ -58,11 +61,14 @@ from .linalg import (
 from .padic import (
     INF,
     InvariantTriple,
+    hasse_invariant,
     hilbert_symbol,
     invariant_triple,
     is_local_square,
+    isotropic_or_obstruction,
     rational_diagonalize,
     rationally_equivalent,
+    represent,
     solve_prescribed_hilbert,
 )
 
@@ -86,14 +92,6 @@ class ExtensionResult:
 
 def _target_options(r: int, s: int) -> list[tuple[int, int]]:
     return [(r + 3, s), (r + 2, s + 1), (r + 1, s + 2), (r, s + 3)]
-
-
-def _eps_of_diag(diag, place) -> int:
-    eps = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            eps *= hilbert_symbol(diag[i], diag[j], place)
-    return eps
 
 
 _SIGN_PATTERNS = {0: (1, 1, 1), 1: (1, 1, -1), 2: (-1, -1, 1), 3: (-1, -1, -1)}
@@ -130,8 +128,8 @@ def extend_to_standard(
     s_map: dict = {}
     for place in sorted(places):
         s_map[place] = (
-            _eps_of_diag(std_diag, place)
-            * _eps_of_diag(diag, place)
+            hasse_invariant(std_diag, place)
+            * hasse_invariant(diag, place)
             * hilbert_symbol(d_class, (-1) ** (t - 1), place)
         )
     prod = 1
@@ -195,101 +193,123 @@ def _square_class_pool(s_map, c, sign: int):
 # Explicit rational isometry witnesses
 
 
-def explicit_rational_isometry(
-    g1, g2, limits: SearchLimits = DEFAULT_LIMITS
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational T with T^T G2 T == G1, found by representing the diagonal
-    values of G1 in G2 one at a time and recursing on complements.
+def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
+    """Rational T with T^T G2 T == G1, built one basis vector at a time.
 
-    Working bases are kept as primitive integer vectors so the inner value
-    scans run in pure integer arithmetic; the scan budget is shared across
-    all recursion levels.
+    The basis of G1 is first changed unimodularly so that no leading minor
+    vanishes; then each basis vector gets an image with the prescribed
+    pairings to the earlier images and the prescribed q-value
+    (_next_image). Witt cancellation makes every step possible. The images
+    are kept as near to integral as the construction allows: their
+    denominators make up the embedding index d.
     """
     g1 = freeze(g1)
     g2 = freeze(g2)
     if not rationally_equivalent(g1, g2):
         raise PreconditionError("forms are not rationally equivalent")
-    n = len(g1)
-    diag1, c1 = rational_diagonalize(g1)
-
-    def bilinear(u, v):
-        return sum(
-            u[i] * g2[i][j] * v[j] for i in range(n) for j in range(n) if g2[i][j]
-        )
-
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    columns: list[tuple[Fraction, ...]] = []
-    budget = limits.witness_budget
-    for delta in diag1:
-        m = len(basis)
-        gram_cur = [[bilinear(basis[i], basis[j]) for j in range(m)] for i in range(m)]
-        w = None
-        for x in lat.iter_search_vectors(m, limits.witness_max_l1):
-            budget -= 1
-            if budget < 0:
-                break
-            support = [i for i in range(m) if x[i]]
-            value = sum(
-                x[i] * gram_cur[i][j] * x[j] for i in support for j in support
-            )
-            ratio = Fraction(value) / delta
-            if ratio <= 0:
-                continue
-            if is_rational_square(ratio):
-                scale = _fraction_sqrt(ratio)
-                w = tuple(
-                    Fraction(sum(x[i] * basis[i][r] for i in support)) / scale
-                    for r in range(n)
-                )
-                break
-        if w is None:
-            raise SearchExhaustedError(
-                "no witness vector within the height bound; equivalence still holds"
-            )
-        columns.append(w)
-        projected = []
-        for b in basis:
-            coeff = Fraction(bilinear(b, w)) / delta
-            projected.append(_primitive_int_vector(
-                tuple(bi - coeff * wi for bi, wi in zip(b, w))
-            ))
-        basis = _independent_subset([v for v in projected if any(v)],
-                                    len(basis) - 1)
-
-    s = transpose(columns)  # columns as matrix
-    t_mat = mat_mul(s, invert(c1))
+    u = _nondegenerate_flag(QuadLattice(g1))
+    h = mat_mul(u, mat_mul(g1, transpose(u)))
+    images: list[tuple[Fraction, ...]] = []
+    functionals = []  # G2 times each image: x -> b(x, image) is a dot product
+    for k, row in enumerate(h):
+        images.append(_next_image(QuadLattice(g2), functionals, row[:k], row[k]))
+        functionals.append(mat_vec(g2, images[-1]))
+    # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns the images
+    t_mat = mat_mul(transpose(images), transpose(invert_unimodular(u)))
     check = mat_mul(transpose(t_mat), mat_mul(g2, t_mat))
     if check != freeze([[Fraction(x) for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
     return t_mat
 
 
-def _primitive_int_vector(vec) -> tuple[int, ...]:
-    den = math.lcm(*[Fraction(x).denominator for x in vec])
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            return tuple(ints) if x > 0 else tuple(-y for y in ints)
-    return tuple(ints)
+def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
+    """Rows of a unimodular U with every leading minor of U G U^T nonzero,
+    each as small as the greedy choice allows: the next row is the
+    remaining basis vector whose projection off the earlier rows has the
+    least nonzero |q| (first in order on ties), which keeps the complements
+    of explicit_rational_isometry close to unimodular. When every remaining
+    projection is isotropic, e_i ± e_j for the first remaining i, j with a
+    nonzero one; a sign works, else e_i would pair to zero with the rest."""
+    # pool: index -> [row, its projection o off the chosen rows, q(o)]
+    pool = {i: [list(r), list(map(Fraction, r)), Fraction(latt.gram[i][i])]
+            for i, r in enumerate(identity(latt.rank))}
+    rows = []
+    while pool:
+        live = [i for i in pool if pool[i][2]]
+        if live:
+            row, o, qo = pool.pop(min(live, key=lambda i: (abs(pool[i][2]), i)))
+        else:
+            i = min(pool)
+            for j, sign in ((j, sign) for j in sorted(pool) if j != i for sign in (1, -1)):
+                o = [a + sign * b for a, b in zip(pool[i][1], pool[j][1])]
+                qo = qvalue(latt, o)
+                if qo:
+                    row = [a + sign * b for a, b in zip(pool[i][0], pool[j][0])]
+                    break
+            del pool[i]
+        rows.append(row)
+        go = mat_vec(latt.gram, o)
+        for entry in pool.values():
+            b = _dot(entry[1], go)
+            entry[1] = [x - b / qo * y for x, y in zip(entry[1], o)]
+            entry[2] -= b * b / qo
+    return rows
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
-def _independent_subset(vectors, count: int):
-    out = []
-    for v in vectors:
-        if len(out) == count:
-            break
-        if rational_rank(out + [v]) == len(out) + 1:
-            out.append(v)
-    if len(out) != count:
-        raise InternalInconsistencyError("projection lost too much rank")
-    return out
+def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[Fraction, ...]:
+    """x with b(x, prev_j) = pairs_j and q(x) = value, where functionals_j =
+    G2 prev_j and the Gram of prev plus x is non-degenerate.
+
+    x = x0 + z: x0 solves the pairings, integrally when their Smith form
+    allows, and z lies in the complement K of prev, with an LLL-reduced
+    integral basis. When K is isotropic, z = z0 + lambda e with e
+    isotropic, z0 in K making b(x0 + z0, e) the least positive value of its
+    class mod b(K, e), so that lambda has a small denominator. Otherwise
+    x0's projection to K is replaced by a representation (padic.represent).
+    """
+    n = ambient.rank
+    x0: list[Fraction] = [Fraction(0)] * n
+    kernel = identity(n)
+    if functionals:
+        dens = [math.lcm(*(f.denominator for f in row)) for row in functionals]
+        a = [[int(f * den) for f in row] for row, den in zip(functionals, dens)]
+        d, u, v = smith_normal_form(a)  # u a v = d
+        rank = len(functionals)
+        y = mat_vec(u, [Fraction(x) * den for x, den in zip(pairs, dens)])
+        x0 = list(mat_vec(v, [y[i] / d[i][i] for i in range(rank)] + [0] * (n - rank)))
+        kernel = transpose(v)[rank:]
+    h, euclid, _ = lll_gram(mat_mul(kernel, transpose(kernel)))  # positive: never isotropic
+    kernel = mat_mul(h, kernel)
+    # x0 minus the rounded Euclidean projection of x0 to K: same pairings, small entries
+    shift = solve(euclid, [_dot(row, x0) for row in kernel])
+    x0 = [x - _dot(col, [round(c) for c in shift]) for x, col in zip(x0, transpose(kernel))]
+    gram_k = mat_mul(kernel, mat_mul(ambient.gram, transpose(kernel)))
+    e = isotropic_or_obstruction(gram_k)
+    if isinstance(e, tuple):
+        e = mat_vec(transpose(kernel), e)
+        c, g = bezout([pairing(ambient, row, e) for row in kernel])
+        c = mat_vec(transpose(kernel), c)  # b(c, e) = g
+        b0 = pairing(ambient, x0, e)
+        t = b0 % g or g
+        x0 = [x - Fraction(b0 - t, g) * ci for x, ci in zip(x0, c)]
+        if (value - pairing(ambient, x0, x0)) % 2 and t == 1:
+            # an odd vector of K orthogonal to e flips the parity, so lambda is integral
+            flip = next((z for z in left_kernel([[pairing(ambient, row, e)] for row in kernel])
+                         if qvalue(QuadLattice(gram_k), z) % 2), None)
+            if flip is not None:
+                x0 = [x + zi for x, zi in zip(x0, mat_vec(transpose(kernel), flip))]
+        lam = Fraction(value - pairing(ambient, x0, x0)) / (2 * t)
+        return tuple(x + lam * ei for x, ei in zip(x0, e))
+    # x0 = p + r with r in K_Q; keep p, and put a representation y in place of r
+    coords = solve(gram_k, [pairing(ambient, row, x0) for row in kernel])
+    r = mat_vec(transpose(kernel), coords)
+    p = [x - ri for x, ri in zip(x0, r)]
+    y = represent(gram_k, value - pairing(ambient, p, p))
+    return tuple(pi + yi for pi, yi in zip(p, mat_vec(transpose(kernel), y)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +547,11 @@ class EmbeddingReport:
     source: QuadLattice
     ambient: QuadLattice  # standard integral lattice
     extension: ExtensionResult
-    embedding: tuple[tuple[Fraction, ...], ...] | None  # source basis -> ambient coords
-    index_d: int | None
-    prime: int | None
-    lambda_in_source: Sublattice | None
-    sat_index: int | None
-    certificate_level: bool
+    embedding: tuple[tuple[Fraction, ...], ...]  # source basis -> ambient coords
+    index_d: int
+    prime: int
+    lambda_in_source: Sublattice
+    sat_index: int
 
 
 def _is_standard_diagonal(latt: QuadLattice) -> bool:
@@ -641,18 +660,10 @@ def _trim_to_signature(
     return saturate(span(sub.ambient, vectors))
 
 
-def embed_pipeline(
-    source: QuadLattice,
-    n_bound: int,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> EmbeddingReport:
+def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     """Primitive sublattice of signature (1, rank/2 - 3) of `source`
     representing no nonzero number of absolute value < n_bound: its Gram
     is 0 mod a prime P > d^2 N, so every nonzero value is a multiple of P.
-
-    Falls back to a certificate-level report (invariants proven, explicit
-    matrices absent) when the witness search for the rational embedding
-    exceeds its budget.
     """
     b2 = source.rank
     r, s = signature(source)
@@ -667,28 +678,14 @@ def embed_pipeline(
     ambient = standard_lattice(*target)
     ext = extend_to_standard(source, target)
 
-    embedding = None
-    certificate_level = False
     if _is_standard_diagonal(source):
         embedding = _standard_inclusion(source, 3, b2 + 3)
     else:
-        try:
-            t_mat = explicit_rational_isometry(
-                direct_sum(source, diag_lattice(ext.b0, ext.b1, ext.b2)).gram,
-                ambient.gram,
-                limits,
-            )
-            embedding = tuple(tuple(row[:b2]) for row in t_mat)
-        except SearchExhaustedError:
-            certificate_level = True
-
-    if certificate_level:
-        return EmbeddingReport(
-            source=source, ambient=ambient, extension=ext,
-            embedding=None, index_d=None, prime=None, lambda_in_source=None,
-            sat_index=None, certificate_level=True,
+        t_mat = explicit_rational_isometry(
+            direct_sum(source, diag_lattice(ext.b0, ext.b1, ext.b2)).gram,
+            ambient.gram,
         )
-
+        embedding = tuple(tuple(row[:b2]) for row in t_mat)
     d = _embedding_index(embedding, b2 + 3)
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2
@@ -712,7 +709,7 @@ def embed_pipeline(
     return EmbeddingReport(
         source=source, ambient=ambient, extension=ext,
         embedding=embedding, index_d=d, prime=p, lambda_in_source=trimmed,
-        sat_index=sat_idx, certificate_level=False,
+        sat_index=sat_idx,
     )
 
 

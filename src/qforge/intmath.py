@@ -32,6 +32,16 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def bezout(values) -> tuple[list[int], int]:
+    """(c, g) with sum c_i * values_i == g == gcd(values) >= 0."""
+    coeffs: list[int] = []
+    g = 0
+    for v in values:
+        x, y, g = xgcd(g, v)
+        coeffs = [x * c for c in coeffs] + [y]
+    return coeffs, g
+
+
 def is_prime(n: int) -> bool:
     return bool(_sympy_isprime(n))
 
@@ -109,11 +119,6 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def is_rational_square(q: Fraction | int) -> bool:
-    q = Fraction(q)
-    return q >= 0 and is_square(q.numerator) and is_square(q.denominator)
-
-
 def primes_from(start: int):
     """Yield primes >= start in increasing order."""
     p = start - 1
@@ -156,8 +161,11 @@ def two_squares(p: int) -> tuple[int, int]:
 def pell_fundamental(d: int) -> tuple[int, int]:
     """Least (x, y), y > 0, with x**2 - d*y**2 == 1, for d > 0 non-square.
 
-    Continued fraction expansion of sqrt(d); runs through the negative
-    Pell solution automatically when the period is odd.
+    Continued fraction expansion of sqrt(d): the convergent h_j / k_j has
+    h_j^2 - d k_j^2 = (-1)^(j+1) q_(j+1), and the state q returns to 1 exactly
+    at the ends of the period. So the loop stops at the first q = 1 with an
+    even sign: the end of the period, or of twice the period when it is odd.
+    The number of steps is still the period length, about sqrt(d) at worst.
     """
     if d <= 0 or is_square(d):
         raise PreconditionError(f"{d} is a square or non-positive")
@@ -165,10 +173,13 @@ def pell_fundamental(d: int) -> tuple[int, int]:
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while h * h - d * k * k != 1:
+    sign = -1  # (-1)^(j+1) for the convergent h_j / k_j held in h, k
+    while True:
         m = q * a - m
         q = (d - m * m) // q
+        if q == 1 and sign == 1:
+            return h, k
         a = (a0 + m) // q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    return h, k
+        sign = -sign

@@ -25,7 +25,6 @@ from .lattice import (
     signature,
     span,
 )
-from .limits import DEFAULT_LIMITS, SearchLimits
 from .linalg import (
     char_poly,
     det_bareiss,
@@ -318,15 +317,13 @@ def _proportional(v, a) -> bool:
     )
 
 
-def find_parabolic(
-    latt: QuadLattice, limits: SearchLimits = DEFAULT_LIMITS
-) -> Isometry:
+def find_parabolic(latt: QuadLattice) -> Isometry:
     """Verified parabolic isometry: isotropic v, then the transvection along
     the first basis vector a of v⊥ with q(a) != 0."""
     pos, neg = signature(latt)
     if pos != 1 or neg < 2:
         raise PreconditionError("need signature (1, n) with n >= 2")
-    v = find_isotropic(latt, limits)
+    v = find_isotropic(latt)
     comp = orthogonal_complement(span(latt, [v]))
     # v⊥/v is negative definite, so every basis vector of v⊥ outside Qv has q != 0
     a = next((a for a in comp.basis if qvalue(latt, a) != 0), None)

@@ -507,45 +507,3 @@ def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
     if abs(qvalue(latt, witness)) != m or 5 * best * best > disc:
         raise InternalInconsistencyError(f"cycle minimum {m} at {witness} does not check")
     return m, witness
-
-
-# ---------------------------------------------------------------------------
-# Canonical search order for constructive vector hunts
-#
-# Vectors are produced shell by shell in increasing L1 norm; inside a shell
-# the order is lexicographic with per-coordinate value order
-# 1, 2, ..., 0, -1, -2, ...  Only sign-canonical vectors are emitted
-# (first nonzero coordinate positive), optionally only primitive ones.
-
-
-def iter_search_vectors(
-    rank: int,
-    max_l1: int,
-    primitive_only: bool = True,
-):
-    for m in range(1, max_l1 + 1):
-        yield from _shell(rank, m, primitive_only)
-
-
-def _shell(rank: int, m: int, primitive_only: bool):
-    def rec(prefix: list[int], i: int, remaining: int, seen: bool):
-        if i == rank - 1:
-            if remaining == 0:
-                if seen:
-                    yield tuple(prefix + [0])
-            else:
-                yield tuple(prefix + [remaining])
-                if seen:
-                    yield tuple(prefix + [-remaining])
-            return
-        for x in range(1, remaining + 1):
-            yield from rec(prefix + [x], i + 1, remaining - x, True)
-        yield from rec(prefix + [0], i + 1, remaining, seen)
-        if seen:
-            for x in range(1, remaining + 1):
-                yield from rec(prefix + [-x], i + 1, remaining - x, True)
-
-    for vec in rec([], 0, m, False):
-        if primitive_only and math.gcd(*vec) != 1:
-            continue
-        yield vec

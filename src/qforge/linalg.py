@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .intmath import xgcd
 
 Matrix = tuple[tuple, ...]
 
@@ -175,41 +176,38 @@ def hermite_rows(mat) -> tuple[Matrix, int]:
 
     Returns (H, rank): zero rows dropped, pivots positive, entries above a
     pivot reduced into [0, pivot). Row operations only, so the row lattice
-    is preserved exactly.
+    is preserved exactly. Column by column, each row above the current pivot
+    slot is folded into it by a 2x2 unimodular xgcd step, and the rows
+    holding earlier pivots are reduced modulo the new one at once (Cohen,
+    GTM 138, alg. 2.4.5, with rows for columns), which keeps the entries from
+    blowing up.
     """
     a = thaw(mat)
-    m = len(a)
     n = len(a[0]) if a else 0
-    row = 0
+    k = len(a)  # rows k.. hold the pivots found so far, the latest one in row k
     for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col] != 0 and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        while True:
-            done = True
-            for i in range(row + 1, m):
-                if a[i][col] != 0:
-                    q = a[i][col] // a[row][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[row])]
-                    if a[i][col] != 0:
-                        a[row], a[i] = a[i], a[row]
-                        done = False
-            if done:
-                break
-        if a[row][col] < 0:
-            a[row] = [-x for x in a[row]]
-        for i in range(row):
-            q = a[i][col] // a[row][col]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[row])]
-        row += 1
-        if row == m:
+        if k == 0:
             break
-    return freeze(a[:row]), row
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if a[j][col]:
+                u, v, g = xgcd(a[k][col], a[j][col])
+                r, s = a[k][col] // g, a[j][col] // g
+                a[k], a[j] = ([u * x + v * y for x, y in zip(a[k], a[j])],
+                              [r * y - s * x for x, y in zip(a[k], a[j])])
+        b = a[k][col]
+        if b < 0:
+            a[k] = [-x for x in a[k]]
+            b = -b
+        if b == 0:
+            k += 1
+            continue
+        for j in range(k + 1, len(a)):
+            q = a[j][col] // b
+            if q:
+                a[j] = [x - q * y for x, y in zip(a[j], a[k])]
+    h = freeze(reversed(a[k:]))
+    return h, len(h)
 
 
 def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
@@ -255,8 +253,6 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
             row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
         for row in v:
             row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-
-    from .intmath import xgcd
 
     t = 0
     while t < min(m, n):
@@ -327,6 +323,83 @@ def left_kernel(mat) -> Matrix:
     rows = u[rank:]
     h, _ = hermite_rows(rows)
     return h
+
+
+def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
+    """Integral LLL (Cohen, GTM 138, alg. 2.6.7) on a non-degenerate integer
+    Gram matrix, with the Lovasz test on absolute values so that indefinite
+    forms reduce too (Simon, Math. Comp. 2005): swap when
+    4 |d_{k-2} d_k + l^2| < 3 d_{k-1}^2. Each swap shrinks the positive
+    integer prod |d_i|, so the loop ends. Returns (H, H G H^T, x): H is
+    unimodular with the new basis as rows, and x is None, or an isotropic
+    vector (in the input coordinates, not made primitive) when a leading
+    minor of the current basis vanishes; the reduction stops there.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)  # d[i + 1]: leading i+1 minor; d[0] = 1
+
+    def radical(k: int) -> tuple[int, ...]:
+        """An isotropic vector in the span of h[0..k] when its Gram is degenerate."""
+        c = left_kernel([row[:k + 1] for row in a[:k + 1]])[0]
+        return tuple(sum(c[i] * h[i][j] for i in range(k + 1)) for j in range(n))
+
+    def red(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > abs(d[l + 1]):
+            q = round(Fraction(lam[k][l], d[l + 1]))
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            a[k] = [x - q * y for x, y in zip(a[k], a[l])]
+            for row in a:
+                row[k] -= q * row[l]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        h[k], h[k - 1] = h[k - 1], h[k]
+        a[k], a[k - 1] = a[k - 1], a[k]
+        for row in a:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if a[0][0] == 0:
+        return h, a, radical(0)
+    d[1] = a[0][0]
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = a[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    return h, a, radical(k)
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * abs(d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < 3 * d[k] ** 2:
+            swap(k)
+            if d[k] == 0:
+                return h, a, radical(k - 1)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return h, a, None
 
 
 def char_poly(mat) -> tuple[int, ...]:

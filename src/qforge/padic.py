@@ -1,4 +1,5 @@
-"""Hilbert symbols and the complete rational-equivalence invariant.
+"""Hilbert symbols, the complete rational-equivalence invariant, and
+isotropic vectors and representations over Q built from them.
 
 A place is a prime number or INF (the real place). The invariant triple
 (signature, discriminant square class, set of places with local signature
@@ -7,9 +8,13 @@ A place is a prime number or INF (the real place). The invariant triple
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+from sympy.solvers.diophantine.diophantine import ldescent
 
 from .errors import (
     InconsistentTargetsError,
@@ -18,6 +23,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .intmath import (
+    bezout,
+    factorize,
     first_primes_excluding,
     is_prime,
     prime_support,
@@ -27,6 +34,7 @@ from .intmath import (
     valuation,
 )
 from .lattice import QuadLattice, _symmetric_diagonalize
+from .linalg import det_bareiss, left_kernel, lll_gram, mat_vec
 
 INF = float("inf")
 
@@ -162,19 +170,18 @@ def invariant_triple(form, rng: random.Random | None = None) -> InvariantTriple:
     places: set = {2, INF}
     for d in diag:
         places.update(prime_support(d))
-    minus = []
-    for place in sorted(places):
-        eps = 1
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                eps *= hilbert_symbol(diag[i], diag[j], place)
-        if eps == -1:
-            minus.append(place)
+    minus = [place for place in sorted(places) if hasse_invariant(diag, place) == -1]
     return InvariantTriple(
         signature=(pos, neg),
         disc=squarefree_part(disc),
         minus_places=tuple(minus),
     )
+
+
+def hasse_invariant(diag, place: Place) -> int:
+    """The product of the Hilbert symbols (a_i, a_j), i < j, at the place."""
+    return math.prod(hilbert_symbol(a, b, place)
+                     for i, a in enumerate(diag) for b in diag[i + 1:])
 
 
 def rationally_equivalent(f1, f2) -> bool:
@@ -294,7 +301,8 @@ def solve_prescribed_hilbert(
             if sign is None or (y > 0) == (sign > 0):
                 return y
     raise SearchExhaustedError(
-        "no y found with the prescribed symbols; enlarge the auxiliary pool"
+        "prescribed Hilbert symbols (padic.solve_prescribed_hilbert): no y with at most"
+        f" one auxiliary prime from a pool of {pool_size}; enlarge the pool"
     )
 
 
@@ -367,3 +375,255 @@ def _crt(residues: list[int], moduli: list[int]) -> int:
         x = x + m * ((r - x) * inv % mod)
         m *= mod
     return x % m
+
+
+# ---------------------------------------------------------------------------
+# Isotropic vectors and representations: Hasse-Minkowski made explicit
+
+
+def _places(diag) -> list[Place]:
+    places: set = {2}
+    for a in diag:
+        places.update(prime_support(a))
+    return sorted(places) + [INF]
+
+
+def _locally_isotropic(diag, place: Place) -> bool:
+    """Whether <a_1, ..., a_k> (nonzero rationals) has a nonzero zero over Q_v
+    (Serre, A Course in Arithmetic, ch. IV, thm. 6)."""
+    k = len(diag)
+    if place == INF:
+        return any(a > 0 for a in diag) and any(a < 0 for a in diag)
+    if k >= 5:
+        return True
+    if k == 4 and not is_local_square(math.prod(diag), place):
+        return True
+    if k == 2:
+        return is_local_square(-diag[0] * diag[1], place)
+    if k == 3:
+        a, b, c = diag
+        return hilbert_symbol(-a * c, -b * c, place) == 1
+    return k == 4 and hasse_invariant(diag, place) == hilbert_symbol(-1, -1, place)
+
+
+def _obstruction(diag) -> Place | None:
+    """A place where the diagonal form is anisotropic, None if there is none
+    (then it is isotropic over Q)."""
+    return next((v for v in _places(diag) if not _locally_isotropic(diag, v)), None)
+
+
+def _conic(a: int, b: int, c: int) -> list[int]:
+    """(x, y, z) != 0, primitive and with entries >= 0, such that
+    a x^2 + b y^2 + c z^2 = 0, by Legendre descent on z^2 = A X^2 + B Y^2
+    (sympy's ldescent, which fails on unsolvable input: the caller has
+    checked solvability)."""
+    big_a, big_b = squarefree_part(-a * c), squarefree_part(-b * c)
+    m_a, m_b = math.isqrt(-a * c // big_a), math.isqrt(-b * c // big_b)
+    z, x, y = (int(s) for s in ldescent(big_a, big_b))
+    # -a/c = A (m_a / c)^2, so x = c X / m_a and y = c Y / m_b
+    return [abs(v) for v in _primitive([Fraction(c * x, m_a), Fraction(c * y, m_b), Fraction(z)])]
+
+
+def _common_value(h: list[int], g: list[int]) -> int:
+    """The squarefree t of least |t| (positive first) with t represented by
+    the binary h and -t by g over Q, for an isotropic h + g.
+
+    At each place v of h + g, whether h represents t and g represents -t
+    depends only on the square class of t, so the admitted classes are
+    listed once. At a prime l of t outside those places the forms have unit
+    coefficients: h + <-t> is isotropic there iff -h1 h2 is a square mod l,
+    and g + <t> iff -g1 g2 is when g is binary (always when it is larger).
+    A t exists: fix an admitted class at each place, assemble t from them by
+    CRT times one prime of the resulting progression (Dirichlet), and at
+    that prime the product formula forces the symbols to +1 (Serre, ch. III,
+    thm. 4). So the loop ends.
+    """
+    places = _places(h + g)
+    admitted = {v: {c for c in _square_classes(v)
+                    if _locally_isotropic(h + [-c], v) and _locally_isotropic(g + [c], v)}
+                for v in places}
+    splits = [-h[0] * h[1]] + ([-g[0] * g[1]] if len(g) == 2 else [])
+
+    def works(t: int) -> bool:
+        if not all(_square_class(t, v) in admitted[v] for v in places):
+            return False
+        factors = factorize(t)
+        return all(e == 1 for e in factors.values()) and all(
+            legendre(d, q) == 1 for q in factors if q not in places for d in splits)
+
+    t = 1
+    while not works(t):
+        t = -t if t > 0 else 1 - t
+    if _obstruction(h + [-t]) is not None or _obstruction(g + [t]) is not None:
+        raise InternalInconsistencyError(f"the common value {t} is not represented")
+    return t
+
+
+def _square_classes(place: Place) -> tuple[int, ...]:
+    """Squarefree integers representing the classes of Q_v* / Q_v*^2."""
+    if place == INF:
+        return (1, -1)
+    if place == 2:
+        return (1, 3, 5, 7, 2, 6, 10, 14)
+    return (1, _nonresidue(place), place, _nonresidue(place) * place)
+
+
+def _square_class(t: int, place: Place) -> int:
+    """The member of _square_classes(place) in the class of a squarefree t."""
+    if place == INF:
+        return 1 if t > 0 else -1
+    p = int(place)
+    e = 1 if t % p == 0 else 0
+    unit = t // p**e
+    if p == 2:
+        return unit % 8 * 2**e
+    return (1 if pow(unit, (p - 1) // 2, p) == 1 else _nonresidue(p)) * p**e  # Euler
+
+
+@functools.lru_cache(maxsize=1024)
+def _nonresidue(p: int) -> int:
+    return next(r for r in range(2, p) if legendre(r, p) == -1)
+
+
+def _diagonal_zero(diag: list[int]) -> list[int]:
+    """Nonzero integer zero of an isotropic form <a_1, ..., a_k> with
+    squarefree integer entries: the conic for k = 3, and for k >= 4 the
+    split <a_1, a_2> + <a_3, ..., a_k> along a common value t."""
+    if len(diag) == 2:
+        return [1, 1]  # -a1 a2 is a square and both are squarefree: a2 = -a1
+    if len(diag) == 3:
+        return _conic(*diag)
+    h, g = diag[:2], diag[2:]
+    t = _common_value(h, g)
+    x, y, z = _conic(h[0], h[1], -t)
+    if z == 0:
+        return [x, y] + [0] * len(g)
+    *u, s = _diagonal_zero(g + [t])
+    if s == 0:
+        return [0, 0] + u
+    return [s * x, s * y] + [z * c for c in u]
+
+
+def _primitive(vec) -> list[int]:
+    """The primitive integer vector on the line of a rational vector, with
+    its first nonzero entry positive."""
+    den = math.lcm(*(Fraction(c).denominator for c in vec))
+    ints = [int(Fraction(c) * den) for c in vec]
+    g = math.gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _isotropic_subform(entries) -> list[int] | None:
+    """Indices of the isotropic subform of a diagonal form with the fewest
+    entries, then the smallest largest entry; None if there is none. Any
+    five entries of both signs form one (Meyer), so subsets stop at five."""
+    subsets = (c for k in range(2, min(len(entries), 5) + 1)
+               for c in itertools.combinations(range(len(entries)), k))
+    ranked = sorted(subsets, key=lambda c: (len(c), max(abs(entries[i]) for i in c), c))
+    return next((list(c) for c in ranked if _obstruction([entries[i] for i in c]) is None), None)
+
+
+def isotropic_vector(gram) -> tuple[int, ...]:
+    """Primitive integer x != 0 with x^T G x = 0, for a rational symmetric G.
+
+    Constructed, not searched: the first basis vector with G_ii = 0, else a
+    radical vector; else, in an indefinite-LLL reduced basis, a vector the
+    reduction meets, a zero of the first isotropic 2x2 principal block, or
+    a zero of at most five entries of a rational diagonalization (Legendre
+    descent and common-value splitting). Raises PreconditionError naming a
+    place where the form is anisotropic when it has no zero over Q.
+    """
+    x = isotropic_or_obstruction(gram)
+    if not isinstance(x, tuple):
+        where = "the real place" if x == INF else f"{x}"
+        raise PreconditionError(f"the form is anisotropic at {where}")
+    return x
+
+
+def isotropic_or_obstruction(gram) -> tuple[int, ...] | Place:
+    """isotropic_vector's x, or a place where the form is anisotropic."""
+    n = len(gram)
+    if n == 0:
+        raise PreconditionError("a form of rank 0 has no nonzero vector")
+    for i in range(n):
+        if gram[i][i] == 0:
+            return tuple(int(i == j) for j in range(n))
+    den = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
+    g = [[int(Fraction(x) * den) for x in row] for row in gram]
+    content = math.gcd(*(x for row in g for x in row)) or 1
+    g = [[x // content for x in row] for row in g]
+    if det_bareiss(g) == 0:
+        return tuple(_primitive(left_kernel(g)[0]))
+    h, g, x = lll_gram(g)
+    if x is not None:
+        x = tuple(_primitive(x))
+    else:
+        x = _zero_of_reduced(g)
+        if not isinstance(x, list):
+            return x
+        x = tuple(_primitive([sum(c * row[j] for c, row in zip(x, h)) for j in range(n)]))
+    if _qform(gram, x) != 0:
+        raise InternalInconsistencyError(f"constructed x = {x} is not isotropic")
+    return x
+
+
+def _zero_of_reduced(g) -> list | Place:
+    """A rational zero of the reduced integer Gram g, in its coordinates, or
+    a place where the form is anisotropic."""
+    n = len(g)
+    for i in range(n):
+        if g[i][i] == 0:
+            return [int(i == j) for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = g[i][i], g[i][j]
+            s = math.isqrt(max(b * b - a * g[j][j], 0))
+            if s * s == b * b - a * g[j][j]:  # a x^2 + 2 b x y + c y^2 vanishes at (s - b, a)
+                return [(k == i) * (s - b) + (k == j) * a for k in range(n)]
+    diag, basis = rational_diagonalize(g)
+    entries = [squarefree_part(d) for d in diag[:8]]
+    chosen = _isotropic_subform(entries)
+    if chosen is None:
+        other = next((i for i in range(8, n) if (diag[i] > 0) != (diag[0] > 0)), None)
+        if other is None:  # definite, or anisotropic of rank at most four
+            return _obstruction(entries) if n <= 4 else INF
+        # the first eight entries share a sign: four of them and one of the other sign
+        chosen = [0, 1, 2, 3, other]
+        entries = [squarefree_part(diag[i]) for i in chosen]
+    else:
+        entries = [entries[i] for i in chosen]
+    y = [Fraction(0)] * n
+    for i, a, z in zip(chosen, entries, _diagonal_zero(entries)):
+        ratio = diag[i] / a  # a rational square r^2, and diag_i (z / r)^2 = a z^2
+        y[i] = z * Fraction(math.isqrt(ratio.denominator), math.isqrt(ratio.numerator))
+    return [sum(row[k] * y[k] for k in chosen) for row in basis]
+
+
+def _qform(gram, x) -> int:
+    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+def represent(gram, delta) -> tuple[Fraction, ...]:
+    """Rational w with w^T G w = delta != 0, for a non-degenerate G.
+
+    When G is isotropic, with e isotropic and u an integer combination
+    rescaled to b(u, e) = 1, w = u + ((delta - q(u)) / 2) e. Otherwise
+    w = x / s for an isotropic (x, s) of G + <-delta>; s != 0 since G is
+    anisotropic. PreconditionError when G does not represent delta over Q.
+    """
+    n = len(gram)
+    delta = Fraction(delta)
+    e = isotropic_or_obstruction(gram)
+    if not isinstance(e, tuple):
+        *x, s = isotropic_vector([list(row) + [0] for row in gram] + [[0] * n + [-delta]])
+        return tuple(Fraction(c, s) for c in x)
+    ge = mat_vec(gram, e)
+    den = math.lcm(*(Fraction(f).denominator for f in ge))
+    c, acc = bezout([int(f * den) for f in ge])  # b(c, e) = acc / den
+    if acc == 0:
+        raise PreconditionError("the form is degenerate")
+    u = [Fraction(ci * den, acc) for ci in c]
+    half = (delta - sum(ui * gi for ui, gi in zip(u, mat_vec(gram, u)))) / 2
+    return tuple(ui + half * ei for ui, ei in zip(u, e))

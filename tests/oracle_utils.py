@@ -276,3 +276,98 @@ def two_squares_scan(p: int) -> tuple[int, int] | None:
         if a * a + b * b == p:
             return a, b
     return None
+
+
+# ---------------------------------------------------------------------------
+# The canonical search order of the former vector hunts, kept as a reference:
+# shell by shell in increasing L1 norm; inside a shell lexicographic with
+# per-coordinate value order 1, 2, ..., 0, -1, -2, ...; only sign-canonical
+# vectors (first nonzero coordinate positive), optionally only primitive ones.
+
+
+def iter_search_vectors(rank: int, max_l1: int, primitive_only: bool = True):
+    for m in range(1, max_l1 + 1):
+        yield from _shell(rank, m, primitive_only)
+
+
+def _shell(rank: int, m: int, primitive_only: bool):
+    def rec(prefix: list[int], i: int, remaining: int, seen: bool):
+        if i == rank - 1:
+            if remaining == 0:
+                if seen:
+                    yield tuple(prefix + [0])
+            else:
+                yield tuple(prefix + [remaining])
+                if seen:
+                    yield tuple(prefix + [-remaining])
+            return
+        for x in range(1, remaining + 1):
+            yield from rec(prefix + [x], i + 1, remaining - x, True)
+        yield from rec(prefix + [0], i + 1, remaining, seen)
+        if seen:
+            for x in range(1, remaining + 1):
+                yield from rec(prefix + [-x], i + 1, remaining - x, True)
+
+    for vec in rec([], 0, m, False):
+        if primitive_only and math.gcd(*vec) != 1:
+            continue
+        yield vec
+
+
+# ---------------------------------------------------------------------------
+# The former Pell loop: squares the convergents h, k on every step
+
+
+def pell_fundamental_squaring(d: int) -> tuple[int, int]:
+    """Least (x, y), y > 0, with x^2 - d y^2 = 1, testing every convergent."""
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while h * h - d * k * k != 1:
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
+# ---------------------------------------------------------------------------
+# Isotropy of small diagonal forms over Q, from the exhaustive local search
+
+
+def _ternary_locally_isotropic(a: int, b: int, c: int, p: int) -> bool:
+    """a x^2 + b y^2 + c z^2 = 0 over Q_p, as (c z)^2 = (-a c) x^2 + (-b c) y^2."""
+    return local_solvable(-a * c, -b * c, p, 5 if p == 2 else 3)
+
+
+def _square_class_reps(p: int) -> list[int]:
+    if p == 2:
+        return [1, 3, 5, 7, 2, 6, 10, 14]
+    u = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    return [1, u, p, u * p]
+
+
+def locally_isotropic_oracle(diag: list[int], p: int) -> bool:
+    """Whether <a_1, ..., a_k>, k = 3 or 4, has a nonzero zero over Q_p:
+    ternary by exhaustive search mod p^k, quaternary as two binary halves
+    sharing a value t from some square class."""
+    if len(diag) == 3:
+        return _ternary_locally_isotropic(*diag, p)
+    a, b, c, d = diag
+    return any(_ternary_locally_isotropic(a, b, -t, p) and _ternary_locally_isotropic(c, d, t, p)
+               for t in _square_class_reps(p))
+
+
+def isotropic_over_q_oracle(diag: list[int]) -> bool:
+    """Hasse-Minkowski for a diagonal form of rank 2 to 4 with integer entries:
+    a zero over R and over Q_p for p = 2 and every p dividing an entry."""
+    if not (any(a > 0 for a in diag) and any(a < 0 for a in diag)):
+        return False
+    if len(diag) == 2:
+        r = math.isqrt(-diag[0] * diag[1])
+        return r * r == -diag[0] * diag[1]
+    primes = {2} | {p for a in diag for p in range(3, abs(a) + 1)
+                    if a % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))}
+    return all(locally_isotropic_oracle(diag, p) for p in primes)

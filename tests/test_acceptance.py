@@ -220,7 +220,6 @@ def test_c09_embedding_desk_run():
     start = time.monotonic()
     source = diag_lattice(*([1] * 3 + [-1] * 11))
     rep = embed_pipeline(source, 3)
-    assert not rep.certificate_level
     final = rep.lambda_in_source
     assert signature(final.as_lattice()) == (1, 4)
     assert saturation_index(final) == 1

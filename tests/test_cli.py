@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge.catalog import resolve
 from qforge.cli import main, verify_report
-from qforge.jsonio import dump_json, load_lattice_file
+from qforge.jsonio import dump_json, lattice_to_obj, load_lattice_file
+from qforge.lattice import from_rows
+from qforge.linalg import mat_mul, transpose
 
 
 def run_cli(capsys, args) -> tuple[int, dict]:
@@ -79,6 +83,8 @@ def test_glue_command(capsys):
 def test_isotropic_command(capsys):
     rc, obj = run_cli(capsys, ["isotropic", "--lattice", "catalog:U"])
     assert rc == 0 and obj["vector"] == [1, 0]
+    rc, obj = run_cli(capsys, ["isotropic", "--lattice", "catalog:diag(5,-15)"])
+    assert rc == 2 and "anisotropic" in obj["error"]["message"]
 
 
 def test_certify_command(tmp_path, capsys):
@@ -312,11 +318,13 @@ def test_verify_report_rechecks_oracle_claims(reports, name):
 
 
 def test_search_exhausted_exit_code(capsys):
+    # enumerate is the one command left with a budgeted search
     rc, obj = run_cli(
         capsys,
-        ["isotropic", "--lattice", "catalog:diag(5,-15)", "--budget", "500"],
+        ["enumerate", "--lattice", "catalog:diag(5,-15)", "--height-bound", "30",
+         "--budget", "500"],
     )
-    assert rc == 3 and "error" in obj
+    assert rc == 3 and obj["error"]["type"] == "SearchExhaustedError"
 
 
 def test_budget_exceeded_exit_code(capsys):
@@ -422,3 +430,59 @@ def test_catalog_env_malformed(tmp_path, monkeypatch, capsys, text):
     monkeypatch.setenv("QFORGE_CATALOG", str(extra))
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U"])
     assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
+# ---------------------------------------------------------------------------
+# Constructed isotropic vectors end to end (these ops ran out of their
+# search budgets or time before)
+
+
+@pytest.mark.parametrize("name, n_bound, signature", [
+    ("K3", 2, [1, 8]),
+    ("U+U+U+E8(-1)", 3, [1, 4]),
+])
+def test_parabolic_non_diagonal_sources_explicit(capsys, name, n_bound, signature):
+    rc, obj = run_cli(capsys, ["parabolic", "--lattice", f"catalog:{name}",
+                               "--n-bound", str(n_bound), "--verify"])
+    assert rc == 0 and obj["verified"] is True
+    assert obj["certificate_level"] is False
+    assert obj["sublattice"]["signature"] == signature
+    assert obj["isometry"]["classification"]["tag"] == "parabolic"
+
+
+def _rescrambled(name: str, seed: int, additions_per_rank: int):
+    """The Gram of `name` in the basis given by the rows of a seeded
+    unimodular matrix: a signed permutation, then rank * additions_per_rank
+    elementary row additions with coefficient +-1."""
+    gram = resolve(name).gram
+    n = len(gram)
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(additions_per_rank * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return mat_mul(mat_mul(rows, gram), transpose(rows))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hyperbolic_k3_heavily_rescrambled(tmp_path, capsys, seed):
+    gram = _rescrambled("K3", seed, 6)
+    path = tmp_path / "k3.json"
+    dump_json(lattice_to_obj(from_rows(gram, label="K3")), str(path))
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", str(path), "--n-bound", "10",
+                               "--verify"])
+    assert rc == 0 and obj["verified"] is True
+    assert obj["sublattice"]["certificate"]["p"] > 10
+
+
+def test_integers_beyond_the_default_string_limit(tmp_path, capsys):
+    # Python refuses int <-> str conversions past 4300 digits by default; a
+    # report of exact arithmetic must read and print them all the same
+    big = "1" + "0" * 4999 + "1"
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([[big, "1"]]))
+    rc, obj = run_cli(capsys, ["saturate", "--lattice", "catalog:U", "--basis", str(basis)])
+    assert rc == 0 and obj["basis"] == [[big, 1]]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qforge.catalog import resolve
-from qforge.errors import PreconditionError, SearchExhaustedError
+from qforge.errors import PreconditionError
 from qforge.forge import (
     Rank2Result,
     SmallnessCertificate,
@@ -30,7 +30,6 @@ from qforge.lattice import (
     signature,
     span,
 )
-from qforge.limits import SearchLimits
 
 U = from_rows([[0, 1], [1, 0]], label="U")
 UU2 = direct_sum(U, U, diag_lattice(2), label="U+U+<2>")
@@ -52,8 +51,9 @@ def test_find_isotropic_output_contract():
 
 
 def test_find_isotropic_not_found():
-    with pytest.raises(SearchExhaustedError, match="no isotropic vector within the search bound"):
-        find_isotropic(diag_lattice(5, -15), SearchLimits(max_l1=12))
+    # 5 x^2 - 15 y^2 = 0 needs x^2 = 3 y^2: anisotropic, decided with no budget
+    with pytest.raises(PreconditionError, match="anisotropic"):
+        find_isotropic(diag_lattice(5, -15))
 
 
 def test_find_isotropic_pair_u():

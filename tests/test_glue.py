@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qforge.catalog import resolve
-from qforge.errors import PreconditionError, SearchExhaustedError
+from qforge.errors import PreconditionError
 from qforge.glue import (
     build_scaled_lattice,
     embed_pipeline,
@@ -24,7 +24,6 @@ from qforge.lattice import (
     signature,
     span,
 )
-from qforge.limits import SearchLimits
 from qforge.linalg import (
     det_bareiss,
     freeze,
@@ -104,12 +103,13 @@ def test_explicit_isometry_requires_equivalence():
 
 
 def test_explicit_isometry_exhaustion():
-    # equivalent forms, but representing 13 by x^2 + y^2 needs (2, 3),
-    # out of reach for a unit-height witness search
+    # representing 13 by x^2 + y^2 needs (2, 3): constructed, not searched
     g1 = diag_lattice(13, 13).gram
     g2 = diag_lattice(1, 1).gram
-    with pytest.raises(SearchExhaustedError):
-        explicit_rational_isometry(g1, g2, SearchLimits(witness_max_l1=1))
+    t = explicit_rational_isometry(g1, g2)
+    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
+        [[Fraction(x) for x in row] for row in g1]
+    )
 
 
 def test_build_scaled_lattice():
@@ -199,7 +199,6 @@ def test_glue_family(p, rank):
 def test_embed_pipeline_desk_run():
     source = diag_lattice(*([1] * 3 + [-1] * 11))
     rep = embed_pipeline(source, 3)
-    assert not rep.certificate_level
     assert rep.index_d == 1
     assert rep.prime == 5
     assert rep.sat_index <= rep.index_d
@@ -232,14 +231,18 @@ def test_embed_pipeline_rejects_wrong_signature():
 
 
 def test_embed_pipeline_k3_certificate_level():
-    rep = embed_pipeline(
-        resolve("K3"),
-        2,
-        SearchLimits(witness_max_l1=2, witness_budget=400),
-    )
-    assert rep.certificate_level
+    # the name is historical: K3 used to end at certificate level, and is explicit now
+    source = resolve("K3")
+    rep = embed_pipeline(source, 2)
     assert rep.extension.augmented_triple == rep.extension.standard_triple
-    assert rep.embedding is None
+    emb = rep.embedding
+    m = mat_mul(transpose(emb), mat_mul(rep.ambient.gram, emb))
+    assert m == freeze([[Fraction(x) for x in row] for row in source.gram])
+    assert rep.prime > rep.index_d**2 * 2
+    final = rep.lambda_in_source
+    assert signature(final.as_lattice()) == (1, 8)
+    assert saturation_index(final) == 1
+    assert all(x % rep.prime == 0 for row in final.gram() for x in row)
 
 
 def test_standard_lattice_shape():

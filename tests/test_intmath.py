@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from oracle_utils import two_squares_scan
+from oracle_utils import pell_fundamental_squaring, two_squares_scan
 from qforge.errors import PreconditionError
-from qforge.intmath import is_prime, primes_from, two_squares
+from qforge.intmath import is_prime, pell_fundamental, primes_from, two_squares
 
 
 def test_two_squares_matches_scan_below_1e5():
@@ -29,3 +31,9 @@ def test_two_squares_near_1e30():
 def test_two_squares_rejects_non_primes_and_3_mod_4(n):
     with pytest.raises(PreconditionError, match="not a sum of two coprime squares"):
         two_squares(n)
+
+
+def test_pell_fundamental_matches_the_squaring_loop():
+    for d in range(2, 10**4):
+        if math.isqrt(d) ** 2 != d:
+            assert pell_fundamental(d) == pell_fundamental_squaring(d), d

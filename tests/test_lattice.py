@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import iter_search_vectors
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError, SearchExhaustedError
 from qforge.lattice import (
@@ -16,7 +17,6 @@ from qforge.lattice import (
     discriminant_group,
     enumerate_values,
     from_rows,
-    iter_search_vectors,
     min_nonzero_abs,
     orthogonal_complement,
     pairing,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import local_solvable
+from oracle_utils import isotropic_over_q_oracle, local_solvable
 from qforge.catalog import resolve
 from qforge.errors import InconsistentTargetsError, PreconditionError
 from qforge.lattice import diag_lattice, from_rows
@@ -15,10 +16,12 @@ from qforge.padic import (
     hilbert_symbol,
     invariant_triple,
     is_local_square,
+    isotropic_vector,
     legendre,
     choose_pair_prescribed,
     rational_diagonalize,
     rationally_equivalent,
+    represent,
     solve_prescribed_hilbert,
 )
 
@@ -244,3 +247,87 @@ def test_is_local_square():
     assert not is_local_square(-1, INF)
     assert is_local_square(17, 2)  # 17 = 1 mod 8
     assert not is_local_square(5, 2)
+
+
+# ---------------------------------------------------------------------------
+# Isotropic vectors and representations
+
+
+def _q(gram, x):
+    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+@st.composite
+def _scrambled_diagonal(draw, ranks):
+    """(diagonal entries, A D A^T) for a random unimodular A: the Gram is
+    non-diagonal unless A is a signed permutation, and isotropic exactly
+    when the diagonal is."""
+    n = draw(ranks)
+    diag = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=n, max_size=n))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            c = draw(st.sampled_from([1, -1, 2]))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    gram = [[sum(rows[i][k] * diag[k] * rows[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    return diag, gram
+
+
+def _isotropic_per_oracle(diag):
+    if len(diag) >= 5:  # Meyer: isotropic iff indefinite
+        return any(a > 0 for a in diag) and any(a < 0 for a in diag)
+    return isotropic_over_q_oracle(diag)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_scrambled_diagonal(st.integers(2, 8)))
+def test_isotropic_vector_contract(case):
+    diag, gram = case
+    if _isotropic_per_oracle(diag):
+        x = isotropic_vector(gram)
+        assert _q(gram, x) == 0 and math.gcd(*x) == 1
+    else:
+        with pytest.raises(PreconditionError, match="anisotropic"):
+            isotropic_vector(gram)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_scrambled_diagonal(st.integers(2, 4)))
+def test_isotropic_vector_agrees_with_local_oracle(case):
+    """Rank 2 to 4, where anisotropic forms exist: the construction raises
+    exactly when the exhaustive local search finds an obstruction."""
+    diag, gram = case
+    try:
+        x = isotropic_vector(gram)
+    except PreconditionError:
+        assert not isotropic_over_q_oracle(diag)
+    else:
+        assert isotropic_over_q_oracle(diag) and _q(gram, x) == 0
+
+
+@settings(max_examples=250, deadline=None)
+@given(_scrambled_diagonal(st.integers(1, 4)), st.integers(-30, 30).filter(bool))
+def test_represent_contract(case, delta):
+    diag, gram = case
+    if _isotropic_per_oracle(diag + [-delta]):
+        w = represent(gram, delta)
+        assert _q(gram, w) == delta
+    else:
+        with pytest.raises(PreconditionError, match="anisotropic"):
+            represent(gram, delta)
+
+
+def test_isotropic_vector_worked_examples():
+    assert isotropic_vector(U.gram) == (1, 0)
+    assert isotropic_vector(diag_lattice(1, -1).gram) == (1, 1)
+    # x^2 + y^2 = 3 z^2 has no solution mod 4
+    with pytest.raises(PreconditionError, match="anisotropic at 2"):
+        isotropic_vector(diag_lattice(1, 1, -3).gram)
+    with pytest.raises(PreconditionError, match="anisotropic at the real place"):
+        isotropic_vector(diag_lattice(1, 2, 3, 5, 7, 11).gram)
+    x = isotropic_vector(resolve("K3").gram)
+    assert x == (1,) + (0,) * 21  # the first basis vector of U
+    with pytest.raises(PreconditionError, match="rank 0"):
+        isotropic_vector([])

@@ -83,3 +83,19 @@ def test_every_error_class_is_caught_or_documented():
         assert classes[name].exit_code == code
     unused = sorted(set(classes) - caught - set(EXIT_CODE_CLASSES.values()))
     assert not unused, unused
+
+
+L1_SHELL_SCANS = {"iter_search_vectors", "_shell"}
+
+
+def test_no_l1_shell_scan_in_package():
+    """Isotropic vectors and representations are constructed (padic); the
+    canonical L1-shell order lives on only as a reference in tests/oracle_utils."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.name if isinstance(node, ast.FunctionDef) else (
+                node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+            if name in L1_SHELL_SCANS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
