@@ -216,8 +216,11 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
         functionals.append(mat_vec(g2, images[-1]))
     # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns the images
     t_mat = mat_mul(transpose(images), transpose(invert_unimodular(u)))
-    check = mat_mul(transpose(t_mat), mat_mul(g2, t_mat))
-    if check != freeze([[Fraction(x) for x in row] for row in g1]):
+    # the same identity in integers: with d the common denominator of T,
+    # (dT)^T G2 (dT) == d^2 G1
+    d = math.lcm(*(x.denominator for row in t_mat for x in row))
+    dt = [[x.numerator * (d // x.denominator) for x in row] for row in t_mat]
+    if mat_mul(transpose(dt), mat_mul(g2, dt)) != freeze([[d * d * x for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
     return t_mat
 

@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.solvers.diophantine.diophantine import ldescent
-
 from .errors import (
     InconsistentTargetsError,
     InternalInconsistencyError,
@@ -27,6 +25,7 @@ from .intmath import (
     factorize,
     first_primes_excluding,
     is_prime,
+    ldescent,
     prime_support,
     squarefree_part,
     unit_mod,
@@ -414,12 +413,15 @@ def _obstruction(diag) -> Place | None:
 
 def _conic(a: int, b: int, c: int) -> list[int]:
     """(x, y, z) != 0, primitive and with entries >= 0, such that
-    a x^2 + b y^2 + c z^2 = 0, by Legendre descent on z^2 = A X^2 + B Y^2
-    (sympy's ldescent, which fails on unsolvable input: the caller has
-    checked solvability)."""
+    a x^2 + b y^2 + c z^2 = 0, by Lagrange descent on z^2 = A X^2 + B Y^2
+    (intmath.ldescent; the caller has checked solvability, so a None from
+    it is an inconsistency)."""
     big_a, big_b = squarefree_part(-a * c), squarefree_part(-b * c)
     m_a, m_b = math.isqrt(-a * c // big_a), math.isqrt(-b * c // big_b)
-    z, x, y = (int(s) for s in ldescent(big_a, big_b))
+    solution = ldescent(big_a, big_b)
+    if solution is None:
+        raise InternalInconsistencyError(f"z^2 = {big_a} X^2 + {big_b} Y^2 has no solution")
+    z, x, y = solution
     # -a/c = A (m_a / c)^2, so x = c X / m_a and y = c Y / m_b
     return [abs(v) for v in _primitive([Fraction(c * x, m_a), Fraction(c * y, m_b), Fraction(z)])]
 

@@ -1,10 +1,90 @@
 import math
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.ntheory.residue_ntheory import sqrt_mod as sympy_sqrt_mod
+from sympy.solvers.diophantine.diophantine import ldescent as sympy_ldescent
 
 from oracle_utils import pell_fundamental_squaring, two_squares_scan
 from qforge.errors import PreconditionError
-from qforge.intmath import is_prime, pell_fundamental, primes_from, two_squares
+from qforge.intmath import (
+    factorize,
+    is_prime,
+    ldescent,
+    next_prime,
+    pell_fundamental,
+    primes_from,
+    sqrt_mod,
+    two_squares,
+)
+
+# The least strong pseudoprimes to the first 4, 9, 12 and 13 primes: a
+# base table that stops one range too early, or a BPSW branch that is
+# never reached, lets one of them through.
+PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461,
+                3317044064679887385961981)
+SQUAREFREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101,
+                     1009, 65537, 1000003)
+
+
+@st.composite
+def squarefree(draw, max_primes=4):
+    """A squarefree integer > 1: a product of distinct primes, with the
+    primes small enough that sympy's factorint lists them ascending."""
+    primes = draw(st.sets(st.sampled_from(SQUAREFREE_PRIMES), min_size=1, max_size=max_primes))
+    return math.prod(primes)
+
+
+@given(st.integers(0, 10**40) | st.sampled_from(PSEUDOPRIMES))
+@settings(max_examples=500, deadline=None)
+@example(3317044064679887385961981)
+def test_is_prime_and_next_prime_match_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+    assert next_prime(n) == sympy.nextprime(n)
+
+
+def test_is_prime_below_1e5_matches_sympy():
+    assert [n for n in range(10**5) if is_prime(n)] == list(sympy.primerange(10**5))
+
+
+@given(st.integers(1, 10**20) | st.builds(lambda a, b: a * b, st.integers(1, 10**8),
+                                          st.integers(1, 10**8)))
+@settings(max_examples=300, deadline=None)
+def test_factorize_matches_factorint(n):
+    f = factorize(n)
+    assert f == sympy.factorint(n)
+    assert list(f) == sorted(f)
+
+
+@given(squarefree(), st.integers(-10**6, 10**6), st.booleans())
+@settings(max_examples=500, deadline=None)
+@example(15, 4, False)  # 7 = 15 // 2 is a root, and 2 is returned
+@example(21, 1, False)
+def test_sqrt_mod_matches_sympy(m, a, square):
+    if square:
+        a = a * a
+    assert sqrt_mod(a, m) == sympy_sqrt_mod(a, m)
+
+
+def _sympy_ldescent(a, b):
+    try:
+        return sympy_ldescent(a, b)
+    except TypeError:  # the descent reached an unsolvable equation
+        return None
+
+
+@given(squarefree(3), squarefree(3), st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
+@settings(max_examples=500, deadline=None)
+def test_ldescent_matches_sympy(a, b, signs):
+    a, b = signs[0] * a, signs[1] * b
+    expected = _sympy_ldescent(a, b)
+    solution = ldescent(a, b)
+    assert solution == expected
+    if solution is not None:
+        w, x, y = solution
+        assert (w, x, y) != (0, 0, 0) and w * w == a * x * x + b * y * y
 
 
 def test_two_squares_matches_scan_below_1e5():

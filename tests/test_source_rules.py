@@ -1,5 +1,7 @@
 """Rules on the package source that no single behaviour test can enforce."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import qforge
@@ -99,3 +101,36 @@ def test_no_l1_shell_scan_in_package():
             if name in L1_SHELL_SCANS:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_no_sympy_import_in_package():
+    """The integer routines are in-house (intmath): sympy is a test-only
+    oracle, and importing it would add about 0.4 s and 35 MB to every run."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found
+
+
+def test_parabolic_run_loads_no_sympy():
+    """A full K3 parabolic run, --verify included, never imports sympy,
+    lazily or otherwise."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import qforge.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = qforge.cli.main(['parabolic', '--lattice', 'catalog:K3',\n"
+        "                          '--n-bound', '2', '--verify'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('sympy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"], proc.stdout
