@@ -378,7 +378,7 @@ def verify_report(report: dict) -> list[str]:
             if not is_prime(prime) or prime <= d * d * n_bound:
                 failures.append("P is not a prime above d^2 N")
             matrix = [[Fraction(x) for x in row] for row in emb["matrix"]]
-            if glue._embedding_index(matrix, len(matrix)) != d:
+            if glue._embedding_index(matrix) != d:
                 failures.append("index d does not match the embedding matrix")
             want = [1, report["input"]["rank"] // 2 - 3]
             if list(signature(latt)) != want or sub["signature"] != want:

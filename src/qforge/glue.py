@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     InconsistentTargetsError,
@@ -23,8 +24,10 @@ from .intmath import (
     bezout,
     first_primes_excluding,
     is_prime,
+    lowest_terms,
     prime_support,
     primes_from,
+    round_div,
     sqrt_mod,
     squarefree_part,
     two_squares,
@@ -53,9 +56,11 @@ from .linalg import (
     lll_gram,
     mat_mul,
     mat_vec,
+    scale_to_integers,
     smith_normal_form,
     snf_invariant_factors,
     solve,
+    solve_scaled,
     transpose,
 )
 from .padic import (
@@ -68,7 +73,7 @@ from .padic import (
     isotropic_or_obstruction,
     rational_diagonalize,
     rationally_equivalent,
-    represent,
+    represent_scaled,
     solve_prescribed_hilbert,
 )
 
@@ -201,7 +206,8 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     pairings to the earlier images and the prescribed q-value
     (_next_image). Witt cancellation makes every step possible. The images
     are kept as near to integral as the construction allows: their
-    denominators make up the embedding index d.
+    denominators make up the embedding index d. Everything is carried as
+    integer vectors over a common denominator; T is the only rational.
     """
     g1 = freeze(g1)
     g2 = freeze(g2)
@@ -209,20 +215,21 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
         raise PreconditionError("forms are not rationally equivalent")
     u = _nondegenerate_flag(QuadLattice(g1))
     h = mat_mul(u, mat_mul(g1, transpose(u)))
-    images: list[tuple[Fraction, ...]] = []
-    functionals = []  # G2 times each image: x -> b(x, image) is a dot product
+    ambient = QuadLattice(g2)
+    images = []  # (x, s): the image x / s, in lowest terms
+    functionals = []  # (f, den): b(y, image) == f . y / den, in lowest terms
     for k, row in enumerate(h):
-        images.append(_next_image(QuadLattice(g2), functionals, row[:k], row[k]))
-        functionals.append(mat_vec(g2, images[-1]))
-    # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns the images
-    t_mat = mat_mul(transpose(images), transpose(invert_unimodular(u)))
-    # the same identity in integers: with d the common denominator of T,
-    # (dT)^T G2 (dT) == d^2 G1
-    d = math.lcm(*(x.denominator for row in t_mat for x in row))
-    dt = [[x.numerator * (d // x.denominator) for x in row] for row in t_mat]
+        x, s = _next_image(ambient, functionals, row[:k], row[k])
+        images.append((x, s))
+        functionals.append(lowest_terms(mat_vec(g2, x), s))
+    # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns
+    # the images; with their common denominator d, dT = (dM) U^-T is integral
+    d = math.lcm(*(s for _, s in images))
+    dm = transpose([[c * (d // s) for c in x] for x, s in images])
+    dt = mat_mul(dm, transpose(invert_unimodular(u)))
     if mat_mul(transpose(dt), mat_mul(g2, dt)) != freeze([[d * d * x for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
-    return t_mat
+    return tuple(tuple(Fraction(x, d) for x in row) for row in dt)
 
 
 def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
@@ -232,11 +239,15 @@ def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
     least nonzero |q| (first in order on ties), which keeps the complements
     of explicit_rational_isometry close to unimodular. When every remaining
     projection is isotropic, e_i ± e_j for the first remaining i, j with a
-    nonzero one; a sign works, else e_i would pair to zero with the rest."""
-    # pool: index -> [row, its projection o off the chosen rows, q(o)]
-    pool = {i: [list(r), list(map(Fraction, r)), Fraction(latt.gram[i][i])]
-            for i, r in enumerate(identity(latt.rank))}
+    nonzero one; a sign works, else e_i would pair to zero with the rest.
+
+    Fraction-free Gram-Schmidt: with D the Gram determinant of the chosen
+    rows, D o and D q(o) are integral (Cramer), and each update divides
+    exactly by the previous D (Bareiss)."""
+    # pool: index -> [row, D o for its projection o off the chosen rows, D q(o)]
+    pool = {i: [list(r), list(r), latt.gram[i][i]] for i, r in enumerate(identity(latt.rank))}
     rows = []
+    det = 1
     while pool:
         live = [i for i in pool if pool[i][2]]
         if live:
@@ -245,7 +256,7 @@ def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
             i = min(pool)
             for j, sign in ((j, sign) for j in sorted(pool) if j != i for sign in (1, -1)):
                 o = [a + sign * b for a, b in zip(pool[i][1], pool[j][1])]
-                qo = qvalue(latt, o)
+                qo = qvalue(latt, o) // det
                 if qo:
                     row = [a + sign * b for a, b in zip(pool[i][0], pool[j][0])]
                     break
@@ -253,19 +264,21 @@ def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
         rows.append(row)
         go = mat_vec(latt.gram, o)
         for entry in pool.values():
-            b = _dot(entry[1], go)
-            entry[1] = [x - b / qo * y for x, y in zip(entry[1], o)]
-            entry[2] -= b * b / qo
+            b = _dot(entry[1], go) // det
+            entry[1] = [(qo * x - b * y) // det for x, y in zip(entry[1], o)]
+            entry[2] = (qo * entry[2] - b * b) // det
+        det = qo
     return rows
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
-def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[Fraction, ...]:
-    """x with b(x, prev_j) = pairs_j and q(x) = value, where functionals_j =
-    G2 prev_j and the Gram of prev plus x is non-degenerate.
+def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[list[int], int]:
+    """(x, s) with b(x / s, prev_j) = pairs_j and q(x / s) = value, where
+    functionals_j = (f, den) with G2 prev_j = f / den and the Gram of prev
+    plus x / s is non-degenerate; s > 0 and gcd(x, s) = 1.
 
     x = x0 + z: x0 solves the pairings, integrally when their Smith form
     allows, and z lies in the complement K of prev, with an LLL-reduced
@@ -273,46 +286,52 @@ def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[Fracti
     isotropic, z0 in K making b(x0 + z0, e) the least positive value of its
     class mod b(K, e), so that lambda has a small denominator. Otherwise
     x0's projection to K is replaced by a representation (padic.represent).
+    Rational vectors are integer vectors over a denominator named with them.
     """
     n = ambient.rank
-    x0: list[Fraction] = [Fraction(0)] * n
+    x0, den = [0] * n, 1  # x0 / den
     kernel = identity(n)
     if functionals:
-        dens = [math.lcm(*(f.denominator for f in row)) for row in functionals]
-        a = [[int(f * den) for f in row] for row, den in zip(functionals, dens)]
-        d, u, v = smith_normal_form(a)  # u a v = d
+        d, u, v = smith_normal_form([f for f, _ in functionals])  # u a v = d
         rank = len(functionals)
-        y = mat_vec(u, [Fraction(x) * den for x, den in zip(pairs, dens)])
-        x0 = list(mat_vec(v, [y[i] / d[i][i] for i in range(rank)] + [0] * (n - rank)))
+        y = mat_vec(u, [p * fden for p, (_, fden) in zip(pairs, functionals)])
+        den = d[rank - 1][rank - 1]  # every invariant factor divides the last
+        x0 = list(mat_vec(v, [yi * (den // d[i][i]) for i, yi in enumerate(y)] + [0] * (n - rank)))
         kernel = transpose(v)[rank:]
     h, euclid, _ = lll_gram(mat_mul(kernel, transpose(kernel)))  # positive: never isotropic
     kernel = mat_mul(h, kernel)
-    # x0 minus the rounded Euclidean projection of x0 to K: same pairings, small entries
-    shift = solve(euclid, [_dot(row, x0) for row in kernel])
-    x0 = [x - _dot(col, [round(c) for c in shift]) for x, col in zip(x0, transpose(kernel))]
-    gram_k = mat_mul(kernel, mat_mul(ambient.gram, transpose(kernel)))
+    kernel_t = transpose(kernel)
+    # x0 minus the rounded Euclidean projection of x0 to K: same pairings, small
+    # entries; the projection's coordinates are shift / (det den)
+    shift, det = solve_scaled(euclid, [[_dot(row, x0)] for row in kernel])
+    shift = [round_div(c, det * den) for c, in shift]
+    x0 = [x - den * _dot(col, shift) for x, col in zip(x0, kernel_t)]
+    gram_k = mat_mul(kernel, mat_mul(ambient.gram, kernel_t))
     e = isotropic_or_obstruction(gram_k)
     if isinstance(e, tuple):
-        e = mat_vec(transpose(kernel), e)
+        e = mat_vec(kernel_t, e)
         c, g = bezout([pairing(ambient, row, e) for row in kernel])
-        c = mat_vec(transpose(kernel), c)  # b(c, e) = g
+        c = mat_vec(kernel_t, c)  # b(c, e) = g
         b0 = pairing(ambient, x0, e)
-        t = b0 % g or g
-        x0 = [x - Fraction(b0 - t, g) * ci for x, ci in zip(x0, c)]
-        if (value - pairing(ambient, x0, x0)) % 2 and t == 1:
+        t = b0 % (den * g) or den * g  # b(x0 / den, e) mod g, in (0, g], times den
+        x0 = [x - (b0 - t) // g * ci for x, ci in zip(x0, c)]
+        if (value * den * den - qvalue(ambient, x0)) % (2 * den * den) and t == den:
             # an odd vector of K orthogonal to e flips the parity, so lambda is integral
             flip = next((z for z in left_kernel([[pairing(ambient, row, e)] for row in kernel])
                          if qvalue(QuadLattice(gram_k), z) % 2), None)
             if flip is not None:
-                x0 = [x + zi for x, zi in zip(x0, mat_vec(transpose(kernel), flip))]
-        lam = Fraction(value - pairing(ambient, x0, x0)) / (2 * t)
-        return tuple(x + lam * ei for x, ei in zip(x0, e))
+                x0 = [x + den * zi for x, zi in zip(x0, mat_vec(kernel_t, flip))]
+        # x0 / den + lambda e with lambda = (value - q(x0 / den)) / (2 t / den)
+        num = value * den * den - qvalue(ambient, x0)
+        return lowest_terms([2 * t * x + num * ei for x, ei in zip(x0, e)], 2 * t * den)
     # x0 = p + r with r in K_Q; keep p, and put a representation y in place of r
-    coords = solve(gram_k, [pairing(ambient, row, x0) for row in kernel])
-    r = mat_vec(transpose(kernel), coords)
-    p = [x - ri for x, ri in zip(x0, r)]
-    y = represent(gram_k, value - pairing(ambient, p, p))
-    return tuple(pi + yi for pi, yi in zip(p, mat_vec(transpose(kernel), y)))
+    coords, det = solve_scaled(gram_k, [[pairing(ambient, row, x0)] for row in kernel])
+    r = mat_vec(kernel_t, [c for c, in coords])
+    p = [det * x - ri for x, ri in zip(x0, r)]  # p / (det den)
+    pden = det * den
+    y, s = represent_scaled(gram_k, value * pden * pden - qvalue(ambient, p), pden * pden)
+    return lowest_terms([s * pi + pden * yi for pi, yi in zip(p, mat_vec(kernel_t, y))],
+                         pden * s)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +596,11 @@ def _standard_inclusion(latt: QuadLattice, ambient_pos: int, ambient_rank: int):
     return transpose(cols)
 
 
-def _embedding_index(embedding, ambient_rank: int) -> int:
+def _embedding_index(embedding) -> int:
     """|H / (H ∩ L)| from the denominators of the embedding matrix."""
-    ncols = len(embedding[0])
-    den = 1
-    for row in embedding:
-        for x in row:
-            den = math.lcm(den, Fraction(x).denominator)
-    m = [[int(Fraction(embedding[r][c]) * den) for c in range(ncols)]
-         for r in range(ambient_rank)]
+    m, den = scale_to_integers(embedding)
     factors = snf_invariant_factors(m)
-    if len(factors) != ncols:
+    if len(factors) != len(embedding[0]):
         raise InternalInconsistencyError("embedding is not injective")
     d = 1
     for f in factors:
@@ -623,18 +636,10 @@ def _intersect_with_image(
     embedding, h_rank: int, lam_sub: Sublattice, source: QuadLattice
 ) -> Sublattice:
     """{h in H : embedding(h) lies in the embedded scaled lattice}."""
-    amb_rank = lam_sub.ambient.rank
-    den = 1
-    for row in embedding:
-        for x in row:
-            den = math.lcm(den, Fraction(x).denominator)
-    cols = []
-    for c in range(h_rank):
-        cols.append([int(Fraction(embedding[r][c]) * den) for r in range(amb_rank)])
-    for vec in lam_sub.basis:
-        cols.append([-den * x for x in vec])
-    a = transpose(freeze(cols))  # (amb_rank) x (h_rank + lam_rank)
-    kernel = left_kernel(transpose(a))
+    m, den = scale_to_integers(embedding)
+    # integer relations among the columns of (den * embedding | -den * lam basis)
+    cols = list(transpose(m)) + [[-den * x for x in vec] for vec in lam_sub.basis]
+    kernel = left_kernel(cols)
     h_rows = [row[:h_rank] for row in kernel]
     h_basis, _ = hermite_rows(h_rows)
     return span(source, h_basis)
@@ -656,10 +661,8 @@ def _trim_to_signature(
     chosen = [pos_idx[0]] + neg_idx[:want_neg]
     vectors = []
     for col in chosen:
-        coords = [basis[r][col] for r in range(sub.rank)]
-        den = math.lcm(*[f.denominator for f in coords])
-        ints = [int(f * den) for f in coords]
-        vectors.append(sub.to_ambient(tuple(ints)))
+        ints, _ = scale_to_integers([[basis[r][col] for r in range(sub.rank)]])
+        vectors.append(sub.to_ambient(ints[0]))
     return saturate(span(sub.ambient, vectors))
 
 
@@ -689,7 +692,7 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
             ambient.gram,
         )
         embedding = tuple(tuple(row[:b2]) for row in t_mat)
-    d = _embedding_index(embedding, b2 + 3)
+    d = _embedding_index(embedding)
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2
     lam_sub = _two_squares_embedding(p, s_lam, ambient)

@@ -29,6 +29,24 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def round_div(a: int, b: int) -> int:
+    """The integer nearest to a / b (b != 0), ties to even, as round() of
+    the Fraction a / b."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q % 2 == 1))
+
+
+def lowest_terms(vec, den: int) -> tuple[list[int], int]:
+    """(v, s) with v / s == vec / den for an integer vector over a nonzero
+    denominator: s > 0 and gcd(v, s) = 1."""
+    g = math.gcd(den, *vec)
+    if den < 0:
+        g = -g
+    return [c // g for c in vec], den // g
+
+
 def bezout(values) -> tuple[list[int], int]:
     """(c, g) with sum c_i * values_i == g == gcd(values) >= 0."""
     coeffs: list[int] = []

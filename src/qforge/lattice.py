@@ -105,7 +105,6 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        g = self.ambient.gram
         return tuple(
             tuple(pairing(self.ambient, u, v) for v in self.basis) for u in self.basis
         )
@@ -152,6 +151,64 @@ def pairing(latt: QuadLattice, u, v) -> int:
 # Signature via exact rational diagonalization
 
 
+def _diagonal_pivots(gram, order: list[int] | None = None, with_basis: bool = True):
+    """Fraction-free congruent diagonalization of L * gram, L the common
+    denominator of its entries (Bareiss: the Schur complement left by
+    each pivot is kept scaled by the previous leading minor, so every
+    division is exact).
+
+    Returns (minors, cols, L): minors[k] is the leading (k+1)-minor
+    D_{k+1} of L * gram in the final basis, so diagonal entry k is
+    D_{k+1} / (L D_k) with D_0 = 1; cols[k] = D_k b_k is basis vector k
+    scaled to integers (None unless with_basis). The pivot is the first
+    nonzero diagonal entry in `order` (then position order) among the
+    remaining ones, else e_i + e_j for the first nonzero pairing b(e_i, e_j).
+    """
+    n = len(gram)
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    a = [[int(x * den) for x in row] for row in gram]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)] if with_basis else None
+    minors: list[int] = []
+    prev = 1
+    for step in range(n):
+        candidates = list(range(step, n))
+        if order:
+            pref = [j for j in order if step <= j < n]
+            candidates = pref + [j for j in candidates if j not in pref]
+        piv = next((j for j in candidates if a[j][j]), None)
+        if piv is None:
+            # all diagonal entries vanish; borrow a nonzero pairing
+            pair = next(((i, j) for i in range(step, n) for j in range(step, n)
+                         if i != j and a[i][j]), None)
+            if pair is None:
+                raise PreconditionError("form is degenerate")
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            if cols:
+                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+            piv = i
+        if piv != step:
+            a[step], a[piv] = a[piv], a[step]
+            for row in a:
+                row[step], row[piv] = row[piv], row[step]
+            if cols:
+                cols[step], cols[piv] = cols[piv], cols[step]
+        p = a[step][step]
+        top = a[step][step + 1:]
+        for j in range(step + 1, n):
+            f = a[step][j]
+            if f or p != prev:
+                # the symmetric update of row j is also that of column j
+                a[j][step + 1:] = [(p * x - f * y) // prev for x, y in zip(a[j][step + 1:], top)]
+                if cols:
+                    cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
+        minors.append(p)
+        prev = p
+    return minors, cols, den
+
+
 def _symmetric_diagonalize(gram, order: list[int] | None = None):
     """Congruent diagonalization over Q.
 
@@ -159,66 +216,19 @@ def _symmetric_diagonalize(gram, order: list[int] | None = None):
     exactly; `order` optionally biases pivot selection (used to exercise
     independence of the result's invariants from the elimination order).
     """
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def col_add(dst, src, c):
-        # e_dst <- e_dst + c * e_src, applied symmetrically to m
-        for i in range(n):
-            m[i][dst] += c * m[i][src]
-        for j in range(n):
-            m[dst][j] += c * m[src][j]
-        for i in range(n):
-            basis[i][dst] += c * basis[i][src]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        m[i], m[j] = m[j], m[i]
-        for row in basis:
-            row[i], row[j] = row[j], row[i]
-
-    diag: list[Fraction] = []
-    for step in range(n):
-        candidates = [j for j in range(step, n)]
-        if order:
-            pref = [j for j in order if step <= j < n]
-            candidates = [j for j in pref if j in candidates] + [
-                j for j in candidates if j not in pref
-            ]
-        piv = next((j for j in candidates if m[j][j] != 0), None)
-        if piv is None:
-            # all diagonal entries vanish; borrow a nonzero pairing
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(step, n)
-                    for j in range(step, n)
-                    if i != j and m[i][j] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                raise PreconditionError("form is degenerate")
-            col_add(pair[0], pair[1], 1)
-            piv = pair[0]
-        if piv != step:
-            col_swap(step, piv)
-        d = m[step][step]
-        for j in range(step + 1, n):
-            if m[step][j] != 0:
-                col_add(j, step, -m[step][j] / d)
-        diag.append(d)
+    minors, cols, den = _diagonal_pivots(gram, order)
+    prevs = [1] + minors[:-1]
+    diag = [Fraction(m, den * d) for m, d in zip(minors, prevs)]
+    basis = [[Fraction(c[i], d) for c, d in zip(cols, prevs)] for i in range(len(gram))]
     return diag, linalg.freeze(basis)
 
 
 def signature(latt: QuadLattice) -> tuple[int, int]:
-    """(positive count, negative count) of any rational diagonalization."""
-    diag, _ = _symmetric_diagonalize(latt.gram)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg
+    """(positive count, negative count) of any rational diagonalization:
+    diagonal entry k has the sign of D_{k+1} D_k."""
+    minors, _, _ = _diagonal_pivots(latt.gram, with_basis=False)
+    pos = sum(1 for m, d in zip(minors, [1] + minors[:-1]) if (m > 0) == (d > 0))
+    return pos, len(minors) - pos
 
 
 def is_indefinite(latt: QuadLattice) -> bool:
@@ -231,14 +241,19 @@ def is_indefinite(latt: QuadLattice) -> bool:
 
 
 def saturate(sub: Sublattice) -> Sublattice:
-    """Smallest primitive sublattice containing sub: ambient ∩ Q-span."""
+    """Smallest primitive sublattice containing sub: ambient ∩ Q-span.
+
+    With U B V = D the Smith form of the basis B, the rows of V^-1 span
+    Z^n and the first k of them span the saturation; since U B = D V^-1,
+    row i of those is row i of U B divided by the invariant factor d_i.
+    B is put in Hermite form first: the same lattice, with entries that
+    keep U small.
+    """
     if not sub.basis:
         return sub
-    d, _, v = smith_normal_form(sub.basis)
-    k = len(sub.basis)
-    vinv = invert_unimodular(v)
-    sat_rows = vinv[:k]
-    h, _ = hermite_rows(sat_rows)
+    b, _ = hermite_rows(sub.basis)
+    d, u, _ = smith_normal_form(b)
+    h, _ = hermite_rows([[x // d[i][i] for x in row] for i, row in enumerate(mat_mul(u, b))])
     return Sublattice(sub.ambient, h)
 
 

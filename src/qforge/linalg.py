@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import PreconditionError
-from .intmath import xgcd
+from .intmath import round_div, xgcd
 
 Matrix = tuple[tuple, ...]
 
@@ -35,14 +36,14 @@ def mat_mul(a, b) -> Matrix:
         raise PreconditionError("matrix product shape mismatch")
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
 def mat_vec(mat, vec) -> tuple:
     if mat and len(mat[0]) != len(vec):
         raise PreconditionError("matrix-vector shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
+    return tuple(sum(map(mul, row, vec)) for row in mat)
 
 
 def mat_sub(a, b) -> Matrix:
@@ -142,26 +143,32 @@ def solve(mat, rhs) -> tuple | None:
     return tuple(x)
 
 
-def _inverse_scaled(mat) -> tuple[list[list[int]], int]:
-    """(X, D) with mat^-1 == X / D, from the reduction of [mat | I]."""
+def solve_scaled(mat, rhs) -> tuple[list[list[int]], int]:
+    """(X, D) with mat X == D rhs, for a nonsingular square mat and a
+    matrix rhs: the reduction of [mat | rhs], so X / D is mat^-1 rhs."""
     n = len(mat)
-    a, pivots, _ = _bareiss(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n
-    )
+    a, pivots, _ = _bareiss([list(row) + list(r) for row, r in zip(mat, rhs)], n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a], a[n - 1][n - 1] if n else 1
 
 
+def scale_to_integers(mat) -> tuple[list[list[int]], int]:
+    """(M, d) with mat == M / d: d the lcm of the denominators of mat's
+    entries, M integral."""
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[int(x * d) for x in row] for row in mat], d
+
+
 def invert(mat) -> Matrix:
     """Exact inverse over the rationals (Fractions)."""
-    x, d = _inverse_scaled(mat)
+    x, d = solve_scaled(mat, identity(len(mat)))
     return tuple(tuple(Fraction(v, d) for v in row) for row in x)
 
 
 def invert_unimodular(mat) -> Matrix:
     """Integer inverse of an integer matrix with determinant ±1."""
-    x, d = _inverse_scaled(mat)
+    x, d = solve_scaled(mat, identity(len(mat)))
     if d not in (1, -1):
         raise PreconditionError("matrix is not unimodular")
     return tuple(tuple(v * d for v in row) for row in x)
@@ -348,7 +355,7 @@ def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
 
     def red(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) > abs(d[l + 1]):
-            q = round(Fraction(lam[k][l], d[l + 1]))
+            q = round_div(lam[k][l], d[l + 1])
             h[k] = [x - q * y for x, y in zip(h[k], h[l])]
             a[k] = [x - q * y for x, y in zip(a[k], a[l])]
             for row in a:

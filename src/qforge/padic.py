@@ -26,6 +26,7 @@ from .intmath import (
     first_primes_excluding,
     is_prime,
     ldescent,
+    lowest_terms,
     prime_support,
     squarefree_part,
     unit_mod,
@@ -33,7 +34,7 @@ from .intmath import (
     valuation,
 )
 from .lattice import QuadLattice, _symmetric_diagonalize
-from .linalg import det_bareiss, left_kernel, lll_gram, mat_vec
+from .linalg import det_bareiss, left_kernel, lll_gram, mat_vec, scale_to_integers
 
 INF = float("inf")
 
@@ -509,8 +510,8 @@ def _diagonal_zero(diag: list[int]) -> list[int]:
 def _primitive(vec) -> list[int]:
     """The primitive integer vector on the line of a rational vector, with
     its first nonzero entry positive."""
-    den = math.lcm(*(Fraction(c).denominator for c in vec))
-    ints = [int(Fraction(c) * den) for c in vec]
+    den = math.lcm(*(c.denominator for c in vec))
+    ints = [int(c * den) for c in vec]
     g = math.gcd(*ints)
     if next(c for c in ints if c) < 0:
         g = -g
@@ -552,8 +553,7 @@ def isotropic_or_obstruction(gram) -> tuple[int, ...] | Place:
     for i in range(n):
         if gram[i][i] == 0:
             return tuple(int(i == j) for j in range(n))
-    den = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
-    g = [[int(Fraction(x) * den) for x in row] for row in gram]
+    g, _ = scale_to_integers(gram)
     content = math.gcd(*(x for row in g for x in row)) or 1
     g = [[x // content for x in row] for row in g]
     if det_bareiss(g) == 0:
@@ -608,24 +608,35 @@ def _qform(gram, x) -> int:
 
 
 def represent(gram, delta) -> tuple[Fraction, ...]:
-    """Rational w with w^T G w = delta != 0, for a non-degenerate G.
+    """Rational w with w^T G w = delta != 0, for a non-degenerate integer G.
 
     When G is isotropic, with e isotropic and u an integer combination
     rescaled to b(u, e) = 1, w = u + ((delta - q(u)) / 2) e. Otherwise
     w = x / s for an isotropic (x, s) of G + <-delta>; s != 0 since G is
     anisotropic. PreconditionError when G does not represent delta over Q.
     """
-    n = len(gram)
     delta = Fraction(delta)
+    w, s = represent_scaled(gram, delta.numerator, delta.denominator)
+    return tuple(Fraction(c, s) for c in w)
+
+
+def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
+    """represent(gram, num / den), den > 0, in integers: (W, s) with s > 0
+    and W / s the representing vector."""
+    n = len(gram)
     e = isotropic_or_obstruction(gram)
     if not isinstance(e, tuple):
-        *x, s = isotropic_vector([list(row) + [0] for row in gram] + [[0] * n + [-delta]])
-        return tuple(Fraction(c, s) for c in x)
+        # q(x) = (num / den) s^2 is the zero (x, s) of den G + <-num>
+        *x, s = isotropic_vector([[den * g for g in row] + [0] for row in gram]
+                                 + [[0] * n + [-num]])
+        return lowest_terms(x, s)
     ge = mat_vec(gram, e)
-    den = math.lcm(*(Fraction(f).denominator for f in ge))
-    c, acc = bezout([int(f * den) for f in ge])  # b(c, e) = acc / den
+    c, acc = bezout(ge)  # b(c, e) = acc, so u = c / acc has b(u, e) = 1
     if acc == 0:
         raise PreconditionError("the form is degenerate")
-    u = [Fraction(ci * den, acc) for ci in c]
-    half = (delta - sum(ui * gi for ui, gi in zip(u, mat_vec(gram, u)))) / 2
-    return tuple(ui + half * ei for ui, ei in zip(u, e))
+    # w = u + ((delta - q(u)) / 2) e over the common denominator 2 den acc^2,
+    # with den acc^2 (delta - q(u)) = num acc^2 - den q(c)
+    gap = num * acc * acc - den * _qform(gram, c)
+    return lowest_terms([2 * den * acc * ci + gap * ei for ci, ei in zip(c, e)],
+                         2 * den * acc * acc)
+

@@ -371,3 +371,98 @@ def isotropic_over_q_oracle(diag: list[int]) -> bool:
     primes = {2} | {p for a in diag for p in range(3, abs(a) + 1)
                     if a % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))}
     return all(locally_isotropic_oracle(diag, p) for p in primes)
+
+
+# ---------------------------------------------------------------------------
+# The former rational-arithmetic versions of saturation and of the congruent
+# diagonalization, kept as references for their fraction-free replacements
+
+
+def saturate_via_v_inverse(basis) -> tuple:
+    """Hermite basis of the saturation of the row span of `basis`: with
+    U B V = D its Smith form, the first k rows of V^-1, in Hermite form."""
+    from qforge.linalg import hermite_rows, invert_unimodular, smith_normal_form
+
+    _, _, v = smith_normal_form(basis)
+    h, _ = hermite_rows(invert_unimodular(v)[:len(basis)])
+    return h
+
+
+def symmetric_diagonalize_fractions(gram, order: list[int] | None = None):
+    """(diag, basis) with basis^T G basis = diag(entries), by elimination on
+    a Fraction copy of the Gram: pivot on the first nonzero diagonal entry
+    in `order` (then position order), else on e_i + e_j for the first
+    nonzero pairing."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, c):
+        for i in range(n):
+            m[i][dst] += c * m[i][src]
+        for j in range(n):
+            m[dst][j] += c * m[src][j]
+        for i in range(n):
+            basis[i][dst] += c * basis[i][src]
+
+    def col_swap(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        m[i], m[j] = m[j], m[i]
+        for row in basis:
+            row[i], row[j] = row[j], row[i]
+
+    diag = []
+    for step in range(n):
+        candidates = list(range(step, n))
+        if order:
+            pref = [j for j in order if step <= j < n]
+            candidates = pref + [j for j in candidates if j not in pref]
+        piv = next((j for j in candidates if m[j][j] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(step, n) for j in range(step, n)
+                         if i != j and m[i][j] != 0), None)
+            if pair is None:
+                raise ValueError("form is degenerate")
+            col_add(pair[0], pair[1], 1)
+            piv = pair[0]
+        if piv != step:
+            col_swap(step, piv)
+        d = m[step][step]
+        for j in range(step + 1, n):
+            if m[step][j] != 0:
+                col_add(j, step, -m[step][j] / d)
+        diag.append(d)
+    return diag, tuple(tuple(row) for row in basis)
+
+
+def nondegenerate_flag_fractions(gram) -> list[list[int]]:
+    """Rows of the greedy unimodular flag of glue._nondegenerate_flag, with
+    each projection and its q-value carried as Fractions."""
+    n = len(gram)
+
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    pool = {i: [[int(i == j) for j in range(n)], [Fraction(int(i == j)) for j in range(n)],
+                Fraction(gram[i][i])] for i in range(n)}
+    rows = []
+    while pool:
+        live = [i for i in pool if pool[i][2]]
+        if live:
+            row, o, qo = pool.pop(min(live, key=lambda i: (abs(pool[i][2]), i)))
+        else:
+            i = min(pool)
+            for j, sign in ((j, sign) for j in sorted(pool) if j != i for sign in (1, -1)):
+                o = [a + sign * b for a, b in zip(pool[i][1], pool[j][1])]
+                qo = pair(o, o)
+                if qo:
+                    row = [a + sign * b for a, b in zip(pool[i][0], pool[j][0])]
+                    break
+            del pool[i]
+        rows.append(row)
+        for entry in pool.values():
+            b = pair(entry[1], o)
+            entry[1] = [x - b / qo * y for x, y in zip(entry[1], o)]
+            entry[2] -= b * b / qo
+    return rows

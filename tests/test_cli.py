@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -448,6 +449,21 @@ def test_parabolic_non_diagonal_sources_explicit(capsys, name, n_bound, signatur
     assert obj["certificate_level"] is False
     assert obj["sublattice"]["signature"] == signature
     assert obj["isometry"]["classification"]["tag"] == "parabolic"
+
+
+@pytest.mark.parametrize("name, n_bound, digest", [
+    ("K3", 2, "fa94e03ed4202135e633b39ce500da59e2b77fb5c282c9b2b33f6d76cc063baf"),
+    ("U+U+U+E8(-1)", 3, "7dee2f8383ed83e564f2e615cb1e502a50e7729be24a833804bf459ba32ebe05"),
+], ids=["K3", "U+U+U+E8(-1)"])
+def test_parabolic_report_pinned(capsys, name, n_bound, digest):
+    """The whole verified report apart from `timings`, as sorted-key JSON,
+    hashes to the value taken before the witness and saturation moved to
+    integer arithmetic: that rewrite changes no report."""
+    rc, obj = run_cli(capsys, ["parabolic", "--lattice", f"catalog:{name}",
+                               "--n-bound", str(n_bound), "--verify"])
+    assert rc == 0
+    del obj["timings"]
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
 
 def _rescrambled(name: str, seed: int, additions_per_rank: int):

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from oracle_utils import nondegenerate_flag_fractions
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError
 from qforge.glue import (
+    _nondegenerate_flag,
+    _target_options,
     build_scaled_lattice,
     embed_pipeline,
     explicit_rational_isometry,
@@ -110,6 +115,77 @@ def test_explicit_isometry_exhaustion():
     assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
         [[Fraction(x) for x in row] for row in g1]
     )
+
+
+def _scrambled(gram, rng: random.Random):
+    """The Gram in the basis given by the rows of a seeded unimodular
+    matrix: a signed permutation, then 2 * rank row additions of +-1."""
+    n = len(gram)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return mat_mul(mat_mul(rows, gram), transpose(rows))
+
+
+# Indefinite forms only, and small diagonal entries: on a definite form the
+# witness's denominators can grow to hundreds of digits, and the square
+# classes of padic._zero_of_reduced then factor them for minutes.
+_CATALOG_FORMS = ("U", "U+U", "U+<2>", "diag(1,1,-1)", "diag(2,-3,5)", "U+E8(-1)",
+                  "U+U+U+E8(-1)")
+
+
+@st.composite
+def _equivalent_pair(draw):
+    """(G1, G2) rationally equivalent, G1 not diagonal: a scramble of a
+    catalog form against the form or another scramble, or a scrambled
+    diagonal form plus its extension against the standard form of the
+    extension's signature."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        gram = resolve(draw(st.sampled_from(_CATALOG_FORMS))).gram
+        return _scrambled(gram, rng), gram if draw(st.booleans()) else _scrambled(gram, rng)
+    entries = draw(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=4))
+    r, s = signature(diag_lattice(*entries))
+    target = draw(st.sampled_from(_target_options(r, s)))
+    ext = extend_to_standard(diag_lattice(*entries), target)
+    g1 = diag_lattice(*entries, ext.b0, ext.b1, ext.b2).gram
+    return _scrambled(g1, rng), standard_lattice(*target).gram
+
+
+@given(_equivalent_pair())
+@settings(max_examples=60, deadline=None)
+def test_explicit_isometry_non_diagonal_pairs(pair):
+    g1, g2 = pair
+    t = explicit_rational_isometry(g1, g2)
+    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
+        [[Fraction(x) for x in row] for row in g1]
+    )
+
+
+@st.composite
+def _nondegenerate_gram(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**4, 10**4))
+    upper = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    gram = freeze(rows)
+    assume(det_bareiss(gram) != 0)
+    return gram
+
+
+@given(_nondegenerate_gram())
+@settings(max_examples=150, deadline=None)
+@example(resolve("U+U").gram)
+@example(resolve("K3").gram)
+def test_nondegenerate_flag_matches_fraction_reference(gram):
+    assert _nondegenerate_flag(QuadLattice(gram)) == nondegenerate_flag_fractions(gram)
 
 
 def test_build_scaled_lattice():
@@ -230,8 +306,7 @@ def test_embed_pipeline_rejects_wrong_signature():
         embed_pipeline(diag_lattice(1, 1, 1, -1), 3)
 
 
-def test_embed_pipeline_k3_certificate_level():
-    # the name is historical: K3 used to end at certificate level, and is explicit now
+def test_embed_pipeline_k3_explicit():
     source = resolve("K3")
     rep = embed_pipeline(source, 2)
     assert rep.extension.augmented_triple == rep.extension.standard_triple

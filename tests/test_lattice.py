@@ -5,11 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import iter_search_vectors
+from oracle_utils import (
+    iter_search_vectors,
+    saturate_via_v_inverse,
+    symmetric_diagonalize_fractions,
+)
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError, SearchExhaustedError
 from qforge.lattice import (
     QuadLattice,
+    _symmetric_diagonalize,
     all_values_divisible_by,
     binary_minimum,
     diag_lattice,
@@ -297,3 +302,68 @@ def test_discriminant_group_degenerate_rejected():
 def test_span_rejects_dependent_basis():
     with pytest.raises(PreconditionError, match="basis vectors are linearly dependent"):
         span(diag_lattice(1, 1), [(1, 0), (2, 0)])
+
+
+@st.composite
+def _independent_basis(draw):
+    """k independent rows in Z^n, n <= 8, entries within +-10^6: raw draws,
+    or a small k x k multiplier times narrower rows, so that the
+    saturation index is often above 1."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        entry = st.one_of(st.integers(-10**6, 10**6), st.integers(-3, 3))
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    else:
+        bound = 10**6 // (3 * k)
+        entry = st.one_of(st.integers(-bound, bound), st.integers(-3, 3))
+        base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        mult = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                             min_size=k, max_size=k))
+        rows = [[sum(m * r[j] for m, r in zip(mrow, base)) for j in range(n)] for mrow in mult]
+    from qforge.linalg import rational_rank
+
+    assume(rational_rank(rows) == k)
+    return rows
+
+
+@given(_independent_basis())
+@settings(max_examples=150, deadline=None)
+@example([[2, 4, 6], [0, 3, 9]])
+@example([[10**6, -10**6], [3, -3 * 10**5]])
+def test_saturate_matches_v_inverse_reference(rows):
+    latt = diag_lattice(*([1] * len(rows[0])))
+    assert saturate(span(latt, rows)).basis == saturate_via_v_inverse(rows)
+
+
+@st.composite
+def _symmetric_matrix(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
+    upper = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    it = iter(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    order = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return rows, order
+
+
+@given(_symmetric_matrix())
+@settings(max_examples=200, deadline=None)
+@example(([[0, 1], [1, 0]], None))
+@example(([[0, 0, 1], [0, 0, 2], [1, 2, 0]], [2, 0, 1]))
+def test_symmetric_diagonalize_matches_fraction_reference(case):
+    """Same diagonal, same basis and same signature as elimination on a
+    Fraction copy, or degenerate for both."""
+    gram, order = case
+    try:
+        want = symmetric_diagonalize_fractions(gram, order)
+    except ValueError:
+        with pytest.raises(PreconditionError, match="degenerate"):
+            _symmetric_diagonalize(gram, order)
+        return
+    assert _symmetric_diagonalize(gram, order) == want
+    pos = sum(1 for d in want[0] if d > 0)
+    assert signature(from_rows(gram)) == (pos, len(gram) - pos)

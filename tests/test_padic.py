@@ -308,10 +308,12 @@ def test_isotropic_vector_agrees_with_local_oracle(case):
 
 
 @settings(max_examples=250, deadline=None)
-@given(_scrambled_diagonal(st.integers(1, 4)), st.integers(-30, 30).filter(bool))
-def test_represent_contract(case, delta):
+@given(_scrambled_diagonal(st.integers(1, 4)), st.integers(-30, 30).filter(bool),
+       st.integers(1, 6))
+def test_represent_contract(case, num, den):
     diag, gram = case
-    if _isotropic_per_oracle(diag + [-delta]):
+    delta = Fraction(num, den)
+    if _isotropic_per_oracle(diag + [-num * den]):  # num / den and num den: one square class
         w = represent(gram, delta)
         assert _q(gram, w) == delta
     else:

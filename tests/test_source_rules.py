@@ -134,3 +134,41 @@ def test_parabolic_run_loads_no_sympy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"], proc.stdout
+
+
+# Functions of the parabolic hot path that work in integers: a rational
+# vector is an integer vector with a denominator named beside it.
+FRACTION_FREE = {
+    "glue.py": {"_nondegenerate_flag", "_next_image"},
+    "lattice.py": {"_diagonal_pivots", "saturate"},
+    "padic.py": {"represent_scaled"},
+}
+
+
+def _functions(name: str):
+    path = next(p for p in SOURCES if p.name == name)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef):
+            yield node
+
+
+def _names(node) -> set:
+    return {sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            for sub in ast.walk(node)}
+
+
+def test_witness_and_saturation_stay_fraction_free():
+    """No Fraction on the hot path of explicit_rational_isometry (its loop
+    over the basis, and the functions making the images and the flag), of the congruent
+    diagonalization or of saturate; saturate does not invert the Smith V."""
+    checked = {name: {fn.name: fn for fn in _functions(name) if fn.name in wanted}
+               for name, wanted in FRACTION_FREE.items()}
+    assert {name: set(fns) for name, fns in checked.items()} == FRACTION_FREE
+    witness = next(fn for fn in _functions("glue.py") if fn.name == "explicit_rational_isometry")
+    checked["glue.py"]["explicit_rational_isometry loop"] = next(
+        node for node in ast.walk(witness) if isinstance(node, ast.For))
+    found = [f"{name}:{where}" for name, fns in checked.items() for where, node in fns.items()
+             if "Fraction" in _names(node)]
+    if "invert_unimodular" in _names(checked["lattice.py"]["saturate"]):
+        found.append("lattice.py:saturate inverts V")
+    assert not found, found
