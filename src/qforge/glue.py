@@ -208,6 +208,15 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     are kept as near to integral as the construction allows: their
     denominators make up the embedding index d. Everything is carried as
     integer vectors over a common denominator; T is the only rational.
+
+    A step whose complement is anisotropic has to represent its value
+    there, and the representation's denominator enters every later
+    complement's discriminant; chained, those grow to hundreds of digits
+    and their square classes cannot be factored. So representing is left to
+    the last two steps. When an earlier complement is anisotropic, the
+    images are made again in G2 + U, where every complement keeps a
+    hyperbolic plane, each made small (_eichler_reduce), and then all are
+    moved back into G2 (_cancel_plane).
     """
     g1 = freeze(g1)
     g2 = freeze(g2)
@@ -215,13 +224,10 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
         raise PreconditionError("forms are not rationally equivalent")
     u = _nondegenerate_flag(QuadLattice(g1))
     h = mat_mul(u, mat_mul(g1, transpose(u)))
-    ambient = QuadLattice(g2)
-    images = []  # (x, s): the image x / s, in lowest terms
-    functionals = []  # (f, den): b(y, image) == f . y / den, in lowest terms
-    for k, row in enumerate(h):
-        x, s = _next_image(ambient, functionals, row[:k], row[k])
-        images.append((x, s))
-        functionals.append(lowest_terms(mat_vec(g2, x), s))
+    images = _flag_images(QuadLattice(g2), h, represent_up_to=2)
+    if len(images) < len(h):
+        ambient = direct_sum(QuadLattice(g2), QuadLattice(((0, 1), (1, 0))))
+        images = _cancel_plane(ambient, _flag_images(ambient, h, represent_up_to=None))
     # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns
     # the images; with their common denominator d, dT = (dM) U^-T is integral
     d = math.lcm(*(s for _, s in images))
@@ -230,6 +236,95 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     if mat_mul(transpose(dt), mat_mul(g2, dt)) != freeze([[d * d * x for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
     return tuple(tuple(Fraction(x, d) for x in row) for row in dt)
+
+
+def _flag_images(ambient: QuadLattice, h, represent_up_to: int | None):
+    """The images (x, s) in ambient, x / s in lowest terms, of the flag with
+    Gram h; they stop short before the first complement of rank above
+    represent_up_to that is anisotropic. With None there is no limit, and
+    each image is also made small (_eichler_reduce)."""
+    images = []
+    functionals = []  # (f, den): b(y, image) == f . y / den, in lowest terms
+    for k, row in enumerate(h):
+        image = _next_image(ambient, functionals, row[:k], row[k], represent_up_to)
+        if image is None:
+            break
+        images.append(image)
+        functionals.append(lowest_terms(mat_vec(ambient.gram, image[0]), image[1]))
+    return images
+
+
+def _cancel_plane(ambient: QuadLattice, images) -> list[tuple[list[int], int]]:
+    """The images, made in ambient = G2 + U, moved into G2 by an isometry.
+
+    Their complement W is a hyperbolic plane (Witt), so its two isotropic
+    lines are the roots of its binary form. With w1, w2 a hyperbolic pair
+    of W and h1, h2 that of U (the last two coordinates), at most two
+    reflections take w1 to h1 (Scharlau, Quadratic and Hermitian Forms,
+    ch. 1, 5.3: through an isotropic z pairing nonzero with both), and the
+    Eichler transformation E(x) = x + b(x, h1) u - b(x, u) h1 -
+    q(u) / 2 b(x, h1) h1 with u = h2 - w2', which fixes h1, takes the moved
+    w2' to h2. The isometry maps W onto U, so the images into G2, where
+    their last two coordinates are 0."""
+    n = ambient.rank
+    g = ambient.gram
+    kernel = left_kernel(transpose([mat_vec(g, x) for x, _ in images]))
+    (a, b0), (_, c) = mat_mul(kernel, mat_mul(g, transpose(kernel)))
+    r = math.isqrt(max(b0 * b0 - a * c, 0))
+    if r == 0 or r * r != b0 * b0 - a * c:
+        raise InternalInconsistencyError("the complement of the images is not a hyperbolic plane")
+    lines = [(1, 0), (c, -2 * b0)] if a == 0 else [(r - b0, a), (-r - b0, a)]
+    w1, w2 = (mat_vec(transpose(kernel), e) for e in lines)
+    beta = _dot(w1, mat_vec(g, w2))  # (w1, w2 / beta) is a hyperbolic pair
+    # the images, w1 and w2 / beta as integer rows over one denominator
+    den = math.lcm(beta, *(s for _, s in images))
+    rows = [[c * (den // s) for c in x] for x, s in images]
+    rows += [[den * c for c in w1], [den // beta * c for c in w2]]
+    h1, h2 = ([int(i == j) for i in range(n)] for j in (n - 2, n - 1))
+    gh1, gh2 = mat_vec(g, h1), mat_vec(g, h2)
+
+    def reflect(rows, den, v):  # x - 2 b(x, v) / q(v) v
+        gv = mat_vec(g, v)
+        qv = _dot(v, gv)
+        rows = [[qv * xi - 2 * _dot(x, gv) * vi for xi, vi in zip(x, v)] for x in rows]
+        return _reduce_rows(rows, den * qv)
+
+    x, y = rows[-2], rows[-1]
+    hd1, hd2 = [den * c for c in h1], [den * c for c in h2]
+    if _dot(x, gh1):
+        mirrors = [_sub(x, hd1)]
+    elif _dot(x, gh2):
+        mirrors = [_sub(x, hd2), _sub(hd2, hd1)]
+    elif _dot(y, gh1):
+        mirrors = [_sub(x, y), _sub(y, hd1)]
+    else:  # z = w2 + h2 - b(w2, h2) / 2 (w1 + h1) is isotropic, b(w1, z) = b(z, h1) = 1
+        z = [2 * den * (yi + ai) - _dot(y, gh2) * (xi + ci)
+             for xi, yi, ai, ci in zip(x, y, hd2, hd1)]  # over 2 den^2
+        mirrors = [_sub([2 * den * xi for xi in x], z), _sub(z, [2 * den * c for c in hd1])]
+    for v in mirrors:
+        rows, den = reflect(rows, den, v)
+    # the Eichler transformation with u = U / den, U = den h2 - w2', over 2 den^3
+    big_u = _sub([den * c for c in h2], rows[-1])
+    gu = mat_vec(g, big_u)
+    quu = _dot(big_u, gu)
+    rows = [[2 * den * den * xi + 2 * den * _dot(x, gh1) * ui
+             - (2 * den * _dot(x, gu) + quu * _dot(x, gh1)) * hi
+             for xi, ui, hi in zip(x, big_u, h1)] for x in rows]
+    rows, den = _reduce_rows(rows, 2 * den * den * den)
+    if rows[-2] != [den * c for c in h1] or rows[-1] != [den * c for c in h2]:
+        raise InternalInconsistencyError("the plane was not moved onto U")
+    if any(x[-2:] != [0, 0] for x in rows[:-2]):
+        raise InternalInconsistencyError("the moved images leave G2")
+    return [lowest_terms(x[:-2], den) for x in rows[:-2]]
+
+
+def _sub(x, y):
+    return [a - c for a, c in zip(x, y)]
+
+
+def _reduce_rows(rows, den):
+    g = math.gcd(den, *(c for x in rows for c in x))
+    return [[c // g for c in x] for x in rows], den // g
 
 
 def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
@@ -275,10 +370,13 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[list[int], int]:
+def _next_image(ambient: QuadLattice, functionals, pairs, value,
+                represent_up_to: int | None) -> tuple[list[int], int] | None:
     """(x, s) with b(x / s, prev_j) = pairs_j and q(x / s) = value, where
     functionals_j = (f, den) with G2 prev_j = f / den and the Gram of prev
-    plus x / s is non-degenerate; s > 0 and gcd(x, s) = 1.
+    plus x / s is non-degenerate; s > 0 and gcd(x, s) = 1. None when the
+    complement K is anisotropic and of rank above represent_up_to; with
+    represent_up_to None, an isotropic K's image is also made small.
 
     x = x0 + z: x0 solves the pairings, integrally when their Smith form
     allows, and z lies in the complement K of prev, with an LLL-reduced
@@ -323,7 +421,11 @@ def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[list[i
                 x0 = [x + den * zi for x, zi in zip(x0, mat_vec(kernel_t, flip))]
         # x0 / den + lambda e with lambda = (value - q(x0 / den)) / (2 t / den)
         num = value * den * den - qvalue(ambient, x0)
+        if represent_up_to is None:
+            x0, num = _eichler_reduce(ambient, kernel, e, x0, num, t)
         return lowest_terms([2 * t * x + num * ei for x, ei in zip(x0, e)], 2 * t * den)
+    if represent_up_to is not None and len(kernel) > represent_up_to:
+        return None
     # x0 = p + r with r in K_Q; keep p, and put a representation y in place of r
     coords, det = solve_scaled(gram_k, [[pairing(ambient, row, x0)] for row in kernel])
     r = mat_vec(kernel_t, [c for c, in coords])
@@ -332,6 +434,55 @@ def _next_image(ambient: QuadLattice, functionals, pairs, value) -> tuple[list[i
     y, s = represent_scaled(gram_k, value * pden * pden - qvalue(ambient, p), pden * pden)
     return lowest_terms([s * pi + pden * yi for pi, yi in zip(p, mat_vec(kernel_t, y))],
                          pden * s)
+
+
+def _eichler_reduce(ambient: QuadLattice, kernel, e, x0, num: int, t: int):
+    """(x0', num') with 2t x0' + num' e the image of 2t x0 + num e under
+    Eichler transformations E(x) = x + b(x, e) u - b(x, u) e - q(u) / 2
+    b(x, e) e for u = a f, f in K orthogonal to e. They fix everything
+    orthogonal to K, so the image keeps its pairings and q-value, and with
+    b(x0, e) = t: x0' = x0 + t a f, num' = num - 2 t a b(x0, f) - a^2 q(f) t^2.
+    Each a is the integer nearest a root of num' (or its vertex), even when
+    q(f) t is odd so that num' = num mod 2t; taken while the vector shrinks.
+
+    Without this, lambda = num / 2t grows as q(x0), and x0 as the earlier
+    images, so that the entries about double from step to step."""
+    if max(map(abs, e)) * abs(num) <= 2 * t * max(map(abs, x0)):
+        return x0, num  # lambda e does not dominate: nothing to gain
+    orth = left_kernel([[pairing(ambient, row, e)] for row in kernel])
+    orth = mat_mul(orth, kernel)
+    if not orth:
+        return x0, num
+    h, _, _ = lll_gram(mat_mul(orth, transpose(orth)))
+    before = qvalue(ambient, [2 * t * x + num * c for x, c in zip(x0, e)])
+    for f in mat_mul(h, orth):
+        qf = qvalue(ambient, f)
+        if qf == 0:
+            continue
+        beta = pairing(ambient, x0, f)
+        disc = beta * beta + qf * num
+        guesses = [-beta // (qf * t)]
+        if disc >= 0:
+            r = math.isqrt(disc)
+            guesses += [(-beta + r) // (qf * t), (-beta - r) // (qf * t)]
+        best = None
+        for a in sorted({g + d for g in guesses for d in (-1, 0, 1, 2)}):
+            if qf * t % 2 and a % 2:
+                continue
+            cand = num - 2 * t * a * beta - a * a * qf * t * t
+            if best is None or abs(cand) < abs(best[1]):
+                best = (a, cand)
+        a, cand = best
+        new = [x + t * a * c for x, c in zip(x0, f)]
+        if _size(new, cand, e, t) < _size(x0, num, e, t):
+            x0, num = new, cand
+    if qvalue(ambient, [2 * t * x + num * c for x, c in zip(x0, e)]) != before:
+        raise InternalInconsistencyError("the Eichler transformations changed q")
+    return x0, num
+
+
+def _size(x0, num, e, t) -> int:
+    return max(abs(2 * t * x + num * c) for x, c in zip(x0, e)).bit_length()
 
 
 # ---------------------------------------------------------------------------

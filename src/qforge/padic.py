@@ -439,27 +439,86 @@ def _common_value(h: list[int], g: list[int]) -> int:
     A t exists: fix an admitted class at each place, assemble t from them by
     CRT times one prime of the resulting progression (Dirichlet), and at
     that prime the product formula forces the symbols to +1 (Serre, ch. III,
-    thm. 4). So the loop ends.
+    thm. 4). So the scan ends.
     """
-    places = _places(h + g)
-    admitted = {v: {c for c in _square_classes(v)
-                    if _locally_isotropic(h + [-c], v) and _locally_isotropic(g + [c], v)}
-                for v in places}
+    places, admitted = _admitted_classes(h, g)
     splits = [-h[0] * h[1]] + ([-g[0] * g[1]] if len(g) == 2 else [])
 
     def works(t: int) -> bool:
-        if not all(_square_class(t, v) in admitted[v] for v in places):
-            return False
         factors = factorize(t)
         return all(e == 1 for e in factors.values()) and all(
             legendre(d, q) == 1 for q in factors if q not in places for d in splits)
 
-    t = 1
-    while not works(t):
-        t = -t if t > 0 else 1 - t
+    t = next(t for t in _admitted_values(places, admitted) if works(t))
     if _obstruction(h + [-t]) is not None or _obstruction(g + [t]) is not None:
         raise InternalInconsistencyError(f"the common value {t} is not represented")
     return t
+
+
+_SIEVE_START = 1 << 12  # below this, t one by one: no mask is built
+_SIEVE_BLOCK = 1 << 16  # magnitudes per block
+_SIEVE_PRIME = 1 << 18  # largest place sieved
+
+
+def _admitted_classes(h: list[int], g: list[int]) -> tuple[list, dict]:
+    """The places of h + g, and at each the square classes of the t with h
+    representing t and g representing -t there."""
+    places = _places(h + g)
+    return places, {v: {c for c in _square_classes(v)
+                        if _locally_isotropic(h + [-c], v) and _locally_isotropic(g + [c], v)}
+                    for v in places}
+
+
+def _admitted_values(places, admitted, stop: int | None = None):
+    """The t = 1, -1, 2, -2, ..., in that order and with |t| below stop if
+    given, whose square class at each place is admitted. From _SIEVE_START
+    on, blocks are sieved: the class at 2 depends only on t mod 16, and at
+    an odd p not dividing t only on t mod p, so those places give periodic
+    masks; the classes at larger places, and at a sieved p dividing t, are
+    then checked one by one."""
+    def fits(t, where):
+        return all(_square_class(t, v) in admitted[v] for v in where)
+
+    for k in range(1, _SIEVE_START if stop is None else min(stop, _SIEVE_START)):
+        yield from (t for t in (k, -k) if fits(t, places))
+    masks = []
+    for v in places:
+        if v == 2:
+            keep = bytes(_square_class(r, 2) in admitted[2] for r in range(16))
+        elif v != INF and v <= _SIEVE_PRIME:
+            squares = bytearray(v)
+            for x in range(1, v // 2 + 1):
+                squares[x * x % v] = 1
+            keep = bytearray(squares.translate(
+                bytes([_nonresidue(v) in admitted[v], 1 in admitted[v]]) + bytes(254)))
+            keep[0] = 1  # p | t: checked one by one
+        else:
+            continue
+        masks.append((len(keep), bytes(keep), bytes(keep[:1] + keep[:0:-1])))
+    rest = [v for v in places if v != INF and v > _SIEVE_PRIME]
+    odd = [m for m, *_ in masks if m != 16]
+    signs = [_square_class(sign, INF) in admitted[INF] for sign in (1, -1)]
+    size = _SIEVE_BLOCK
+    start = _SIEVE_START
+    while stop is None or start < stop:
+        merged = bytearray(2 * size)  # 2i: start + i, 2i + 1: -(start + i)
+        for half, wanted in enumerate(signs):
+            if not wanted:
+                continue
+            acc = int.from_bytes(b"\1" * size, "little")
+            for m, *tables in masks:
+                table, o = tables[half], start % m
+                acc &= int.from_bytes((table[o:] + table * (size // m + 1))[:size], "little")
+            merged[half::2] = acc.to_bytes(size, "little")
+        i = merged.find(1)
+        while i >= 0:
+            t = -(start + i // 2) if i % 2 else start + i // 2
+            if stop is not None and abs(t) >= stop:
+                return
+            if fits(t, rest) and fits(t, [p for p in odd if t % p == 0]):
+                yield t
+            i = merged.find(1, i + 1)
+        start += size
 
 
 def _square_classes(place: Place) -> tuple[int, ...]:
@@ -585,6 +644,8 @@ def _zero_of_reduced(g) -> list | Place:
             if s * s == b * b - a * g[j][j]:  # a x^2 + 2 b x y + c y^2 vanishes at (s - b, a)
                 return [(k == i) * (s - b) + (k == j) * a for k in range(n)]
     diag, basis = rational_diagonalize(g)
+    if n > 4 and len({d > 0 for d in diag}) == 1:
+        return INF  # definite: no need for the square classes
     entries = [squarefree_part(d) for d in diag[:8]]
     chosen = _isotropic_subform(entries)
     if chosen is None:

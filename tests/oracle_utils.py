@@ -373,6 +373,24 @@ def isotropic_over_q_oracle(diag: list[int]) -> bool:
     return all(locally_isotropic_oracle(diag, p) for p in primes)
 
 
+def common_value_scan(h: list[int], g: list[int]) -> int:
+    """padic._common_value by its former plain scan: t = 1, -1, 2, -2, ...
+    checked one by one, square classes at every place first."""
+    from qforge.intmath import factorize
+    from qforge.padic import _admitted_classes, _square_class, legendre
+
+    places, admitted = _admitted_classes(h, g)
+    splits = [-h[0] * h[1]] + ([-g[0] * g[1]] if len(g) == 2 else [])
+    t = 1
+    while True:
+        if all(_square_class(t, v) in admitted[v] for v in places):
+            factors = factorize(t)
+            if all(e == 1 for e in factors.values()) and all(
+                    legendre(d, q) == 1 for q in factors if q not in places for d in splits):
+                return t
+        t = -t if t > 0 else 1 - t
+
+
 # ---------------------------------------------------------------------------
 # The former rational-arithmetic versions of saturation and of the congruent
 # diagonalization, kept as references for their fraction-free replacements

@@ -9,6 +9,7 @@ from oracle_utils import nondegenerate_flag_fractions
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError
 from qforge.glue import (
+    _cancel_plane,
     _nondegenerate_flag,
     _target_options,
     build_scaled_lattice,
@@ -32,6 +33,7 @@ from qforge.lattice import (
 from qforge.linalg import (
     det_bareiss,
     freeze,
+    left_kernel,
     mat_mul,
     snf_invariant_factors,
     transpose,
@@ -131,11 +133,10 @@ def _scrambled(gram, rng: random.Random):
     return mat_mul(mat_mul(rows, gram), transpose(rows))
 
 
-# Indefinite forms only, and small diagonal entries: on a definite form the
-# witness's denominators can grow to hundreds of digits, and the square
-# classes of padic._zero_of_reduced then factor them for minutes.
-_CATALOG_FORMS = ("U", "U+U", "U+<2>", "diag(1,1,-1)", "diag(2,-3,5)", "U+E8(-1)",
-                  "U+U+U+E8(-1)")
+# Small diagonal entries: with entries in the hundreds the extension's
+# entries reach 10^10, and some witnesses then take half a minute or more.
+_CATALOG_FORMS = ("U", "U+U", "U+<2>", "diag(1,1,-1)", "diag(2,-3,5)", "E8", "E8(-1)",
+                  "U+E8(-1)", "U+U+U+E8(-1)")
 
 
 @st.composite
@@ -164,6 +165,52 @@ def test_explicit_isometry_non_diagonal_pairs(pair):
     assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
         [[Fraction(x) for x in row] for row in g1]
     )
+
+
+def test_explicit_isometry_anisotropic_complements():
+    # complements that turn anisotropic above rank 2 (definite from the
+    # start, or after two steps): representing there made denominators of
+    # hundreds of digits, whose square classes took minutes to factor
+    rng = random.Random(29)
+    e8 = resolve("E8(-1)").gram
+    ext = extend_to_standard(diag_lattice(21, -22, -9, -3, -17), (2, 6))
+    g1 = diag_lattice(21, -22, -9, -3, -17, ext.b0, ext.b1, ext.b2).gram
+    pairs = [(_scrambled(e8, rng), _scrambled(e8, rng)),
+             (_scrambled(g1, random.Random(53)), standard_lattice(2, 6).gram)]
+    for g1, g2 in pairs:
+        t = explicit_rational_isometry(g1, g2)
+        assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
+            [[Fraction(x) for x in row] for row in g1]
+        )
+
+
+# hyperbolic planes W of (U + <1>) + U, in the coordinates e1, e2, e3, h1, h2:
+# inside the first summand, the last U itself, and planes meeting both, so
+# that w1 pairs with h1, only with h2, or with neither and w2 with h1 or not
+_PLANES = (
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+    ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 1)),
+    ((0, 1, 0, 0, 1), (1, 0, 0, 0, 0)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0)),
+    ((0, 1, 0, 1, 0), (1, 0, 0, 0, 0)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, 1, 1)),
+    ((0, 0, 0, 1, 0), (0, 0, 1, 0, 1)),
+    ((1, 0, 0, 0, 1), (0, 1, 0, 0, 0)),
+    ((0, 1, 0, 0, 0), (1, 0, 0, 0, 1)),
+)
+
+
+@pytest.mark.parametrize("plane", _PLANES)
+def test_cancel_plane_moves_images_into_g2(plane):
+    ambient = direct_sum(resolve("U+<1>"), resolve("U"))
+    w = [list(v) for v in plane]
+    images = left_kernel(transpose(mat_mul(w, ambient.gram)))  # W's complement
+    moved = _cancel_plane(ambient, [(x, 1) for x in images])
+    rows = [[Fraction(c, s) for c in x] for x, s in moved]
+    g2 = resolve("U+<1>").gram
+    assert mat_mul(rows, mat_mul(g2, transpose(rows))) == mat_mul(
+        images, mat_mul(ambient.gram, transpose(images)))
 
 
 @st.composite

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import isotropic_over_q_oracle, local_solvable
+from oracle_utils import common_value_scan, isotropic_over_q_oracle, local_solvable
+from qforge import padic
 from qforge.catalog import resolve
 from qforge.errors import InconsistentTargetsError, PreconditionError
+from qforge.intmath import squarefree_part
 from qforge.lattice import diag_lattice, from_rows
 from qforge.linalg import mat_mul, transpose
 from qforge.padic import (
@@ -319,6 +321,41 @@ def test_represent_contract(case, num, den):
     else:
         with pytest.raises(PreconditionError, match="anisotropic"):
             represent(gram, delta)
+
+
+_SQUAREFREE = st.integers(-40, 40).filter(lambda a: a and squarefree_part(a) == a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SQUAREFREE, min_size=2, max_size=2), st.lists(_SQUAREFREE, min_size=2, max_size=3))
+def test_common_value_matches_scan(h, g):
+    """The sieved scan finds the plain scan's t; again with the sieve from
+    t = 1 in blocks of 8 and places above 7 checked one by one, so that
+    every path of padic._admitted_values is taken, and then its values below
+    300 are those of a check one by one."""
+    if padic._obstruction(h + g) is not None:
+        return
+    expected = common_value_scan(h, g)
+    assert padic._common_value(h, g) == expected
+    places, admitted = padic._admitted_classes(h, g)
+    plain = [t for k in range(1, 300) for t in (k, -k)
+             if all(padic._square_class(t, v) in admitted[v] for v in places)]
+    saved = padic._SIEVE_START, padic._SIEVE_BLOCK, padic._SIEVE_PRIME
+    padic._SIEVE_START, padic._SIEVE_BLOCK, padic._SIEVE_PRIME = 1, 8, 7
+    try:
+        assert list(padic._admitted_values(places, admitted, stop=300)) == plain
+        assert padic._common_value(h, g) == expected
+    finally:
+        padic._SIEVE_START, padic._SIEVE_BLOCK, padic._SIEVE_PRIME = saved
+
+
+def test_common_value_far_from_zero():
+    # the split met on a rank-7 complement: ten places, and the least t lies
+    # near 5 * 10^7 (about 10^8 candidates, minutes one by one)
+    h, g = [-1137, -2604515667], [-2078348525682, 1123693527]
+    t = padic._common_value(h, g)
+    assert abs(t) > 10**6
+    assert padic._obstruction(h + [-t]) is None and padic._obstruction(g + [t]) is None
 
 
 def test_isotropic_vector_worked_examples():
