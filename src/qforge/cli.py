@@ -1,8 +1,17 @@
 """Command-line front end.
 
-qforge <command> --lattice <file|catalog:NAME> --n-bound <int>
-       [--target-signature r,s] [--height-bound B] [--budget B]
-       [--verify] [--out report.json]
+qforge hyperbolic|parabolic --lattice L --n-bound N [--verify]
+qforge invariants|isotropic --lattice L
+qforge equiv --lattice L --other L2
+qforge classify --lattice L --matrix FILE
+qforge saturate --lattice L --basis FILE
+qforge extend|glue --lattice L --target-signature r,s
+qforge certify --certificate FILE --n-bound N
+qforge enumerate --lattice L [--height-bound B] [--budget B]
+
+Every command also takes --out report.json; a flag the command does not
+read (the table _COMMANDS) exits 2. --n-bound defaults to 1, --height-bound
+to 10 and --budget to lattice.ENUM_BUDGET; the last two must be >= 1.
 
 Reports are JSON with every numeric claim accompanied by a re-runnable
 verification command; identical inputs and flags yield byte-identical
@@ -13,7 +22,6 @@ reports apart from the timings block. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -36,6 +44,7 @@ from .jsonio import (
     read_json,
 )
 from .lattice import (
+    ENUM_BUDGET,
     QuadLattice,
     binary_minimum,
     enumerate_values,
@@ -47,7 +56,6 @@ from .lattice import (
     signature,
     span,
 )
-from .limits import DEFAULT_LIMITS, SearchLimits
 from .linalg import freeze, snf_invariant_factors
 from .padic import invariant_triple, rationally_equivalent
 from .forge import SmallnessCertificate, verify_certificate
@@ -73,13 +81,6 @@ CROSS_CHECK_HEIGHT = 60
 
 def _decode_matrix(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(jsonio.decode_int(x) for x in row) for row in rows)
-
-
-def _limits_from_args(args) -> SearchLimits:
-    if (args.height_bound or 0) < 0 or (args.budget or 0) < 0:
-        raise PreconditionError("--height-bound and --budget must be >= 0")
-    kw = {"enum_budget": args.budget} if args.budget else {}
-    return dataclasses.replace(DEFAULT_LIMITS, **kw)
 
 
 def _triple_obj(t) -> dict:
@@ -322,11 +323,9 @@ def cmd_certify(args) -> dict:
 
 def cmd_enumerate(args) -> dict:
     latt = _load_lattice(args.lattice)
-    limits = _limits_from_args(args)
-    height = args.height_bound or 10
-    values = enumerate_values(latt, height, budget=limits.enum_budget)
+    values = enumerate_values(latt, args.height_bound, budget=args.budget)
     return {
-        "height": height,
+        "height": args.height_bound,
         "values": {
             str(v): encode_vector(w) for v, w in sorted(values.items())
         },
@@ -421,18 +420,40 @@ def _minimum_failures(latt: QuadLattice, claimed: int, witness) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # a ValueError is reported by argparse as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# argparse keyword arguments of every flag; --out is on every command
+_FLAG_SPECS = {
+    "--lattice": {"help": "lattice file or catalog:NAME"},
+    "--other": {"help": "second lattice file or catalog:NAME"},
+    "--matrix": {"help": "JSON integer matrix file"},
+    "--basis": {"help": "JSON list of vectors"},
+    "--certificate": {"help": "JSON certificate file"},
+    "--n-bound": {"type": int, "default": 1},
+    "--target-signature": {"help": "r,s"},
+    "--height-bound": {"type": _positive_int, "default": 10},
+    "--budget": {"type": _positive_int, "default": ENUM_BUDGET},
+    "--verify": {"action": "store_true"},
+}
+
+# Each command with the flags it reads; any other flag exits 2.
 _COMMANDS = {
-    "hyperbolic": cmd_hyperbolic,
-    "parabolic": cmd_parabolic,
-    "invariants": cmd_invariants,
-    "equiv": cmd_equiv,
-    "classify": cmd_classify,
-    "saturate": cmd_saturate,
-    "extend": cmd_extend,
-    "glue": cmd_glue,
-    "isotropic": cmd_isotropic,
-    "certify": cmd_certify,
-    "enumerate": cmd_enumerate,
+    "hyperbolic": (cmd_hyperbolic, ("--lattice", "--n-bound", "--verify")),
+    "parabolic": (cmd_parabolic, ("--lattice", "--n-bound", "--verify")),
+    "invariants": (cmd_invariants, ("--lattice",)),
+    "equiv": (cmd_equiv, ("--lattice", "--other")),
+    "classify": (cmd_classify, ("--lattice", "--matrix")),
+    "saturate": (cmd_saturate, ("--lattice", "--basis")),
+    "extend": (cmd_extend, ("--lattice", "--target-signature")),
+    "glue": (cmd_glue, ("--lattice", "--target-signature")),
+    "isotropic": (cmd_isotropic, ("--lattice",)),
+    "certify": (cmd_certify, ("--certificate", "--n-bound")),
+    "enumerate": (cmd_enumerate, ("--lattice", "--height-bound", "--budget")),
 }
 
 
@@ -447,19 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact constructions on integer quadratic lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (run, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--lattice", help="lattice file or catalog:NAME")
-        p.add_argument("--other", help="second lattice (equiv)")
-        p.add_argument("--matrix", help="JSON integer matrix file (classify)")
-        p.add_argument("--basis", help="JSON list of vectors (saturate)")
-        p.add_argument("--certificate", help="JSON certificate file (certify)")
-        p.add_argument("--n-bound", type=int, default=1)
-        p.add_argument("--target-signature", help="r,s")
-        p.add_argument("--height-bound", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--verify", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_SPECS[flag])
         p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(run=run)
     return parser
 
 
@@ -467,15 +481,16 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # reports print exact integers, however long
     try:
         args = build_parser().parse_args(argv)
-        report = _COMMANDS[args.command](args)
-        if args.verify:
+        report = args.run(args)
+        verify = getattr(args, "verify", False)
+        if verify:
             failures = verify_report(report)
             report["verified"] = not failures
             if failures:
                 report["verification_failures"] = failures
         text = dump_json(report, args.out)
         print(text)
-        if args.verify and report.get("verified") is False:
+        if verify and report.get("verified") is False:
             return 4
         return 0
     except QforgeError as exc:

@@ -117,8 +117,8 @@ def find_isotropic_pair(latt: QuadLattice) -> tuple[Vector, Vector]:
 
 def find_w_odd_valuation(
     comp: Sublattice, p: int, want_negative: bool = True
-) -> tuple[Vector, int, int]:
-    """(w, beta, 0) with w primitive in comp, q(w) = beta * p and p ∤ beta.
+) -> tuple[Vector, int]:
+    """(w, beta) with w primitive in comp, q(w) = beta * p and p ∤ beta.
 
     w is in comp's coordinates; q(w) < 0 if want_negative, else q(w) > 0,
     unless comp has no vector of that sign. If no basis vector qualifies,
@@ -162,7 +162,7 @@ def find_w_odd_valuation(
         w = tuple(c // math.gcd(*w) for c in w)  # the content is prime to p: w ≢ 0 mod p
     if not (sign_ok(qvalue(latt, w)) and valuation_one(w)):
         raise InternalInconsistencyError(f"constructed w = {w} does not qualify")
-    return w, qvalue(latt, w) // p, 0
+    return w, qvalue(latt, w) // p
 
 
 def _add(x, y, c: int) -> Vector:
@@ -250,7 +250,7 @@ def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False)
     obstruction = 2 * g * comp.as_lattice().det()
     p = next(p for p in primes_from(max(n_bound + 1, 3)) if obstruction % p)
     # q(w) < 0 whenever comp allows it, so that q(v1) > 0
-    w_coords, beta2, n2 = find_w_odd_valuation(comp, p, want_negative=True)
+    w_coords, beta2 = find_w_odd_valuation(comp, p, want_negative=True)
     # beta1 = ±2|g| k has the sign opposite to beta2; as k runs over 1..p-1,
     # -beta1/beta2 runs over every nonzero residue, so some k gives a non-residue
     unit = -2 * abs(g) if beta2 > 0 else 2 * abs(g)
@@ -264,13 +264,13 @@ def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False)
     alpha1 = qvalue(latt, v1)
     alpha2 = qvalue(latt, w)
     if (alpha1 != beta1 * p
-            or alpha2 != beta2 * p ** (2 * n2 + 1)
+            or alpha2 != beta2 * p
             or pairing(latt, v1, w) != 0):
         raise InternalInconsistencyError(
             "v1, w do not give the certificate's orthogonal diagonal"
         )
     cert = SmallnessCertificate(
-        p=p, alpha1=alpha1, alpha2=alpha2, beta1=beta1, beta2=beta2, n1=0, n2=n2,
+        p=p, alpha1=alpha1, alpha2=alpha2, beta1=beta1, beta2=beta2, n1=0, n2=0,
     )
     ok, reason = check_certificate(cert, n_bound)
     if not ok:

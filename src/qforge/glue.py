@@ -775,8 +775,7 @@ def _two_squares_embedding(p: int, count_neg: int, ambient: QuadLattice) -> Subl
         w[pos_rank + 2 * j + 1] = b
         rows.append(tuple(w))
     sub = span(ambient, rows)
-    expected = rescale(diag_lattice(*([1] + [-1] * count_neg)), p)
-    if sub.gram() != expected.gram:
+    if sub.gram() != build_scaled_lattice(p, (1, count_neg)).gram:
         raise InternalInconsistencyError("scaled block embedding has wrong Gram")
     if saturation_index(sub) != 1:
         raise InternalInconsistencyError("scaled block embedding is not primitive")

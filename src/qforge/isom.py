@@ -79,7 +79,7 @@ class IsomClass:
     quasi_unipotent_order: int | None = None  # parabolic: least k with g^k unipotent
     fixed_isotropic: Vector | None = None  # parabolic: fixed line of g^k
     dominant_factor: tuple[int, ...] | None = None  # hyperbolic: non-cyclotomic part
-    dominant_interval: tuple[Fraction, Fraction] | None = None  # isolates lambda > 1
+    dominant_interval: tuple[Fraction, Fraction] | None = None  # isolates |lambda| > 1
     cyclotomic_orders: tuple[tuple[int, int], ...] = ()  # (m, multiplicity) factors
     preserves_positive_cone: bool | None = None
 
@@ -105,44 +105,21 @@ def _exact_order(matrix, k: int) -> int:
 
 
 def _dominant_root_interval(poly) -> tuple[Fraction, Fraction]:
-    """Isolating interval (lo, hi) with lo > 1 containing a real root.
+    """Rational interval (lo, hi) outside [-1, 1] holding the real root
+    lambda with |lambda| > 1 of the non-cyclotomic part, by bisection.
 
-    Bisection from the Cauchy bound; the polynomial has a real root > 1
-    because its roots come in lambda, 1/lambda pairs off the unit circle.
+    That part is the minimal polynomial of lambda: monic, of even degree,
+    with p(1) < 0 when lambda > 1 and p(-1) < 0 when lambda < -1, while p
+    is positive beyond the Cauchy bound B. So p changes sign on (1, B) or
+    on (-B, -1).
     """
     bound = Fraction(1 + max(abs(c) for c in poly), 1)
-    lo, hi = Fraction(1), bound
-    if poly_eval(poly, lo) == 0:
-        raise InternalInconsistencyError("1 is a root of the non-cyclotomic part")
-    s_lo = 1 if poly_eval(poly, lo) > 0 else -1
-    # largest real root of a monic polynomial: sign at the Cauchy bound is +
-    if s_lo > 0:
-        # same sign at both ends: bisect on the derivative-free grid to find
-        # a sign change among rational sample points
-        samples = 1
-        while True:
-            samples *= 2
-            step = (hi - lo) / samples
-            prev = lo
-            prev_sign = s_lo
-            found = False
-            for i in range(1, samples + 1):
-                t = lo + i * step
-                val = poly_eval(poly, t)
-                if val == 0:
-                    return (t - step, t + step)
-                sgn = 1 if val > 0 else -1
-                if sgn != prev_sign:
-                    lo, hi = prev, t
-                    found = True
-                    break
-                prev, prev_sign = t, sgn
-            if found:
-                break
-            if samples > 4096:
-                # even multiplicities defeat sign sampling; the coarse
-                # Cauchy interval is still a valid (if weak) certificate
-                return Fraction(1), bound
+    if poly_eval(poly, 1) < 0:
+        lo, hi = Fraction(1), bound
+    elif poly_eval(poly, -1) < 0:
+        lo, hi = -bound, Fraction(-1)
+    else:
+        raise InternalInconsistencyError("the non-cyclotomic part changes sign on neither side")
     for _ in range(12):
         mid = (lo + hi) / 2
         val = poly_eval(poly, mid)
@@ -223,13 +200,6 @@ def _primitive_column(mat) -> Vector:
         if x != 0:
             return col if x > 0 else tuple(-y for y in col)
     raise InternalInconsistencyError("zero column")
-
-
-def cyclotomic_test(poly) -> bool:
-    """True iff the monic integer polynomial is a product of cyclotomics."""
-    from .polys import is_cyclotomic_product
-
-    return is_cyclotomic_product(tuple(poly))
 
 
 # ---------------------------------------------------------------------------

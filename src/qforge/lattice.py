@@ -13,10 +13,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import is_square
-from .limits import DEFAULT_LIMITS
 from .linalg import (
     hermite_rows,
-    invert_unimodular,
     left_kernel,
     mat_mul,
     smith_normal_form,
@@ -24,6 +22,8 @@ from .linalg import (
 )
 
 Vector = tuple[int, ...]
+
+ENUM_BUDGET = 100_000_000  # vectors a box enumeration may visit by default
 
 
 @dataclass(frozen=True)
@@ -313,17 +313,16 @@ def discriminant_group(latt: QuadLattice) -> DiscriminantGroup:
     det = latt.det()
     if det == 0:
         raise PreconditionError("degenerate lattice has no discriminant group")
-    d, u, _ = smith_normal_form(latt.gram)
-    uinv = invert_unimodular(u)
-    ginv = linalg.invert(latt.gram)
+    # U G V = D gives G^-1 U^-1 = V D^-1: the dual generators G^-1 (U^-1 e_i)
+    # are the columns of V divided by the invariant factors
+    d, _, v = smith_normal_form(latt.gram)
     orders = []
     gens = []
     for i in range(n):
         di = d[i][i]
         if di > 1:
             orders.append(di)
-            col = tuple(uinv[r][i] for r in range(n))
-            gens.append(linalg.mat_vec(ginv, col))
+            gens.append(tuple(Fraction(v[r][i], di) for r in range(n)))
     even = latt.is_even()
     qmod = 2 if even else 1
 
@@ -393,7 +392,7 @@ def iter_box_values(latt: QuadLattice, height: int):
 
 
 def enumerate_values(
-    latt: QuadLattice, height: int, budget: int = DEFAULT_LIMITS.enum_budget
+    latt: QuadLattice, height: int, budget: int = ENUM_BUDGET
 ) -> dict[int, Vector]:
     """All attained q-values with one witness each (first in lexicographic
     order). Errors out rather than truncating when over budget."""
@@ -406,7 +405,7 @@ def enumerate_values(
 
 
 def min_nonzero_abs(
-    latt: QuadLattice, height: int, budget: int = DEFAULT_LIMITS.enum_budget
+    latt: QuadLattice, height: int, budget: int = ENUM_BUDGET
 ) -> tuple[int | None, Vector | None]:
     """Minimum |q| over nonzero values in the box, with a witness.
 
@@ -441,29 +440,6 @@ def _min_nonzero_abs_rank2(latt: QuadLattice, height: int):
                     best = av
                     witness = (x, y)
     return best, witness
-
-
-def all_values_divisible_by(
-    latt: QuadLattice, p: int, height: int, budget: int = DEFAULT_LIMITS.enum_budget
-) -> tuple[bool, Vector | None]:
-    """Check every q-value in the box is a multiple of p; returns a
-    counterexample witness when one exists."""
-    _check_budget(latt.rank, height, budget)
-    if latt.rank == 2:
-        a = latt.gram[0][0]
-        b2 = 2 * latt.gram[0][1]
-        c = latt.gram[1][1]
-        for x in range(-height, height + 1):
-            ax2 = a * x * x
-            b2x = b2 * x
-            for y in range(-height, height + 1):
-                if (ax2 + (b2x + c * y) * y) % p:
-                    return False, (x, y)
-        return True, None
-    for value, vec in iter_box_values(latt, height):
-        if value % p:
-            return False, vec
-    return True, None
 
 
 # ---------------------------------------------------------------------------

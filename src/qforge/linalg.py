@@ -160,12 +160,6 @@ def scale_to_integers(mat) -> tuple[list[list[int]], int]:
     return [[int(x * d) for x in row] for row in mat], d
 
 
-def invert(mat) -> Matrix:
-    """Exact inverse over the rationals (Fractions)."""
-    x, d = solve_scaled(mat, identity(len(mat)))
-    return tuple(tuple(Fraction(v, d) for v in row) for row in x)
-
-
 def invert_unimodular(mat) -> Matrix:
     """Integer inverse of an integer matrix with determinant ±1."""
     x, d = solve_scaled(mat, identity(len(mat)))
@@ -323,13 +317,13 @@ def snf_invariant_factors(mat) -> list[int]:
 
 
 def left_kernel(mat) -> Matrix:
-    """Basis rows of {x : x @ mat == 0}; saturated in Z^m by construction."""
-    d, u, _ = smith_normal_form(mat)
-    k = min(len(d), len(d[0]) if d else 0)
-    rank = sum(1 for i in range(k) if d[i][i] != 0)
-    rows = u[rank:]
-    h, _ = hermite_rows(rows)
-    return h
+    """Hermite basis rows of {x : x @ mat == 0}, saturated in Z^m: the
+    I-parts of the rows of the Hermite form of [mat | I] whose mat-part
+    is zero."""
+    n = len(mat[0]) if mat else 0
+    h, _ = hermite_rows([list(row) + [int(i == j) for j in range(len(mat))]
+                         for i, row in enumerate(mat)])
+    return freeze(row[n:] for row in h if not any(row[:n]))
 
 
 def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:

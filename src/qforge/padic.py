@@ -91,11 +91,12 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     return (-1) ** (expo % 2)
 
 
-def symbol_support(a, b) -> list[Place]:
-    """Places where (a, b) could be -1: 2, INF, and the prime supports."""
+def symbol_support(*values) -> list[Place]:
+    """Places outside which every Hilbert symbol of two of the nonzero
+    rationals `values` is +1: 2, their prime supports, and INF."""
     places: set = {2}
-    places.update(prime_support(a))
-    places.update(prime_support(b))
+    for x in values:
+        places.update(prime_support(x))
     return sorted(places) + [INF]
 
 
@@ -245,7 +246,6 @@ def solve_prescribed_hilbert(
     x: Fraction | int,
     targets: dict[Place, int],
     sign: int | None = None,
-    pool_size: int = AUX_POOL_SIZE,
 ) -> int:
     """A nonzero integer y with (x, y) = targets[place] at every place,
     +1 at unspecified places, and optionally a forced sign.
@@ -271,7 +271,7 @@ def solve_prescribed_hilbert(
 
     base_primes = sorted(set(prime_support(x)) | {2} |
                          {int(p) for p in targets if p != INF})
-    pool = first_primes_excluding(pool_size, set(base_primes))
+    pool = first_primes_excluding(AUX_POOL_SIZE, set(base_primes))
 
     for aux in [None] + pool:
         gens: list = [-1] + base_primes + ([aux] if aux else [])
@@ -302,7 +302,7 @@ def solve_prescribed_hilbert(
                 return y
     raise SearchExhaustedError(
         "prescribed Hilbert symbols (padic.solve_prescribed_hilbert): no y with at most"
-        f" one auxiliary prime from a pool of {pool_size}; enlarge the pool"
+        f" one auxiliary prime from the first {AUX_POOL_SIZE} primes outside the base"
     )
 
 
@@ -381,13 +381,6 @@ def _crt(residues: list[int], moduli: list[int]) -> int:
 # Isotropic vectors and representations: Hasse-Minkowski made explicit
 
 
-def _places(diag) -> list[Place]:
-    places: set = {2}
-    for a in diag:
-        places.update(prime_support(a))
-    return sorted(places) + [INF]
-
-
 def _locally_isotropic(diag, place: Place) -> bool:
     """Whether <a_1, ..., a_k> (nonzero rationals) has a nonzero zero over Q_v
     (Serre, A Course in Arithmetic, ch. IV, thm. 6)."""
@@ -409,7 +402,7 @@ def _locally_isotropic(diag, place: Place) -> bool:
 def _obstruction(diag) -> Place | None:
     """A place where the diagonal form is anisotropic, None if there is none
     (then it is isotropic over Q)."""
-    return next((v for v in _places(diag) if not _locally_isotropic(diag, v)), None)
+    return next((v for v in symbol_support(*diag) if not _locally_isotropic(diag, v)), None)
 
 
 def _conic(a: int, b: int, c: int) -> list[int]:
@@ -463,7 +456,7 @@ _SIEVE_PRIME = 1 << 18  # largest place sieved
 def _admitted_classes(h: list[int], g: list[int]) -> tuple[list, dict]:
     """The places of h + g, and at each the square classes of the t with h
     representing t and g representing -t there."""
-    places = _places(h + g)
+    places = symbol_support(*h, *g)
     return places, {v: {c for c in _square_classes(v)
                         if _locally_isotropic(h + [-c], v) and _locally_isotropic(g + [c], v)}
                     for v in places}

@@ -94,8 +94,3 @@ def strip_cyclotomic(f: Poly) -> tuple[Poly, dict[int, int]]:
             found[m] = found.get(m, 0) + 1
             rest = q
     return rest, found
-
-
-def is_cyclotomic_product(f: Poly) -> bool:
-    rest, _ = strip_cyclotomic(f)
-    return rest == (1,)

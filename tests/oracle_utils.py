@@ -279,6 +279,23 @@ def two_squares_scan(p: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
+# Divisibility of every value in a box, by direct evaluation
+
+
+def all_values_divisible_by(latt, p: int, height: int) -> tuple[bool, tuple | None]:
+    """For a binary lattice: (True, None) if p divides q(x, y) = a x^2 + 2b xy
+    + c y^2 at every (x, y) with |x|, |y| <= height, else (False, (x, y)) for
+    the first one in lexicographic order where it does not."""
+    (a, b), (_, c) = latt.gram
+    box = range(-height, height + 1)
+    for x in box:
+        for y in box:
+            if (a * x * x + (2 * b * x + c * y) * y) % p:
+                return False, (x, y)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # The canonical search order of the former vector hunts, kept as a reference:
 # shell by shell in increasing L1 norm; inside a shell lexicographic with
 # per-coordinate value order 1, 2, ..., 0, -1, -2, ...; only sign-canonical

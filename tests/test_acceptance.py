@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 from oracle_utils import (
+    all_values_divisible_by,
     brute_char_poly,
     enumerate_isometries,
     has_root_outside_unit_interval,
@@ -31,7 +32,6 @@ from qforge.isom import (
 )
 from qforge.jsonio import dump_json
 from qforge.lattice import (
-    all_values_divisible_by,
     diag_lattice,
     direct_sum,
     from_rows,

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.catalog import resolve
-from qforge.cli import main, verify_report
+from qforge.cli import build_parser, main, verify_report
+from qforge.errors import PreconditionError
 from qforge.jsonio import dump_json, lattice_to_obj, load_lattice_file
 from qforge.lattice import from_rows
 from qforge.linalg import mat_mul, transpose
@@ -103,6 +104,58 @@ def test_enumerate_command(capsys):
     )
     assert rc == 0
     assert set(obj["values"]) == {"-2", "0", "2"}
+    rc, obj = run_cli(capsys, ["enumerate", "--lattice", "catalog:U"])
+    assert rc == 0 and obj["height"] == 10
+
+
+@pytest.mark.parametrize("flag", ["--height-bound", "--budget"])
+def test_enumerate_bounds_below_one_exit_2(capsys, flag):
+    # 0 once meant "the default", silently
+    rc, obj = run_cli(capsys, ["enumerate", "--lattice", "catalog:U", flag, "0"])
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
+# The flags each command reads; --out is on every command as well.
+READS = {
+    "hyperbolic": ("--lattice", "--n-bound", "--verify"),
+    "parabolic": ("--lattice", "--n-bound", "--verify"),
+    "invariants": ("--lattice",),
+    "isotropic": ("--lattice",),
+    "equiv": ("--lattice", "--other"),
+    "classify": ("--lattice", "--matrix"),
+    "saturate": ("--lattice", "--basis"),
+    "extend": ("--lattice", "--target-signature"),
+    "glue": ("--lattice", "--target-signature"),
+    "certify": ("--certificate", "--n-bound"),
+    "enumerate": ("--lattice", "--height-bound", "--budget"),
+}
+# One well-formed value per flag (none for --verify)
+FLAG_VALUES = {
+    "--lattice": ["catalog:U"], "--other": ["catalog:U"], "--matrix": ["m.json"],
+    "--basis": ["b.json"], "--certificate": ["c.json"], "--n-bound": ["3"],
+    "--target-signature": ["3,3"], "--height-bound": ["2"], "--budget": ["1000"],
+    "--verify": [], "--out": ["r.json"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    """121 (command, flag) pairs, 34 of them accepted; a flag the command
+    does not read exits 2 with JSON instead of being silently ignored."""
+    accepted = set()
+    for command in READS:
+        for flag, value in FLAG_VALUES.items():
+            try:
+                build_parser().parse_args([command, flag, *value])
+            except PreconditionError:
+                rc, obj = run_cli(capsys, [command, flag, *value])
+                message = obj["error"]["message"]
+                assert rc == 2 and "unrecognized arguments" in message and flag in message
+            else:
+                accepted.add((command, flag))
+    assert accepted == {(c, f) for c, flags in READS.items() for f in flags + ("--out",)}
+    assert len(READS) * len(FLAG_VALUES) == 121 and len(accepted) == 34
+    rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U", "--verify"])
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"
 
 
 def test_hyperbolic_report(capsys):

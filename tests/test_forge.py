@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import all_values_divisible_by
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError
 from qforge.forge import (
@@ -18,7 +19,6 @@ from qforge.forge import (
     verify_certificate,
 )
 from qforge.lattice import (
-    all_values_divisible_by,
     diag_lattice,
     direct_sum,
     from_rows,
@@ -108,10 +108,10 @@ def _nondegenerate_grams(draw):
 def test_find_w_odd_valuation_contract(latt, p, want_negative):
     assume(latt.det() % p != 0)
     comp = span(latt, [tuple(int(i == j) for j in range(latt.rank)) for i in range(latt.rank)])
-    w, beta, n = find_w_odd_valuation(comp, p, want_negative=want_negative)
+    w, beta = find_w_odd_valuation(comp, p, want_negative=want_negative)
     value = qvalue(latt, w)
     assert math.gcd(*w) == 1
-    assert n == 0 and value == beta * p and beta % p != 0
+    assert value == beta * p and beta % p != 0
     pos, neg = signature(latt)
     if (neg if want_negative else pos) > 0:
         assert (value < 0) == want_negative
@@ -119,16 +119,16 @@ def test_find_w_odd_valuation_contract(latt, p, want_negative):
 
 def test_find_w_worked_instance():
     comp = orthogonal_complement(span(UU2, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
-    w, beta, n = find_w_odd_valuation(comp, 5, want_negative=True)
+    w, beta = find_w_odd_valuation(comp, 5, want_negative=True)
     assert w == (1, -5, 0)
     assert comp.to_ambient(w) == (0, 0, 1, -5, 0)
-    assert (beta, n) == (-2, 0)
+    assert beta == -2
 
 
 def test_find_w_rank1():
     comp = span(diag_lattice(2), [(1,)])
-    w, beta, n = find_w_odd_valuation(comp, 2, want_negative=False)
-    assert w == (1,) and beta == 1 and n == 0
+    w, beta = find_w_odd_valuation(comp, 2, want_negative=False)
+    assert w == (1,) and beta == 1
 
 
 def test_find_w_unreachable_valuation():

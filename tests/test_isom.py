@@ -8,7 +8,6 @@ from qforge.isom import (
     Isometry,
     Tag,
     classify,
-    cyclotomic_test,
     eichler_transvection,
     find_hyperbolic,
     find_parabolic,
@@ -17,6 +16,7 @@ from qforge.isom import (
 )
 from qforge.lattice import diag_lattice, from_rows, qvalue
 from qforge.linalg import char_poly, identity, mat_mul, mat_pow, mat_sub, is_zero
+from qforge.polys import strip_cyclotomic
 
 L12 = diag_lattice(1, -2)
 U_MINUS2 = from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
@@ -67,12 +67,25 @@ def test_classify_parabolic_transvection():
     assert cls.fixed_isotropic == (1, 0, 0)
 
 
+def test_classify_orientation_reversing_hyperbolic():
+    """-g for the Pell automorph g of diag(2, -3) has char poly x^2 + 10x + 1,
+    whose root off the unit circle is -5 - 2 sqrt(6) < -1."""
+    g = Isometry(diag_lattice(2, -3), ((-5, -6), (-4, -5)))
+    cls = classify(g)
+    assert cls.tag is Tag.HYPERBOLIC and cls.dominant_factor == (1, 10, 1)
+    assert cls.preserves_positive_cone is False
+    lo, hi = cls.dominant_interval
+    assert lo < hi < -1
+    p = lambda x: x * x + 10 * x + 1  # noqa: E731
+    assert p(lo) * p(hi) <= 0
+
+
 def test_cyclotomic_test():
-    assert cyclotomic_test((-1, 1))  # x - 1
-    assert not cyclotomic_test((1, -6, 1))  # x^2 - 6x + 1
-    assert cyclotomic_test((1, 1, 1))  # x^2 + x + 1
+    assert strip_cyclotomic((-1, 1)) == ((1,), {1: 1})  # x - 1
+    assert strip_cyclotomic((1, -6, 1))[0] == (1, -6, 1)  # x^2 - 6x + 1
+    assert strip_cyclotomic((1, 1, 1)) == ((1,), {3: 1})  # x^2 + x + 1
     with pytest.raises(PreconditionError, match="expected a monic polynomial"):
-        cyclotomic_test((1, 2))
+        strip_cyclotomic((1, 2))
 
 
 def test_pell_automorph_example():

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    all_values_divisible_by,
     iter_search_vectors,
     saturate_via_v_inverse,
     symmetric_diagonalize_fractions,
@@ -15,7 +16,6 @@ from qforge.errors import PreconditionError, SearchExhaustedError
 from qforge.lattice import (
     QuadLattice,
     _symmetric_diagonalize,
-    all_values_divisible_by,
     binary_minimum,
     diag_lattice,
     direct_sum,

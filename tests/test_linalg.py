@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.errors import PreconditionError
-from qforge.linalg import det_bareiss, invert, invert_unimodular, rational_rank, solve
+from qforge.linalg import (
+    det_bareiss,
+    identity,
+    invert_unimodular,
+    rational_rank,
+    solve,
+    solve_scaled,
+)
 
 INTS = st.integers(-6, 6)
 FRACTIONS = st.fractions(-6, 6, max_denominator=5)
@@ -78,16 +85,17 @@ def test_solve_matches_sympy(mat, data):
 
 @given(matrices(square=True))
 @settings(max_examples=150, deadline=None)
-def test_invert_matches_sympy(mat):
+def test_solve_scaled_inverse_matches_sympy(mat):
     a = to_sympy(mat)
     if a.det() == 0:
         with pytest.raises(ZeroDivisionError):
-            invert(mat)
+            solve_scaled(mat, identity(len(mat)))
         return
+    x, d = solve_scaled(mat, identity(len(mat)))
     inv = a.inv()
-    assert invert(mat) == tuple(
-        tuple(to_fraction(inv[i, j]) for j in range(a.cols)) for i in range(a.rows)
-    )
+    assert [[Fraction(v, d) for v in row] for row in x] == [
+        [to_fraction(inv[i, j]) for j in range(a.cols)] for i in range(a.rows)
+    ]
 
 
 @given(st.integers(1, 6), st.data())
@@ -111,6 +119,6 @@ def test_empty_and_non_unimodular_inputs():
     assert det_bareiss([]) == 1
     assert rational_rank([]) == 0
     assert solve([], []) == ()
-    assert invert([]) == ()
+    assert solve_scaled([], []) == ([], 1)
     with pytest.raises(PreconditionError):  # det 2: no integer inverse
         invert_unimodular([[2, 1], [0, 1]])

@@ -22,8 +22,7 @@ def test_no_assert_in_package():
     assert SOURCES and not found, found
 
 
-BOX_ENUMERATIONS = {"min_nonzero_abs", "all_values_divisible_by", "iter_box_values",
-                    "enumerate_values"}
+BOX_ENUMERATIONS = {"min_nonzero_abs", "iter_box_values", "enumerate_values"}
 # Outside their home module lattice.py, box enumerations may run only in the
 # `enumerate` command and in the --verify cross-check of the exact minimum.
 BOX_ALLOWED = {"cli.py": {"cmd_enumerate", "verify_report"}}
@@ -171,3 +170,41 @@ def test_witness_and_saturation_stay_fraction_free():
     if "invert_unimodular" in _names(checked["lattice.py"]["saturate"]):
         found.append("lattice.py:saturate inverts V")
     assert not found, found
+
+
+# Library entry points that no package code calls, each with the module row
+# of the README's library-layout table and the words there that document it.
+LIBRARY_API = {
+    "discriminant_group": ("qforge.lattice", "discriminant groups"),
+    "DiscriminantGroup": ("qforge.lattice", "discriminant groups"),
+    "choose_pair_prescribed": ("qforge.padic", "prescribed-symbol solvers"),
+    "represent": ("qforge.padic", "`represent`"),
+}
+
+
+def test_every_top_level_name_is_used_or_documented():
+    """Each top-level function and class of the package is referenced from
+    another place in it, or is a documented library entry point: a name
+    only tests call belongs in the tests (oracle_utils)."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    defined = [(name, node) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    uses: dict[str, list] = {}  # name -> (file, line) of every reference
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            ref = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if ref:
+                uses.setdefault(ref, []).append((name, node.lineno))
+    unused = [f"{name}:{node.lineno} {node.name}" for name, node in defined
+              if node.name not in LIBRARY_API
+              and all(f == name and node.lineno <= line <= node.end_lineno
+                      for f, line in uses.get(node.name, ()))]
+    assert not unused, unused
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    rows = {line.split("|")[1].strip(" `"): line for line in readme
+            if line.startswith("| `qforge.")}
+    assert {node.name for _, node in defined} >= LIBRARY_API.keys()
+    undocumented = [name for name, (module, words) in LIBRARY_API.items()
+                    if words not in rows.get(module, "")]
+    assert not undocumented, undocumented
