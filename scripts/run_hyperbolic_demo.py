@@ -5,7 +5,7 @@ import time
 
 from qforge.catalog import resolve
 from qforge.forge import find_rank2_avoiding, verify_certificate
-from qforge.isom import classify, find_hyperbolic
+from qforge.isom import find_hyperbolic
 from qforge.lattice import binary_minimum
 
 RUNS = [("U+U+<2>", 4), ("K3", 2), ("U+U+U", 6)]
@@ -17,8 +17,7 @@ def main():
         t0 = time.monotonic()
         res = find_rank2_avoiding(latt, n_bound)
         sub = res.lattice.as_lattice()
-        iso = find_hyperbolic(sub)
-        cls = classify(iso)
+        iso, cls = find_hyperbolic(sub)
         best, witness = binary_minimum(sub)
         dt = time.monotonic() - t0
         print(f"=== {name}  (avoid |q| < {n_bound}) ===")

@@ -5,7 +5,7 @@ the source, saturate, and build a unipotent isometry on the result."""
 import time
 
 from qforge.glue import embed_pipeline
-from qforge.isom import classify, find_parabolic
+from qforge.isom import find_parabolic
 from qforge.lattice import diag_lattice, signature
 
 
@@ -22,8 +22,7 @@ def main():
     print(f"  basis    : {final.basis}")
     print(f"  gram     : {final.gram()}")
     print(f"  oracle   : Gram ≡ 0 mod {rep.prime}, so every nonzero |value| >= {rep.prime}")
-    iso = find_parabolic(final.as_lattice())
-    cls = classify(iso)
+    iso, cls = find_parabolic(final.as_lattice())
     print(f"isometry   : {iso.matrix}")
     print(f"  class    : {cls.tag.value}, fixes isotropic {cls.fixed_isotropic}")
     print(f"elapsed    : {time.monotonic() - t0:.2f}s")

@@ -15,7 +15,7 @@ import re
 
 from .errors import PreconditionError
 from .jsonio import lattice_from_obj, read_json
-from .lattice import QuadLattice, diag_lattice, direct_sum, from_rows, rescale
+from .lattice import QuadLattice, diag_lattice, direct_sum, rescale
 
 _ENV_VAR = "QFORGE_CATALOG"
 

@@ -147,8 +147,7 @@ def cmd_hyperbolic(args) -> dict:
     t0 = time.monotonic()
     result = forge.find_rank2_avoiding(latt, args.n_bound)
     sub_latt = result.lattice.as_lattice(label="constructed rank-2")
-    iso = isom.find_hyperbolic(sub_latt)
-    cls = isom.classify(iso)
+    iso, cls = isom.find_hyperbolic(sub_latt)
     smallest, witness = binary_minimum(sub_latt)
     elapsed = time.monotonic() - t0
     report = {
@@ -231,8 +230,7 @@ def cmd_parabolic(args) -> dict:
     }
     out["oracle"] = {"gram_divisible_by": rep.prime}
     final = rep.lambda_in_source.as_lattice(label="constructed sublattice")
-    iso = isom.find_parabolic(final)
-    cls = isom.classify(iso)
+    iso, cls = isom.find_parabolic(final)
     out["isometry"] = {
         "matrix": encode_matrix(iso.matrix),
         "classification": _classification_obj(cls),

@@ -30,7 +30,7 @@ from .lattice import (
     signature,
     span,
 )
-from .linalg import freeze, identity, lll_gram, mat_mul, mat_vec, transpose
+from .linalg import bilinear, freeze, identity, lll_gram, mat_mul, mat_vec, transpose
 from .padic import isotropic_vector, legendre, rational_diagonalize
 
 
@@ -180,7 +180,7 @@ def _isotropic_mod_p(gram, p: int) -> Vector | None:
     n = len(gram)
 
     def bmod(x, y) -> int:
-        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n)) % p
+        return bilinear(gram, x, y) % p
 
     def centered(x) -> Vector:
         return tuple(c % p - p if 2 * (c % p) > p else c % p for c in x)
@@ -256,9 +256,9 @@ def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False)
     unit = -2 * abs(g) if beta2 > 0 else 2 * abs(g)
     k = next(k for k in range(1, p) if legendre(-unit * k * pow(beta2, -1, p) % p, p) == -1)
     beta1 = unit * k
-    ab = beta1 * p // (2 * g)  # split into the factor pair with least |a| + |b|
-    a = max(d for d in range(1, math.isqrt(abs(ab)) + 1) if ab % d == 0)
-    b = ab // a
+    # ab = beta1 p / 2g = ±k p, split into the factor pair with least |a| + |b|:
+    # p is a prime above k, so the largest divisor of |ab| up to sqrt(|ab|) is k
+    a, b = k, unit * p // (2 * g)
     v1 = tuple(a * x + b * y for x, y in zip(v, vp))
     w = comp.to_ambient(w_coords)
     alpha1 = qvalue(latt, v1)

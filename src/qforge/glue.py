@@ -37,7 +37,9 @@ from .lattice import (
     Sublattice,
     diag_lattice,
     direct_sum,
+    gram_apply,
     gram_divisible_by,
+    gram_of,
     pairing,
     qvalue,
     rescale,
@@ -233,7 +235,7 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     d = math.lcm(*(s for _, s in images))
     dm = transpose([[c * (d // s) for c in x] for x, s in images])
     dt = mat_mul(dm, transpose(invert_unimodular(u)))
-    if mat_mul(transpose(dt), mat_mul(g2, dt)) != freeze([[d * d * x for x in row] for row in g1]):
+    if gram_of(QuadLattice(g2), transpose(dt)) != freeze([[d * d * x for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
     return tuple(tuple(Fraction(x, d) for x in row) for row in dt)
 
@@ -250,7 +252,7 @@ def _flag_images(ambient: QuadLattice, h, represent_up_to: int | None):
         if image is None:
             break
         images.append(image)
-        functionals.append(lowest_terms(mat_vec(ambient.gram, image[0]), image[1]))
+        functionals.append(lowest_terms(gram_apply(ambient, image[0]), image[1]))
     return images
 
 
@@ -269,7 +271,7 @@ def _cancel_plane(ambient: QuadLattice, images) -> list[tuple[list[int], int]]:
     n = ambient.rank
     g = ambient.gram
     kernel = left_kernel(transpose([mat_vec(g, x) for x, _ in images]))
-    (a, b0), (_, c) = mat_mul(kernel, mat_mul(g, transpose(kernel)))
+    (a, b0), (_, c) = gram_of(ambient, kernel)
     r = math.isqrt(max(b0 * b0 - a * c, 0))
     if r == 0 or r * r != b0 * b0 - a * c:
         raise InternalInconsistencyError("the complement of the images is not a hyperbolic plane")
@@ -404,11 +406,11 @@ def _next_image(ambient: QuadLattice, functionals, pairs, value,
     shift, det = solve_scaled(euclid, [[_dot(row, x0)] for row in kernel])
     shift = [round_div(c, det * den) for c, in shift]
     x0 = [x - den * _dot(col, shift) for x, col in zip(x0, kernel_t)]
-    gram_k = mat_mul(kernel, mat_mul(ambient.gram, kernel_t))
+    gram_k = gram_of(ambient, kernel)
     e = isotropic_or_obstruction(gram_k)
     if isinstance(e, tuple):
         e = mat_vec(kernel_t, e)
-        c, g = bezout([pairing(ambient, row, e) for row in kernel])
+        c, g = bezout(mat_vec(kernel, gram_apply(ambient, e)))
         c = mat_vec(kernel_t, c)  # b(c, e) = g
         b0 = pairing(ambient, x0, e)
         t = b0 % (den * g) or den * g  # b(x0 / den, e) mod g, in (0, g], times den
@@ -658,21 +660,11 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     if rank != n:
         raise InternalInconsistencyError("overlattice generators do not span")
     basis = [[Fraction(x, scale) for x in row] for row in h]
-    gram_o = []
-    for u_row in basis:
-        gram_row = []
-        for v_row in basis:
-            val = sum(
-                u_row[i] * total.gram[i][j] * v_row[j]
-                for i in range(n)
-                for j in range(n)
-                if total.gram[i][j]
-            )
-            if val % 1 != 0:
-                raise InternalInconsistencyError("overlattice is not integral")
-            gram_row.append(int(val))
-        gram_o.append(gram_row)
-    over = QuadLattice(freeze(gram_o), label="glued overlattice")
+    gram_o = gram_of(total, basis)
+    if any(x.denominator != 1 for row in gram_o for x in row):
+        raise InternalInconsistencyError("overlattice is not integral")
+    over = QuadLattice(freeze([[int(x) for x in row] for row in gram_o]),
+                       label="glued overlattice")
 
     if abs(det_bareiss(over.gram)) != 1:
         raise InternalInconsistencyError("overlattice is not unimodular")

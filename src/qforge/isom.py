@@ -19,6 +19,7 @@ from .intmath import pell_fundamental, is_square
 from .lattice import (
     QuadLattice,
     Vector,
+    gram_of,
     orthogonal_complement,
     pairing,
     qvalue,
@@ -88,7 +89,7 @@ def is_isometry(matrix, latt: QuadLattice) -> bool:
     n = latt.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise PreconditionError("matrix rank != lattice rank")
-    if mat_mul(transpose(matrix), mat_mul(latt.gram, matrix)) != freeze(latt.gram):
+    if gram_of(latt, transpose(matrix)) != freeze(latt.gram):
         return False
     return abs(det_bareiss(matrix)) == 1
 
@@ -287,9 +288,10 @@ def _proportional(v, a) -> bool:
     )
 
 
-def find_parabolic(latt: QuadLattice) -> Isometry:
-    """Verified parabolic isometry: isotropic v, then the transvection along
-    the first basis vector a of v⊥ with q(a) != 0."""
+def find_parabolic(latt: QuadLattice) -> tuple[Isometry, IsomClass]:
+    """Verified parabolic isometry, with its classification: isotropic v,
+    then the transvection along the first basis vector a of v⊥ with
+    q(a) != 0."""
     pos, neg = signature(latt)
     if pos != 1 or neg < 2:
         raise PreconditionError("need signature (1, n) with n >= 2")
@@ -300,17 +302,17 @@ def find_parabolic(latt: QuadLattice) -> Isometry:
     if a is None:
         raise InternalInconsistencyError("v⊥ has no anisotropic basis vector")
     iso = eichler_transvection(latt, v, a)
-    tag = classify(iso).tag
-    if tag is not Tag.PARABOLIC:
-        raise InternalInconsistencyError(f"transvection classified {tag}")
-    return iso
+    cls = classify(iso)
+    if cls.tag is not Tag.PARABOLIC:
+        raise InternalInconsistencyError(f"transvection classified {cls.tag}")
+    return iso, cls
 
 
-def find_hyperbolic(latt: QuadLattice) -> Isometry:
+def find_hyperbolic(latt: QuadLattice) -> tuple[Isometry, IsomClass]:
     """Pell automorph of an anisotropic signature-(1,1) lattice, verified
-    hyperbolic."""
+    hyperbolic, with its classification."""
     iso = pell_automorph(latt)
-    tag = classify(iso).tag
-    if tag is not Tag.HYPERBOLIC:
-        raise InternalInconsistencyError(f"Pell automorph classified {tag}")
-    return iso
+    cls = classify(iso)
+    if cls.tag is not Tag.HYPERBOLIC:
+        raise InternalInconsistencyError(f"Pell automorph classified {cls.tag}")
+    return iso, cls

@@ -88,8 +88,21 @@ def load_lattice_file(path: str) -> QuadLattice:
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """JSON text indented by 2 with sorted keys, each list of scalars (a
+    vector, a matrix row) on one line."""
+    text = _layout(obj, "\n")
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     return text
+
+
+def _layout(obj, newline: str) -> str:
+    """dump_json's text for obj, which starts at the indent in newline."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_layout(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in obj):
+        return "[" + inner + ("," + inner).join(_layout(x, inner) for x in obj) + newline + "]"
+    return json.dumps(obj)

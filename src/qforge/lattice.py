@@ -6,9 +6,11 @@ immutable values, computed in exact arbitrary-precision arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
@@ -49,6 +51,13 @@ class QuadLattice:
 
     def det(self) -> int:
         return linalg.det_bareiss(self.gram)
+
+    @functools.cached_property
+    def diagonal(self) -> tuple[int, ...] | None:
+        """The Gram's diagonal when no other entry is nonzero, else None."""
+        if any(x for i, row in enumerate(self.gram) for j, x in enumerate(row) if i != j):
+            return None
+        return tuple(row[i] for i, row in enumerate(self.gram))
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -105,9 +114,7 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(pairing(self.ambient, u, v) for v in self.basis) for u in self.basis
-        )
+        return gram_of(self.ambient, self.basis)
 
     def as_lattice(self, label: str | None = None) -> QuadLattice:
         return QuadLattice(self.gram(), label=label)
@@ -139,12 +146,22 @@ def pairing(latt: QuadLattice, u, v) -> int:
     n = latt.rank
     if len(u) != n or len(v) != n:
         raise PreconditionError("vector length != lattice rank")
-    total = 0
-    for i, ui in enumerate(u):
-        if ui:
-            row = latt.gram[i]
-            total += ui * sum(row[j] * v[j] for j in range(n) if v[j])
-    return total
+    if latt.diagonal is not None:
+        return sum(map(mul, u, map(mul, latt.diagonal, v)))
+    return linalg.bilinear(latt.gram, u, v)
+
+
+def gram_apply(latt: QuadLattice, v) -> tuple[int, ...]:
+    """G v; a diagonal Gram scales the entries."""
+    if latt.diagonal is not None:
+        return tuple(map(mul, latt.diagonal, v))
+    return linalg.mat_vec(latt.gram, v)
+
+
+def gram_of(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
+    """B G B^T for the vectors B = rows, formed as B (G B^T)."""
+    images = [gram_apply(latt, v) for v in rows]  # the columns of G B^T
+    return tuple(tuple(sum(map(mul, u, gv)) for gv in images) for u in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +342,11 @@ def discriminant_group(latt: QuadLattice) -> DiscriminantGroup:
             gens.append(tuple(Fraction(v[r][i], di) for r in range(n)))
     even = latt.is_even()
     qmod = 2 if even else 1
-
-    def bval(x, y) -> Fraction:
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                total += xi * sum(Fraction(latt.gram[i][j]) * y[j] for j in range(n))
-        return total
-
     pair_rows = []
     qvals = []
-    for i, g1 in enumerate(gens):
-        pair_rows.append(tuple(bval(g1, g2) % 1 for g2 in gens))
-        qvals.append(bval(g1, g1) % qmod)
+    for g1 in gens:
+        pair_rows.append(tuple(pairing(latt, g1, g2) % 1 for g2 in gens))
+        qvals.append(qvalue(latt, g1) % qmod)
     return DiscriminantGroup(
         orders=tuple(orders),
         generators=tuple(tuple(g) for g in gens),

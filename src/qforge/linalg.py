@@ -46,6 +46,11 @@ def mat_vec(mat, vec) -> tuple:
     return tuple(sum(map(mul, row, vec)) for row in mat)
 
 
+def bilinear(gram, u, v):
+    """u^T gram v, skipping the zero entries of u."""
+    return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, gram) if ui)
+
+
 def mat_sub(a, b) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
@@ -311,9 +316,13 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def snf_invariant_factors(mat) -> list[int]:
-    d, _, _ = smith_normal_form(mat)
-    k = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(k) if d[i][i] != 0]
+    """The nonzero invariant factors of an integer matrix. Row operations
+    keep them, so they are read from the Smith form of the row Hermite
+    form, which has only rank-many rows and is triangular (Cohen, GTM 138,
+    sec. 2.4)."""
+    h, _ = hermite_rows(mat)
+    d, _, _ = smith_normal_form(h)
+    return [d[i][i] for i in range(len(d)) if d[i][i] != 0]
 
 
 def left_kernel(mat) -> Matrix:
@@ -327,14 +336,18 @@ def left_kernel(mat) -> Matrix:
 
 
 def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
-    """Integral LLL (Cohen, GTM 138, alg. 2.6.7) on a non-degenerate integer
-    Gram matrix, with the Lovasz test on absolute values so that indefinite
-    forms reduce too (Simon, Math. Comp. 2005): swap when
+    """Integral LLL (Cohen, GTM 138, alg. 2.6.7) on an integer Gram matrix,
+    with the Lovasz test on absolute values so that indefinite forms reduce
+    too (Simon, Math. Comp. 2005): swap when
     4 |d_{k-2} d_k + l^2| < 3 d_{k-1}^2. Each swap shrinks the positive
     integer prod |d_i|, so the loop ends. Returns (H, H G H^T, x): H is
     unimodular with the new basis as rows, and x is None, or an isotropic
     vector (in the input coordinates, not made primitive) when a leading
     minor of the current basis vanishes; the reduction stops there.
+
+    A degenerate Gram always stops that way, since its last leading minor
+    is its determinant. So x None proves G non-degenerate; the converse
+    fails: a non-degenerate indefinite G can meet a vanishing minor too.
     """
     n = len(gram)
     a = [list(row) for row in gram]

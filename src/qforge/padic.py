@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     InconsistentTargetsError,
@@ -34,7 +35,14 @@ from .intmath import (
     valuation,
 )
 from .lattice import QuadLattice, _symmetric_diagonalize
-from .linalg import det_bareiss, left_kernel, lll_gram, mat_vec, scale_to_integers
+from .linalg import (
+    bilinear,
+    det_bareiss,
+    left_kernel,
+    lll_gram,
+    mat_vec,
+    scale_to_integers,
+)
 
 INF = float("inf")
 
@@ -180,9 +188,13 @@ def invariant_triple(form, rng: random.Random | None = None) -> InvariantTriple:
 
 
 def hasse_invariant(diag, place: Place) -> int:
-    """The product of the Hilbert symbols (a_i, a_j), i < j, at the place."""
-    return math.prod(hilbert_symbol(a, b, place)
-                     for i, a in enumerate(diag) for b in diag[i + 1:])
+    """The product of the Hilbert symbols (a_i, a_j), i < j, at the place.
+
+    The symbol is bilinear (Serre, A Course in Arithmetic, ch. III, thm. 2),
+    so the product is that of (a_1 ... a_{j-1}, a_j) over j: n - 1 symbols,
+    not n (n - 1) / 2."""
+    prefixes = itertools.accumulate(diag, mul)
+    return math.prod(hilbert_symbol(c, a, place) for c, a in zip(prefixes, diag[1:]))
 
 
 def rationally_equivalent(f1, f2) -> bool:
@@ -608,17 +620,16 @@ def isotropic_or_obstruction(gram) -> tuple[int, ...] | Place:
     g, _ = scale_to_integers(gram)
     content = math.gcd(*(x for row in g for x in row)) or 1
     g = [[x // content for x in row] for row in g]
-    if det_bareiss(g) == 0:
-        return tuple(_primitive(left_kernel(g)[0]))
-    h, g, x = lll_gram(g)
+    h, reduced, x = lll_gram(g)
     if x is not None:
-        x = tuple(_primitive(x))
+        # the reduction met a vanishing minor, as it does on every degenerate g
+        x = tuple(_primitive(left_kernel(g)[0] if det_bareiss(g) == 0 else x))
     else:
-        x = _zero_of_reduced(g)
+        x = _zero_of_reduced(reduced)
         if not isinstance(x, list):
             return x
         x = tuple(_primitive([sum(c * row[j] for c, row in zip(x, h)) for j in range(n)]))
-    if _qform(gram, x) != 0:
+    if bilinear(gram, x, x) != 0:
         raise InternalInconsistencyError(f"constructed x = {x} is not isotropic")
     return x
 
@@ -657,10 +668,6 @@ def _zero_of_reduced(g) -> list | Place:
     return [sum(row[k] * y[k] for k in chosen) for row in basis]
 
 
-def _qform(gram, x) -> int:
-    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
-
-
 def represent(gram, delta) -> tuple[Fraction, ...]:
     """Rational w with w^T G w = delta != 0, for a non-degenerate integer G.
 
@@ -690,7 +697,7 @@ def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
         raise PreconditionError("the form is degenerate")
     # w = u + ((delta - q(u)) / 2) e over the common denominator 2 den acc^2,
     # with den acc^2 (delta - q(u)) = num acc^2 - den q(c)
-    gap = num * acc * acc - den * _qform(gram, c)
+    gap = num * acc * acc - den * bilinear(gram, c, c)
     return lowest_terms([2 * den * acc * ci + gap * ei for ci, ei in zip(c, e)],
                          2 * den * acc * acc)
 

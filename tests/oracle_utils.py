@@ -501,3 +501,54 @@ def nondegenerate_flag_fractions(gram) -> list[list[int]]:
             entry[1] = [x - b / qo * y for x, y in zip(entry[1], o)]
             entry[2] -= b * b / qo
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Pairwise definitions that the kernels of qforge shortcut
+
+
+def hasse_pairwise(diag, place) -> int:
+    """The Hasse invariant as its definition: the product of the Hilbert
+    symbols (a_i, a_j) over all i < j."""
+    from qforge.padic import hilbert_symbol
+
+    return math.prod(hilbert_symbol(a, b, place)
+                     for i, a in enumerate(diag) for b in diag[i + 1:])
+
+
+def pairing_pairwise(gram, u, v):
+    """u^T G v entry by entry."""
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+def _det_fractions(mat) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def invariant_factors_by_minors(mat) -> list[int]:
+    """The nonzero invariant factors of an integer matrix as D_k / D_{k-1},
+    D_k the gcd of its k x k minors (Cohen, GTM 138, sec. 2.4.4)."""
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = math.gcd(*(int(_det_fractions([[mat[i][j] for j in cs] for i in rs]))
+                        for rs in itertools.combinations(range(rows), k)
+                        for cs in itertools.combinations(range(cols), k)))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out

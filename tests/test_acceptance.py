@@ -33,13 +33,11 @@ from qforge.isom import (
 from qforge.jsonio import dump_json
 from qforge.lattice import (
     diag_lattice,
-    direct_sum,
     from_rows,
     min_nonzero_abs,
     rescale,
     saturation_index,
     signature,
-    span,
 )
 from qforge.linalg import (
     char_poly,
@@ -53,7 +51,7 @@ from qforge.linalg import (
     snf_invariant_factors,
     transpose,
 )
-from qforge.padic import INF, hilbert_symbol, invariant_triple, symbol_support
+from qforge.padic import hilbert_symbol, invariant_triple, symbol_support
 
 U = from_rows([[0, 1], [1, 0]], label="U")
 
@@ -232,8 +230,8 @@ def test_c09_embedding_desk_run():
     # independent spot enumeration: the rank-5 box of height 8 has 17^5 - 1 vectors
     smallest, _ = min_nonzero_abs(final.as_lattice(), 8)
     assert smallest is None or smallest >= 3
-    iso = find_parabolic(final.as_lattice())
-    assert classify(iso).tag is Tag.PARABOLIC
+    iso, cls = find_parabolic(final.as_lattice())
+    assert cls.tag is Tag.PARABOLIC and classify(iso) == cls
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report(

@@ -238,6 +238,40 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["triple"]["signature"] == [1, 1]
 
 
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _scalar_lists(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _scalar_lists(value)
+    elif isinstance(obj, list):
+        if obj and not any(isinstance(x, (dict, list)) for x in obj):
+            yield obj
+        for value in obj:
+            yield from _scalar_lists(value)
+
+
+@given(_JSON)
+@settings(max_examples=200, deadline=None)
+def test_dump_json_layout(obj):
+    """Same content, keys sorted, each list of scalars on one line, and the
+    same bytes every time."""
+    text = dump_json(obj)
+    assert json.loads(text) == obj and dump_json(obj) == text
+    orders = []
+    json.loads(text, object_pairs_hook=lambda items: orders.append([k for k, _ in items]))
+    assert all(keys == sorted(keys) for keys in orders)
+    lines = text.splitlines()
+    for values in _scalar_lists(obj):
+        assert any(json.dumps(values) in line for line in lines)
+
+
 def test_report_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -269,6 +303,19 @@ def test_hyperbolic_k3_large_bound(capsys):
     )
     assert rc == 0 and obj["verified"] is True
     assert obj["sublattice"]["certificate"]["p"] == 1009
+
+
+def test_hyperbolic_k3_bound_beyond_a_divisor_scan(capsys):
+    """At N = 10^30 the rank-2 construction splits ab = ±k p as (k, ±p)
+    directly; a scan of the divisors up to sqrt(k p) would not end."""
+    n = 10**30
+    rc, obj = run_cli(
+        capsys,
+        ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", str(n), "--verify"],
+    )
+    assert rc == 0 and obj["verified"] is True
+    assert int(obj["sublattice"]["certificate"]["p"]) > n
+    assert int(obj["oracle"]["min_nonzero_abs"]) >= n
 
 
 def test_hyperbolic_k3_content_of_the_gram(capsys):

@@ -9,7 +9,6 @@ from oracle_utils import all_values_divisible_by
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError
 from qforge.forge import (
-    Rank2Result,
     SmallnessCertificate,
     check_certificate,
     find_isotropic,

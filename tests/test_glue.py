@@ -38,7 +38,6 @@ from qforge.linalg import (
     snf_invariant_factors,
     transpose,
 )
-from qforge.padic import invariant_triple, rationally_equivalent
 
 
 def test_extend_rank1_to_definite():

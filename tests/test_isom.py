@@ -165,7 +165,8 @@ def test_hyperbolic_powers_and_inverse():
 
 
 def test_find_parabolic_worked():
-    iso = find_parabolic(U_MINUS2)
+    iso, cls = find_parabolic(U_MINUS2)
+    assert cls.tag is Tag.PARABOLIC
     assert iso.matrix == ((1, 1, -2), (0, 1, 0), (0, -1, 1))
 
 
@@ -180,8 +181,8 @@ def test_find_parabolic_anisotropic_rank2():
 
 
 def test_find_hyperbolic():
-    iso = find_hyperbolic(diag_lattice(20, -10))
-    assert classify(iso).tag is Tag.HYPERBOLIC
+    iso, cls = find_hyperbolic(diag_lattice(20, -10))
+    assert cls.tag is Tag.HYPERBOLIC and classify(iso) == cls
 
 
 @given(st.integers(1, 4))

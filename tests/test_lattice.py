@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from oracle_utils import (
     all_values_divisible_by,
     iter_search_vectors,
+    pairing_pairwise,
     saturate_via_v_inverse,
     symmetric_diagonalize_fractions,
 )
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError, SearchExhaustedError
+from qforge.linalg import rational_rank
 from qforge.lattice import (
     QuadLattice,
+    Sublattice,
     _symmetric_diagonalize,
     binary_minimum,
     diag_lattice,
@@ -367,3 +370,27 @@ def test_symmetric_diagonalize_matches_fraction_reference(case):
     assert _symmetric_diagonalize(gram, order) == want
     pos = sum(1 for d in want[0] if d > 0)
     assert signature(from_rows(gram)) == (pos, len(gram) - pos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairing_qvalue_and_gram_match_pairwise(data):
+    """Dense and diagonal Grams (the diagonal ones take the scaling path):
+    pairing, qvalue and Sublattice.gram against u^T G v entry by entry."""
+    n = data.draw(st.integers(1, 7))
+    small = st.integers(-9, 9)
+    gram = [[0] * n for _ in range(n)]
+    dense = data.draw(st.booleans())
+    for i in range(n):
+        for j in range(i, n if dense else i + 1):
+            gram[i][j] = gram[j][i] = data.draw(small)
+    latt = from_rows(gram)
+    assert (latt.diagonal is not None) == all(
+        gram[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    u, v = ([data.draw(small) for _ in range(n)] for _ in range(2))
+    assert pairing(latt, u, v) == pairing_pairwise(gram, u, v)
+    assert qvalue(latt, u) == pairing_pairwise(gram, u, u)
+    basis = [tuple(data.draw(small) for _ in range(n)) for _ in range(data.draw(st.integers(1, n)))]
+    assume(rational_rank(basis) == len(basis))
+    assert Sublattice(latt, tuple(basis)).gram() == tuple(
+        tuple(pairing_pairwise(gram, a, b) for b in basis) for a in basis)

@@ -6,12 +6,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import invariant_factors_by_minors
 from qforge.errors import PreconditionError
 from qforge.linalg import (
     det_bareiss,
     identity,
     invert_unimodular,
     rational_rank,
+    smith_normal_form,
+    snf_invariant_factors,
     solve,
     solve_scaled,
 )
@@ -21,12 +24,13 @@ FRACTIONS = st.fractions(-6, 6, max_denominator=5)
 
 
 @st.composite
-def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 6), square=False):
+def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 6), square=False,
+             kinds=(INTS, FRACTIONS)):
     """Integer or Fraction matrices; half of them are a product through a
     smaller inner dimension, so rank-deficient inputs are common."""
     m = draw(rows)
     n = m if square else draw(cols)
-    entries = draw(st.sampled_from((INTS, FRACTIONS)))
+    entries = draw(st.sampled_from(kinds))
     if draw(st.booleans()):
         return [[draw(entries) for _ in range(n)] for _ in range(m)]
     k = draw(st.integers(0, min(m, n)))
@@ -122,3 +126,14 @@ def test_empty_and_non_unimodular_inputs():
     assert solve_scaled([], []) == ([], 1)
     with pytest.raises(PreconditionError):  # det 2: no integer inverse
         invert_unimodular([[2, 1], [0, 1]])
+
+
+@given(matrices(kinds=(INTS, st.integers(-60, 60))))
+@settings(max_examples=150, deadline=None)
+def test_snf_invariant_factors_is_the_smith_diagonal(mat):
+    """Wide, tall and rank-deficient integer matrices: the factors read from
+    the Hermite form are the nonzero Smith diagonal of the matrix itself,
+    and the quotients of the gcds of its minors."""
+    d, _, _ = smith_normal_form(mat)
+    diagonal = [d[i][i] for i in range(min(len(mat), len(mat[0]))) if d[i][i]]
+    assert snf_invariant_factors(mat) == diagonal == invariant_factors_by_minors(mat)

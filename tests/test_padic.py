@@ -3,16 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import common_value_scan, isotropic_over_q_oracle, local_solvable
+from oracle_utils import (
+    common_value_scan,
+    hasse_pairwise,
+    isotropic_over_q_oracle,
+    local_solvable,
+)
 from qforge import padic
 from qforge.catalog import resolve
 from qforge.errors import InconsistentTargetsError, PreconditionError
 from qforge.intmath import squarefree_part
 from qforge.lattice import diag_lattice, from_rows
-from qforge.linalg import mat_mul, transpose
+from qforge.linalg import left_kernel, mat_mul, mat_vec, transpose
 from qforge.padic import (
     INF,
     hilbert_symbol,
@@ -370,3 +375,33 @@ def test_isotropic_vector_worked_examples():
     assert x == (1,) + (0,) * 21  # the first basis vector of U
     with pytest.raises(PreconditionError, match="rank 0"):
         isotropic_vector([])
+
+
+_NONZERO = st.one_of(st.integers(-60, 60), st.fractions(-60, 60, max_denominator=12)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NONZERO, max_size=9), st.sampled_from([2, 3, 5, 7, 11, INF]))
+def test_hasse_invariant_matches_pairwise_product(diag, place):
+    """n - 1 symbols of prefix products give the product over all pairs."""
+    assert padic.hasse_invariant(diag, place) == hasse_pairwise(diag, place)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_isotropic_or_obstruction_degenerate_gives_radical_vector(data):
+    """A degenerate form with no zero diagonal entry, so that the answer
+    cannot come from the basis: the reduction stops at a vanishing minor
+    and the answer is still the first radical vector of the Hermite kernel."""
+    n = data.draw(st.integers(2, 6))
+    rank = data.draw(st.integers(1, n - 1))
+    rows = [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(rank)]
+    entries = [data.draw(st.sampled_from([1, -1, 2, -3, 5])) for _ in range(rank)]
+    gram = [[sum(r[i] * a * r[j] for r, a in zip(rows, entries)) for j in range(n)]
+            for i in range(n)]
+    assume(all(gram[i][i] for i in range(n)) and any(map(any, gram)))
+    content = math.gcd(*(x for row in gram for x in row))
+    kernel = left_kernel([[x // content for x in row] for row in gram])
+    x = padic.isotropic_or_obstruction(gram)
+    assert any(x) and math.gcd(*x) == 1 and not any(mat_vec(gram, x))
+    assert x == tuple(padic._primitive(kernel[0]))

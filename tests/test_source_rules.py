@@ -208,3 +208,25 @@ def test_every_top_level_name_is_used_or_documented():
     undocumented = [name for name, (module, words) in LIBRARY_API.items()
                     if words not in rows.get(module, "")]
     assert not undocumented, undocumented
+
+
+def test_every_import_is_used():
+    """Each name a package module imports is referenced in that module;
+    __init__.py imports to re-export and is exempt."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in referenced]
+    assert SOURCES and not unused, unused
