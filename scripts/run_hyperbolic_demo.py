@@ -4,7 +4,7 @@ nonzero values, then its Pell automorph, for a couple of catalog lattices."""
 import time
 
 from qforge.catalog import resolve
-from qforge.forge import find_rank2_avoiding, verify_certificate
+from qforge.forge import check_certificate, find_rank2_avoiding
 from qforge.isom import find_hyperbolic
 from qforge.lattice import binary_minimum
 
@@ -25,7 +25,7 @@ def main():
         print(f"  gram       : {res.lattice.gram()}")
         cert = res.certificate
         print(f"  certificate: p={cert.p} alpha=({cert.alpha1},{cert.alpha2}) "
-              f"beta=({cert.beta1},{cert.beta2})  valid={verify_certificate(cert, n_bound)}")
+              f"beta=({cert.beta1},{cert.beta2})  valid={check_certificate(cert, n_bound)[0]}")
         print(f"  min |q|    : {best} at {witness} (exact, over all of Z^2)")
         print(f"  automorph  : {iso.matrix}  [{cls.tag.value}]")
         print(f"  elapsed    : {dt:.2f}s")

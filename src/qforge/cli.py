@@ -58,7 +58,7 @@ from .lattice import (
 )
 from .linalg import freeze, snf_invariant_factors
 from .padic import invariant_triple, rationally_equivalent
-from .forge import SmallnessCertificate, verify_certificate
+from .forge import SmallnessCertificate, check_certificate
 
 
 def _load_lattice(spec: str | None) -> QuadLattice:
@@ -166,7 +166,7 @@ def cmd_hyperbolic(args) -> dict:
             "v1": encode_vector(result.v1),
             "w": encode_vector(result.w),
             "certificate": _certificate_obj(result.certificate),
-            "certificate_valid": verify_certificate(result.certificate, args.n_bound),
+            "certificate_valid": check_certificate(result.certificate, args.n_bound)[0],
             "saturation_index_of_span": encode_int(
                 saturation_index(span(latt, [result.v1, result.w]))
             ),
@@ -315,7 +315,7 @@ def cmd_isotropic(args) -> dict:
 
 def cmd_certify(args) -> dict:
     cert = _certificate_from_obj(read_json(args.certificate, "--certificate"))
-    ok, reason = forge.check_certificate(cert, args.n_bound)
+    ok, reason = check_certificate(cert, args.n_bound)
     return {"valid": ok, "reason": reason}
 
 
@@ -353,7 +353,7 @@ def verify_report(report: dict) -> list[str]:
         n_bound = report["input"]["n_bound"]
         if "certificate" in sub:
             cert = _certificate_from_obj(sub["certificate"])
-            if not verify_certificate(cert, n_bound):
+            if not check_certificate(cert, n_bound)[0]:
                 failures.append("certificate does not verify")
             pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
             claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])

@@ -1,9 +1,10 @@
-"""Exception hierarchy: one class per CLI exit code, plus the one subclass
-a caller branches on.
+"""Exception hierarchy: one class per CLI exit code under a common base.
 
 Exit codes follow the CLI contract: 2 for violated preconditions or bad
 input, 3 for exhausted bounded searches, 4 for internal inconsistencies
-(a step that is guaranteed to succeed failed, i.e. a bug).
+(a step that is guaranteed to succeed failed, i.e. a bug). Exit 3 comes
+from two searches only: the budgeted box enumeration of `enumerate` and
+the scan over diagonal sign patterns in `glue.nikulin_glue` (`glue`).
 """
 
 
@@ -15,10 +16,6 @@ class QforgeError(Exception):
 
 class PreconditionError(QforgeError):
     """Malformed input or a violated precondition of an operation."""
-
-
-class InconsistentTargetsError(PreconditionError):
-    """Prescribed Hilbert symbols violate a local obstruction or the product formula."""
 
 
 class SearchExhaustedError(QforgeError):

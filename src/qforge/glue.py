@@ -14,15 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import (
-    InconsistentTargetsError,
-    InternalInconsistencyError,
-    PreconditionError,
-    SearchExhaustedError,
-)
+from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import (
     bezout,
-    first_primes_excluding,
     is_prime,
     lowest_terms,
     prime_support,
@@ -68,6 +62,8 @@ from .linalg import (
 from .padic import (
     INF,
     InvariantTriple,
+    _least_admitted,
+    _square_classes,
     hasse_invariant,
     hilbert_symbol,
     invariant_triple,
@@ -145,55 +141,30 @@ def extend_to_standard(
     if prod != 1:
         raise InternalInconsistencyError("required local signs violate the product formula")
 
+    # b1 must have (c b0, b1)_v = s_v (b0, c)_v at every place, and -1 is
+    # possible only where c b0 is not a square. At a prime of b0 outside the
+    # places c b0 has odd valuation, so b0 is the least squarefree number
+    # with an admitted class at each place and the sign of the pattern.
+    admitted = {v: {b for b in _square_classes(v)
+                    if s_map[v] * hilbert_symbol(b, c, v) == 1 or not is_local_square(c * b, v)}
+                for v in s_map if v != INF}
+    admitted[INF] = {signs[0]}
+    b0 = _least_admitted(list(s_map), admitted)
+    targets = {v: s_map.get(v, 1) * hilbert_symbol(b0, c, v)
+               for v in set(s_map) | set(prime_support(b0))}
+    b1 = solve_prescribed_hilbert(Fraction(c * b0), targets, sign=signs[1])
+    b2 = squarefree_part(Fraction((-1) ** t * d_class * b0 * b1))
+    aug_triple = invariant_triple(list(diag) + [b0, b1, b2])
     std_triple = invariant_triple(std_diag)
-    for b0 in _square_class_pool(s_map, c, sign=signs[0]):
-        check_places = sorted(set(s_map) | set(prime_support(b0)) | {2, INF},
-                              key=lambda p: (p == INF, p))
-        targets = {}
-        feasible = True
-        for place in check_places:
-            delta = s_map.get(place, 1) * hilbert_symbol(b0, c, place)
-            if delta == -1 and is_local_square(c * b0, place):
-                feasible = False
-                break
-            targets[place] = delta
-        if not feasible:
-            continue
-        try:
-            b1 = solve_prescribed_hilbert(Fraction(c * b0), targets, sign=signs[1])
-        except (InconsistentTargetsError, SearchExhaustedError):
-            continue
-        b2 = squarefree_part(Fraction((-1) ** t * d_class * b0 * b1))
-        augmented = list(diag) + [b0, b1, b2]
-        aug_triple = invariant_triple(augmented)
-        if aug_triple == std_triple:
-            return ExtensionResult(
-                b0=b0, b1=b1, b2=b2,
-                target_signature=target_signature,
-                augmented_triple=aug_triple,
-                standard_triple=std_triple,
-            )
-    raise InternalInconsistencyError(
-        "no extension found although one must exist; this is a bug"
+    if aug_triple != std_triple:
+        raise InternalInconsistencyError(
+            f"the extension ({b0}, {b1}, {b2}) is not rationally standard")
+    return ExtensionResult(
+        b0=b0, b1=b1, b2=b2,
+        target_signature=target_signature,
+        augmented_triple=aug_triple,
+        standard_triple=std_triple,
     )
-
-
-def _square_class_pool(s_map, c, sign: int):
-    """Deterministic candidate square classes for b0 with the given sign."""
-    primes = sorted(
-        {int(p) for p in s_map if p != INF} | set(prime_support(c)) | {2}
-    )
-    primes += first_primes_excluding(4, set(primes))
-    seen = set()
-    singles = [1] + primes
-    pairs = sorted(
-        {p * q for i, p in enumerate(primes) for q in primes[i + 1:]}
-    )
-    for magnitude in singles + pairs:
-        if magnitude in seen:
-            continue
-        seen.add(magnitude)
-        yield sign * magnitude
 
 
 # ---------------------------------------------------------------------------

@@ -383,16 +383,6 @@ def primes_from(start: int):
         yield p
 
 
-def first_primes_excluding(count: int, excluded: frozenset[int] | set[int]) -> list[int]:
-    out: list[int] = []
-    for p in primes_from(2):
-        if p not in excluded:
-            out.append(p)
-            if len(out) == count:
-                return out
-    return out
-
-
 def two_squares(p: int) -> tuple[int, int]:
     """(a, b), a <= b, with a**2 + b**2 == p, for p == 2 or a prime p ≡ 1 (mod 4).
 

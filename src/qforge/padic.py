@@ -15,20 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import (
-    InconsistentTargetsError,
-    InternalInconsistencyError,
-    PreconditionError,
-    SearchExhaustedError,
-)
+from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import (
     bezout,
     factorize,
-    first_primes_excluding,
     is_prime,
     ldescent,
     lowest_terms,
     prime_support,
+    primes_from,
     squarefree_part,
     unit_mod,
     unit_part,
@@ -208,8 +203,6 @@ def rationally_equivalent(f1, f2) -> bool:
 # ---------------------------------------------------------------------------
 # Prescribed Hilbert symbols
 
-AUX_POOL_SIZE = 25
-
 
 def _gf2_solve(rows: list[list[int]], rhs: list[int], nvars: int) -> list[int] | None:
     """Solve a linear system over GF(2); free variables set to 0."""
@@ -243,17 +236,6 @@ def _gf2_solve(rows: list[list[int]], rhs: list[int], nvars: int) -> list[int] |
     return sol
 
 
-def _normalize_targets(targets) -> dict[Place, int]:
-    out: dict[Place, int] = {}
-    for place, delta in targets.items():
-        if delta not in (1, -1):
-            raise InconsistentTargetsError(f"target at {place} must be +-1")
-        if place != INF and not is_prime(int(place)):
-            raise PreconditionError(f"{place} is not a prime")
-        out[place] = delta
-    return out
-
-
 def solve_prescribed_hilbert(
     x: Fraction | int,
     targets: dict[Place, int],
@@ -262,131 +244,50 @@ def solve_prescribed_hilbert(
     """A nonzero integer y with (x, y) = targets[place] at every place,
     +1 at unspecified places, and optionally a forced sign.
 
-    y is searched as a product of -1, the primes of x and of the targets,
-    and at most one auxiliary prime from a fixed deterministic pool; the
-    result is always re-verified symbol by symbol before being returned.
+    y is a product of -1, 2, the primes of x and of the targets, and at most
+    one auxiliary prime: none, then 3, 5, 7, ... outside those; the exponents
+    solve a linear system over GF(2). Such a y exists once the targets
+    multiply to +1, x is not a local square where -1 is prescribed, and the
+    sign agrees with the target at the real place (Serre, A Course in
+    Arithmetic, ch. III, thm. 4: CRT for the base places, Dirichlet for the
+    auxiliary prime, the product formula at it). Each of the three is
+    checked first (PreconditionError), so the loop ends. y is re-verified
+    symbol by symbol before it is returned.
     """
     x = Fraction(x)
     if x == 0:
         raise PreconditionError("x must be nonzero")
-    targets = _normalize_targets(targets)
-    prod = 1
-    for delta in targets.values():
-        prod *= delta
-    if prod != 1:
-        raise InconsistentTargetsError("product of prescribed symbols must be +1")
     for place, delta in targets.items():
+        if delta not in (1, -1):
+            raise PreconditionError(f"target at {place} must be +-1")
+        if place != INF and not is_prime(int(place)):
+            raise PreconditionError(f"{place} is not a prime")
         if delta == -1 and is_local_square(x, place):
-            raise InconsistentTargetsError(
-                f"x is a local square at {place}; (x, .) cannot be -1 there"
-            )
+            raise PreconditionError(f"x is a local square at {place}; (x, .) cannot be -1 there")
+    if math.prod(targets.values()) != 1:
+        raise PreconditionError("product of prescribed symbols must be +1")
+    if sign is not None and hilbert_symbol(x, sign, INF) != targets.get(INF, 1):
+        raise PreconditionError(
+            f"(x, y) at the real place cannot be {targets.get(INF, 1)} with y of sign {sign}")
 
     base_primes = sorted(set(prime_support(x)) | {2} |
                          {int(p) for p in targets if p != INF})
-    pool = first_primes_excluding(AUX_POOL_SIZE, set(base_primes))
-
-    for aux in [None] + pool:
+    auxiliaries = (q for q in primes_from(3) if q not in base_primes)
+    for aux in itertools.chain([None], auxiliaries):
         gens: list = [-1] + base_primes + ([aux] if aux else [])
         places: list[Place] = sorted(set(base_primes) | ({aux} if aux else set())) + [INF]
-        rows = []
-        rhs = []
-        for place in places:
-            delta = targets.get(place, 1)
-            rows.append(
-                [0 if hilbert_symbol(x, g, place) == 1 else 1 for g in gens]
-            )
-            rhs.append(0 if delta == 1 else 1)
+        rows = [[int(hilbert_symbol(x, g, place) == -1) for g in gens] for place in places]
+        rhs = [int(targets.get(place, 1) == -1) for place in places]
         if sign is not None:
             rows.append([1] + [0] * (len(gens) - 1))
-            rhs.append(0 if sign > 0 else 1)
+            rhs.append(int(sign < 0))
         sol = _gf2_solve(rows, rhs, len(gens))
         if sol is None:
             continue
-        y = 1
-        for g, e in zip(gens, sol):
-            if e:
-                y *= g
-        if y == 0:
-            continue
-        checks = set(places) | set(targets)
-        if all(hilbert_symbol(x, y, pl) == targets.get(pl, 1) for pl in checks):
-            if sign is None or (y > 0) == (sign > 0):
-                return y
-    raise SearchExhaustedError(
-        "prescribed Hilbert symbols (padic.solve_prescribed_hilbert): no y with at most"
-        f" one auxiliary prime from the first {AUX_POOL_SIZE} primes outside the base"
-    )
-
-
-def choose_pair_prescribed(
-    targets: dict[Place, int],
-    sign_x: int | None = None,
-    sign_y: int | None = None,
-) -> tuple[int, int]:
-    """(x, y) with (x, y) = targets at every place and prescribed signs.
-
-    x is taken to be a non-square unit modulo each finite place where -1 is
-    prescribed (CRT), negative when the real place prescribes -1; y comes
-    from the prescribed-symbol solver and the pair is verified post hoc.
-    """
-    targets = _normalize_targets(targets)
-    prod = 1
-    for delta in targets.values():
-        prod *= delta
-    if prod != 1:
-        raise InconsistentTargetsError("product of prescribed symbols must be +1")
-
-    minus_finite = sorted(int(p) for p, d in targets.items() if d == -1 and p != INF)
-    minus_inf = targets.get(INF, 1) == -1
-    if minus_inf and sign_x is not None and sign_x > 0:
-        raise InconsistentTargetsError(
-            "(x, y) at the real place is -1 only when both are negative"
-        )
-
-    want_negative = minus_inf or (sign_x is not None and sign_x < 0)
-    x = None
-    if want_negative:
-        # -1 is the canonical choice whenever it is a non-square at every
-        # finite minus place
-        if all(not is_local_square(-1, p) for p in minus_finite):
-            x = -1
-    if x is None:
-        if not minus_finite:
-            x = 1
-        else:
-            residues = []
-            moduli = []
-            for p in minus_finite:
-                if p == 2:
-                    residues.append(5)
-                    moduli.append(8)
-                else:
-                    n = next(r for r in range(2, p) if legendre(r, p) == -1)
-                    residues.append(n)
-                    moduli.append(p)
-            x = _crt(residues, moduli)
-        modulus = 1
-        for p in minus_finite:
-            modulus *= 8 if p == 2 else p
-        if want_negative:
-            while x >= 0:
-                x -= max(modulus, 1)
-        elif x <= 0:
-            x += max(modulus, 1)
-    y = solve_prescribed_hilbert(x, targets, sign=sign_y)
-    for place in set(targets) | {2, INF} | set(prime_support(x)) | set(prime_support(y)):
-        if hilbert_symbol(x, y, place) != targets.get(place, 1):
-            raise InternalInconsistencyError(f"(x, y) misses its Hilbert symbol at {place}")
-    return x, y
-
-
-def _crt(residues: list[int], moduli: list[int]) -> int:
-    x, m = 0, 1
-    for r, mod in zip(residues, moduli):
-        inv = pow(m, -1, mod)
-        x = x + m * ((r - x) * inv % mod)
-        m *= mod
-    return x % m
+        y = math.prod(g for g, e in zip(gens, sol) if e)
+        if any(hilbert_symbol(x, y, place) != targets.get(place, 1) for place in places):
+            raise InternalInconsistencyError(f"y = {y} misses a prescribed Hilbert symbol")
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +349,7 @@ def _common_value(h: list[int], g: list[int]) -> int:
     """
     places, admitted = _admitted_classes(h, g)
     splits = [-h[0] * h[1]] + ([-g[0] * g[1]] if len(g) == 2 else [])
-
-    def works(t: int) -> bool:
-        factors = factorize(t)
-        return all(e == 1 for e in factors.values()) and all(
-            legendre(d, q) == 1 for q in factors if q not in places for d in splits)
-
-    t = next(t for t in _admitted_values(places, admitted) if works(t))
+    t = _least_admitted(places, admitted, splits)
     if _obstruction(h + [-t]) is not None or _obstruction(g + [t]) is not None:
         raise InternalInconsistencyError(f"the common value {t} is not represented")
     return t
@@ -463,6 +358,18 @@ def _common_value(h: list[int], g: list[int]) -> int:
 _SIEVE_START = 1 << 12  # below this, t one by one: no mask is built
 _SIEVE_BLOCK = 1 << 16  # magnitudes per block
 _SIEVE_PRIME = 1 << 18  # largest place sieved
+
+
+def _least_admitted(places, admitted, splits=()) -> int:
+    """The first t of _admitted_values(places, admitted) that is squarefree
+    and at whose primes outside places every d of splits is a square. The
+    caller knows that one exists, so the scan ends."""
+    def works(t: int) -> bool:
+        factors = factorize(t)
+        return all(e == 1 for e in factors.values()) and all(
+            legendre(d, q) == 1 for q in factors if q not in places for d in splits)
+
+    return next(t for t in _admitted_values(places, admitted) if works(t))
 
 
 def _admitted_classes(h: list[int], g: list[int]) -> tuple[list, dict]:

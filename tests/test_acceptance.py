@@ -15,7 +15,7 @@ from oracle_utils import (
 )
 from qforge.catalog import resolve
 from qforge.cli import main as cli_main
-from qforge.forge import find_rank2_avoiding, verify_certificate
+from qforge.forge import check_certificate, find_rank2_avoiding
 from qforge.glue import (
     embed_pipeline,
     explicit_rational_isometry,
@@ -127,7 +127,7 @@ def test_c04_rank2_theorem_reproduction():
         sub = res.lattice
         assert signature(sub.as_lattice()) == (1, 1)
         assert saturation_index(sub) == 1
-        assert verify_certificate(res.certificate, n_bound)
+        assert check_certificate(res.certificate, n_bound)[0]
         smallest, _ = min_nonzero_abs(sub.as_lattice(), 1000)
         assert smallest is not None and smallest >= floor
         elapsed = time.monotonic() - start

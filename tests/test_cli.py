@@ -98,6 +98,15 @@ def test_certify_command(tmp_path, capsys):
     assert rc == 0 and obj["valid"] is False
 
 
+def test_certify_huge_exponent_ends(tmp_path, capsys):
+    """n = 10^12 is rejected from the bit length of alpha; p^(2n+1) is never formed."""
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"p": 5, "alpha": [30, -10], "beta": [6, -2],
+                                "n": [10**12, 0]}))
+    rc, obj = run_cli(capsys, ["certify", "--certificate", str(cert), "--n-bound", "4"])
+    assert rc == 0 and obj == {"valid": False, "reason": "alpha != beta * p^(2n+1)"}
+
+
 def test_enumerate_command(capsys):
     rc, obj = run_cli(
         capsys, ["enumerate", "--lattice", "catalog:U", "--height-bound", "1"]

@@ -15,7 +15,6 @@ from qforge.forge import (
     find_isotropic_pair,
     find_rank2_avoiding,
     find_w_odd_valuation,
-    verify_certificate,
 )
 from qforge.lattice import (
     diag_lattice,
@@ -139,8 +138,8 @@ def test_find_w_unreachable_valuation():
 
 def test_certificate_worked_example():
     cert = SmallnessCertificate(p=5, alpha1=30, alpha2=-10, beta1=6, beta2=-2, n1=0, n2=0)
-    assert verify_certificate(cert, 4)
-    assert not verify_certificate(cert, 5)  # p > N must be strict
+    assert check_certificate(cert, 4)[0]
+    assert not check_certificate(cert, 5)[0]  # p > N must be strict
 
 
 def test_certificate_isotropic_rejected():
@@ -152,9 +151,18 @@ def test_certificate_isotropic_rejected():
 
 def test_certificate_malformed_rejected():
     cert = SmallnessCertificate(p=5, alpha1=30, alpha2=-10, beta1=6, beta2=-2, n1=1, n2=0)
-    assert not verify_certificate(cert, 1)
+    assert not check_certificate(cert, 1)[0]
     cert = SmallnessCertificate(p=5, alpha1=25, alpha2=-10, beta1=5, beta2=-2, n1=0, n2=0)
-    assert not verify_certificate(cert, 1)
+    assert not check_certificate(cert, 1)[0]
+
+
+def test_certificate_huge_exponent_rejected_at_once():
+    # |alpha| >= p^(2n+1) has more than 2n + 1 bits, so 30 cannot be 6 * 5^(2 10^12 + 1)
+    cert = SmallnessCertificate(p=5, alpha1=30, alpha2=-10, beta1=6, beta2=-2, n1=10**12, n2=0)
+    assert check_certificate(cert, 4) == (False, "alpha != beta * p^(2n+1)")
+    huge = SmallnessCertificate(p=5, alpha1=6 * 5**201, alpha2=-10, beta1=6, beta2=-2,
+                                n1=100, n2=0)
+    assert check_certificate(huge, 4)[0]  # a large n that does hold still verifies
 
 
 def test_rank2_preconditions():
@@ -172,7 +180,7 @@ def test_rank2_worked_instance():
     assert qvalue(UU2, res.v1) == cert.alpha1
     assert qvalue(UU2, res.w) == cert.alpha2
     assert pairing(UU2, res.v1, res.w) == 0
-    assert verify_certificate(cert, 4)
+    assert check_certificate(cert, 4)[0]
     latt = res.lattice.as_lattice()
     assert signature(latt) == (1, 1)
     assert saturation_index(res.lattice) == 1

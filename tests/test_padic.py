@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from oracle_utils import (
 )
 from qforge import padic
 from qforge.catalog import resolve
-from qforge.errors import InconsistentTargetsError, PreconditionError
+from qforge.errors import PreconditionError
 from qforge.intmath import squarefree_part
 from qforge.lattice import diag_lattice, from_rows
 from qforge.linalg import left_kernel, mat_mul, mat_vec, transpose
@@ -25,11 +26,11 @@ from qforge.padic import (
     is_local_square,
     isotropic_vector,
     legendre,
-    choose_pair_prescribed,
     rational_diagonalize,
     rationally_equivalent,
     represent,
     solve_prescribed_hilbert,
+    symbol_support,
 )
 
 U = from_rows([[0, 1], [1, 0]], label="U")
@@ -211,12 +212,12 @@ def test_solve_prescribed_five():
 
 
 def test_solve_prescribed_rejects_local_square():
-    with pytest.raises(InconsistentTargetsError):
+    with pytest.raises(PreconditionError, match="local square"):
         solve_prescribed_hilbert(4, {5: -1, 2: -1})  # 4 is a square everywhere
 
 
 def test_solve_prescribed_rejects_odd_product():
-    with pytest.raises(InconsistentTargetsError):
+    with pytest.raises(PreconditionError, match="product"):
         solve_prescribed_hilbert(5, {5: -1})
 
 
@@ -227,25 +228,62 @@ def test_solve_prescribed_verified_at_unspecified_places():
         assert hilbert_symbol(15, y, place) == want
 
 
-def test_choose_pair_trivial():
-    assert choose_pair_prescribed({}) == (1, 1)
+def test_solve_prescribed_rejects_sign_against_the_real_place():
+    # (x, y) at the real place is -1 exactly when x < 0 and y < 0
+    with pytest.raises(PreconditionError, match="real place"):
+        solve_prescribed_hilbert(-1, {2: -1, INF: -1}, sign=1)
+    with pytest.raises(PreconditionError, match="real place"):
+        solve_prescribed_hilbert(-3, {}, sign=-1)
 
 
-def test_choose_pair_two_inf():
-    assert choose_pair_prescribed({2: -1, INF: -1}) == (-1, -1)
+def test_solve_prescribed_auxiliary_prime_beyond_25():
+    """No auxiliary prime among the first 25 outside the base works here:
+    the solver goes on to 173 instead of giving up."""
+    x = -3 * 5 * 7 * 11 * 17 * 19 * 23 * 29 * 41
+    y = solve_prescribed_hilbert(x, {5: -1, 11: -1})
+    assert y == 36157 == 11 * 19 * 173
+    for place in symbol_support(x, y):
+        assert hilbert_symbol(x, y, place) == (-1 if place in (5, 11) else 1)
 
 
-def test_choose_pair_three_inf():
-    x, y = choose_pair_prescribed({3: -1, INF: -1})
-    assert x == -1
-    for place in (2, 3, 5, 7, INF):
-        want = -1 if place in (3, INF) else 1
-        assert hilbert_symbol(x, y, place) == want
+PRIMES_TO_43 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
 
-def test_choose_pair_sign_conflict():
-    with pytest.raises(InconsistentTargetsError):
-        choose_pair_prescribed({INF: -1, 2: -1}, sign_x=1)
+def _preconditions_fail(x, targets, sign) -> bool:
+    return (math.prod(targets.values()) != 1
+            or any(d == -1 and is_local_square(x, v) for v, d in targets.items())
+            # (x, y) is -1 at the real place exactly when x < 0 and y < 0
+            or (sign is not None and (x < 0 and sign < 0) != (targets.get(INF, 1) == -1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, -1]), st.sets(st.sampled_from(PRIMES_TO_43)),
+       st.dictionaries(st.sampled_from(PRIMES_TO_43 + [47, INF]), st.sampled_from([1, -1])),
+       st.sampled_from([None, 1, -1]))
+def test_solve_prescribed_property(x_sign, x_primes, targets, sign):
+    """Either a y verified at every place with the requested sign, or a
+    PreconditionError exactly when the product, a local square or the real
+    place rules every y out; the solve ends in both cases (an alarm guards
+    it)."""
+    x = x_sign * math.prod(x_primes)
+    previous = signal.signal(signal.SIGALRM, _loop_alarm)
+    signal.alarm(20)
+    try:
+        if _preconditions_fail(x, targets, sign):
+            with pytest.raises(PreconditionError):
+                solve_prescribed_hilbert(x, targets, sign=sign)
+            return
+        y = solve_prescribed_hilbert(x, targets, sign=sign)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sign is None or (y > 0) == (sign > 0)
+    for place in set(symbol_support(x, y)) | set(targets):
+        assert hilbert_symbol(x, y, place) == targets.get(place, 1)
+
+
+def _loop_alarm(signum, frame):
+    raise AssertionError("solve_prescribed_hilbert did not end within 20 s")
 
 
 def test_is_local_square():

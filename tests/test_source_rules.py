@@ -177,7 +177,6 @@ def test_witness_and_saturation_stay_fraction_free():
 LIBRARY_API = {
     "discriminant_group": ("qforge.lattice", "discriminant groups"),
     "DiscriminantGroup": ("qforge.lattice", "discriminant groups"),
-    "choose_pair_prescribed": ("qforge.padic", "prescribed-symbol solvers"),
     "represent": ("qforge.padic", "`represent`"),
 }
 
