@@ -21,9 +21,9 @@ from .intmath import (
     lowest_terms,
     prime_support,
     primes_from,
+    product_square_class,
     round_div,
     sqrt_mod,
-    squarefree_part,
     two_squares,
 )
 from .lattice import (
@@ -53,7 +53,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     scale_to_integers,
-    smith_normal_form,
     snf_invariant_factors,
     solve,
     solve_scaled,
@@ -117,16 +116,12 @@ def extend_to_standard(
     k = t - s
     signs = _SIGN_PATTERNS[k]
 
-    disc = Fraction(1)
+    primes: set = {2}
     for d in diag:
-        disc *= d
-    d_class = squarefree_part(disc)
-    c = squarefree_part(Fraction((-1) ** (t - 1) * d_class))
-
-    places: set = {2, INF}
-    for d in diag:
-        places.update(prime_support(d))
-    places.update(prime_support(c))
+        primes.update(prime_support(d))
+    d_class = product_square_class(diag, primes)
+    c = (-1) ** (t - 1) * d_class
+    places = primes | {INF}
     std_diag = [1] * target_signature[0] + [-1] * t
     s_map: dict = {}
     for place in sorted(places):
@@ -153,7 +148,8 @@ def extend_to_standard(
     targets = {v: s_map.get(v, 1) * hilbert_symbol(b0, c, v)
                for v in set(s_map) | set(prime_support(b0))}
     b1 = solve_prescribed_hilbert(Fraction(c * b0), targets, sign=signs[1])
-    b2 = squarefree_part(Fraction((-1) ** t * d_class * b0 * b1))
+    b2 = product_square_class([(-1) ** t * d_class, b0, b1],
+                              primes | prime_support(b0) | prime_support(b1))
     aug_triple = invariant_triple(list(diag) + [b0, b1, b2])
     std_triple = invariant_triple(std_diag)
     if aug_triple != std_triple:
@@ -177,10 +173,15 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     The basis of G1 is first changed unimodularly so that no leading minor
     vanishes; then each basis vector gets an image with the prescribed
     pairings to the earlier images and the prescribed q-value
-    (_next_image). Witt cancellation makes every step possible. The images
-    are kept as near to integral as the construction allows: their
-    denominators make up the embedding index d. Everything is carried as
-    integer vectors over a common denominator; T is the only rational.
+    (_next_image). Witt cancellation makes every step possible. The
+    earlier images' pairings are carried from step to step as one
+    triangular system and a reduced basis of their common kernel (_Flag),
+    which each image updates by one row: no step takes a Smith form or
+    reduces a fresh kernel. The images are kept as near to integral as the
+    construction allows: their denominators make up the embedding index d,
+    and Eichler transformations keep their entries small (_eichler_reduce)
+    on both routes below. Everything is carried as integer vectors over a
+    common denominator; T is the only rational.
 
     A step whose complement is anisotropic has to represent its value
     there, and the representation's denominator enters every later
@@ -188,8 +189,7 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     and their square classes cannot be factored. So representing is left to
     the last two steps. When an earlier complement is anisotropic, the
     images are made again in G2 + U, where every complement keeps a
-    hyperbolic plane, each made small (_eichler_reduce), and then all are
-    moved back into G2 (_cancel_plane).
+    hyperbolic plane, and then all are moved back into G2 (_cancel_plane).
     """
     g1 = freeze(g1)
     g2 = freeze(g2)
@@ -214,17 +214,84 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
 def _flag_images(ambient: QuadLattice, h, represent_up_to: int | None):
     """The images (x, s) in ambient, x / s in lowest terms, of the flag with
     Gram h; they stop short before the first complement of rank above
-    represent_up_to that is anisotropic. With None there is no limit, and
-    each image is also made small (_eichler_reduce)."""
+    represent_up_to that is anisotropic (None: no limit). One _Flag carries
+    the earlier images' pairings from step to step."""
     images = []
-    functionals = []  # (f, den): b(y, image) == f . y / den, in lowest terms
+    n = ambient.rank
+    flag = _Flag(dens=[], pivots=[], lower=[], kernel=identity(n), euclid=identity(n))
     for k, row in enumerate(h):
-        image = _next_image(ambient, functionals, row[:k], row[k], represent_up_to)
+        image = _next_image(ambient, flag, row[:k], row[k], represent_up_to)
         if image is None:
             break
         images.append(image)
-        functionals.append(lowest_terms(gram_apply(ambient, image[0]), image[1]))
+        if k + 1 < len(h):
+            _flag_extend(flag, *lowest_terms(gram_apply(ambient, image[0]), image[1]))
     return images
+
+
+@dataclass
+class _Flag:
+    """The integer pairings of the images made so far, f_i / den_i = G2
+    image_i in lowest terms, kept as a unimodular basis [v | Z] of the
+    ambient: pivots v_j with f_i . v_j = 0 for i < j, so that lower[i][j] =
+    f_i . v_j (j <= i) is lower triangular with a positive diagonal, and the
+    complement Z = {z : f_i . z = 0 for all i} as LLL-reduced rows with
+    their Euclidean Gram. Hermite and kernels: Cohen, GTM 138, sec. 2.4."""
+
+    dens: list
+    pivots: list
+    lower: list
+    kernel: tuple
+    euclid: tuple
+
+
+def _flag_extend(flag: _Flag, f, den: int) -> None:
+    """Add the functional f / den. Row operations on Z (Euclid on f's values,
+    the least nonzero value reducing the others) leave one row, the new
+    pivot, pairing gcd(values) with f, and the others in f's kernel; the
+    reduction then takes that nearly reduced basis to a reduced one."""
+    rows = [list(z) for z in flag.kernel]
+    gram = [list(r) for r in flag.euclid]
+    values = [_dot(z, f) for z in rows]
+    while True:
+        live = [i for i, a in enumerate(values) if a]
+        if not live:
+            raise InternalInconsistencyError("the images are linearly dependent")
+        p = min(live, key=lambda i: (abs(values[i]), i))
+        if len(live) == 1:
+            break
+        for i in live:
+            q = round_div(values[i], values[p]) if i != p else 0
+            if q:  # z_i -= q z_p, in the rows, the values and the Gram
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+                values[i] -= q * values[p]
+                gram[i] = [a - q * b for a, b in zip(gram[i], gram[p])]
+                for row in gram:
+                    row[i] -= q * row[p]
+    sign = 1 if values[p] > 0 else -1
+    flag.lower.append([_dot(f, v) for v in flag.pivots] + [sign * values[p]])
+    flag.pivots.append([sign * a for a in rows.pop(p)])
+    flag.dens.append(den)
+    del gram[p]
+    for row in gram:
+        del row[p]
+    h, flag.euclid, _ = lll_gram(gram)
+    flag.kernel = mat_mul(h, rows)
+
+
+def _flag_solve(flag: _Flag, pairs) -> tuple[list[int], int]:
+    """(x0, den) with b(x0 / den, image_i) = pairs_i for every image of the
+    flag, den > 0 the least such: x0 = sum t_j v_j with L t = (pairs_i
+    den_i), forward substitution carried over one denominator, which takes
+    on only the factor each pivot forces."""
+    coeffs, den = [], 1  # t_j = coeffs_j / den
+    for row, p, fden in zip(flag.lower, pairs, flag.dens):
+        num = den * p * fden - _dot(row, coeffs)  # row's last entry meets no coefficient
+        q = row[-1] // math.gcd(num, row[-1])
+        coeffs = [c * q for c in coeffs] + [num * q // row[-1]]
+        den *= q
+    x0 = [_dot(col, coeffs) for col in zip(*flag.pivots)] or [0] * len(flag.kernel[0])
+    return x0, den
 
 
 def _cancel_plane(ambient: QuadLattice, images) -> list[tuple[list[int], int]]:
@@ -343,38 +410,28 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _next_image(ambient: QuadLattice, functionals, pairs, value,
+def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value,
                 represent_up_to: int | None) -> tuple[list[int], int] | None:
-    """(x, s) with b(x / s, prev_j) = pairs_j and q(x / s) = value, where
-    functionals_j = (f, den) with G2 prev_j = f / den and the Gram of prev
-    plus x / s is non-degenerate; s > 0 and gcd(x, s) = 1. None when the
-    complement K is anisotropic and of rank above represent_up_to; with
-    represent_up_to None, an isotropic K's image is also made small.
+    """(x, s) with b(x / s, image_j) = pairs_j for the flag's images and
+    q(x / s) = value, the Gram of the images plus x / s non-degenerate;
+    s > 0 and gcd(x, s) = 1. None when the complement K is anisotropic and
+    of rank above represent_up_to.
 
-    x = x0 + z: x0 solves the pairings, integrally when their Smith form
-    allows, and z lies in the complement K of prev, with an LLL-reduced
-    integral basis. When K is isotropic, z = z0 + lambda e with e
-    isotropic, z0 in K making b(x0 + z0, e) the least positive value of its
-    class mod b(K, e), so that lambda has a small denominator. Otherwise
-    x0's projection to K is replaced by a representation (padic.represent).
-    Rational vectors are integer vectors over a denominator named with them.
+    x = x0 + z: x0 solves the pairings over the least denominator
+    (_flag_solve), and z lies in K, whose reduced integral basis the flag
+    holds. When K is isotropic, z = z0 + lambda e with e isotropic, z0 in K
+    making b(x0 + z0, e) the least positive value of its class mod b(K, e),
+    so that lambda has a small denominator, and the image is then made
+    small (_eichler_reduce). Otherwise x0's projection to K is replaced by
+    a representation (padic.represent). Rational vectors are integer
+    vectors over a denominator named with them.
     """
-    n = ambient.rank
-    x0, den = [0] * n, 1  # x0 / den
-    kernel = identity(n)
-    if functionals:
-        d, u, v = smith_normal_form([f for f, _ in functionals])  # u a v = d
-        rank = len(functionals)
-        y = mat_vec(u, [p * fden for p, (_, fden) in zip(pairs, functionals)])
-        den = d[rank - 1][rank - 1]  # every invariant factor divides the last
-        x0 = list(mat_vec(v, [yi * (den // d[i][i]) for i, yi in enumerate(y)] + [0] * (n - rank)))
-        kernel = transpose(v)[rank:]
-    h, euclid, _ = lll_gram(mat_mul(kernel, transpose(kernel)))  # positive: never isotropic
-    kernel = mat_mul(h, kernel)
+    x0, den = _flag_solve(flag, pairs)
+    kernel = flag.kernel
     kernel_t = transpose(kernel)
     # x0 minus the rounded Euclidean projection of x0 to K: same pairings, small
     # entries; the projection's coordinates are shift / (det den)
-    shift, det = solve_scaled(euclid, [[_dot(row, x0)] for row in kernel])
+    shift, det = solve_scaled(flag.euclid, [[_dot(row, x0)] for row in kernel])
     shift = [round_div(c, det * den) for c, in shift]
     x0 = [x - den * _dot(col, shift) for x, col in zip(x0, kernel_t)]
     gram_k = gram_of(ambient, kernel)
@@ -394,8 +451,7 @@ def _next_image(ambient: QuadLattice, functionals, pairs, value,
                 x0 = [x + den * zi for x, zi in zip(x0, mat_vec(kernel_t, flip))]
         # x0 / den + lambda e with lambda = (value - q(x0 / den)) / (2 t / den)
         num = value * den * den - qvalue(ambient, x0)
-        if represent_up_to is None:
-            x0, num = _eichler_reduce(ambient, kernel, e, x0, num, t)
+        x0, num = _eichler_reduce(ambient, kernel, e, x0, num, t)
         return lowest_terms([2 * t * x + num * ei for x, ei in zip(x0, e)], 2 * t * den)
     if represent_up_to is not None and len(kernel) > represent_up_to:
         return None

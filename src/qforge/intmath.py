@@ -371,6 +371,17 @@ def squarefree_part(q: Fraction | int) -> int:
     return out
 
 
+def product_square_class(values, primes) -> int:
+    """squarefree_part of the product of the nonzero rationals `values`,
+    given primes that include every prime dividing one of them: each prime
+    with an odd valuation sum is a factor, so no product is factored."""
+    out = -1 if sum(v < 0 for v in values) % 2 else 1
+    for p in primes:
+        if sum(valuation(v, p) for v in values) % 2:
+            out *= p
+    return out
+
+
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 

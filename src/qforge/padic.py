@@ -24,6 +24,7 @@ from .intmath import (
     lowest_terms,
     prime_support,
     primes_from,
+    product_square_class,
     squarefree_part,
     unit_mod,
     unit_part,
@@ -168,16 +169,13 @@ def invariant_triple(form, rng: random.Random | None = None) -> InvariantTriple:
     diag = _diag_of(form, rng=rng)
     pos = sum(1 for d in diag if d > 0)
     neg = len(diag) - pos
-    disc = Fraction(1)
+    primes: set = {2}
     for d in diag:
-        disc *= d
-    places: set = {2, INF}
-    for d in diag:
-        places.update(prime_support(d))
-    minus = [place for place in sorted(places) if hasse_invariant(diag, place) == -1]
+        primes.update(prime_support(d))
+    minus = [place for place in sorted(primes) + [INF] if hasse_invariant(diag, place) == -1]
     return InvariantTriple(
         signature=(pos, neg),
-        disc=squarefree_part(disc),
+        disc=product_square_class(diag, primes),
         minus_places=tuple(minus),
     )
 

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,38 @@ def test_extend_all_targets_random():
         for target in [(r + 3, s), (r + 2, s + 1), (r + 1, s + 2), (r, s + 3)]:
             ext = extend_to_standard(latt, target)
             assert ext.augmented_triple == ext.standard_triple, (latt.gram, target)
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Fail the block with TimeoutError once it has run `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_extend_entries_of_a_thousand(seed):
+    # the discriminant of these forms is a product of large primes; its square
+    # class is read from the entries' valuations, where factoring the product
+    # ran past 12 s
+    rng = random.Random(seed)
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i, 6):
+            rows[i][j] = rows[j][i] = rng.randint(-1000, 1000)
+    latt = from_rows(rows)
+    r, s = signature(latt)
+    with _within(2):
+        ext = extend_to_standard(latt, (r + 3, s))
+    assert ext.augmented_triple == ext.standard_triple
 
 
 def test_explicit_isometry_identity():
@@ -181,6 +215,23 @@ def test_explicit_isometry_anisotropic_complements():
         assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
             [[Fraction(x) for x in row] for row in g1]
         )
+
+
+@pytest.mark.parametrize("seed", [36, 184, 30, 278, 282])
+def test_explicit_isometry_scrambled_images_stay_small(seed):
+    # two scrambles of one form that never leave G2: without the Eichler
+    # reduction there, image entries doubled from step to step, up to 14.8k
+    # bits, and these took 7 s to past 20 s
+    rng = random.Random(seed)
+    gram = resolve("U+U+U+E8(-1)").gram
+    g1 = _scrambled(gram, rng)
+    g2 = _scrambled(gram, rng)
+    with _within(2):
+        t = explicit_rational_isometry(g1, g2)
+    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
+        [[Fraction(x) for x in row] for row in g1]
+    )
+    assert max(max(abs(x.numerator), x.denominator) for row in t for x in row).bit_length() < 4096
 
 
 # hyperbolic planes W of (U + <1>) + U, in the coordinates e1, e2, e3, h1, h2:

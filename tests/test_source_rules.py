@@ -138,8 +138,8 @@ def test_parabolic_run_loads_no_sympy():
 # Functions of the parabolic hot path that work in integers: a rational
 # vector is an integer vector with a denominator named beside it.
 FRACTION_FREE = {
-    "glue.py": {"_nondegenerate_flag", "_flag_images", "_next_image", "_eichler_reduce",
-                "_cancel_plane"},
+    "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
+                "_next_image", "_eichler_reduce", "_cancel_plane"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
     "padic.py": {"represent_scaled"},
 }
