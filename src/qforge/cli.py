@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -51,12 +50,11 @@ from .lattice import (
     gram_divisible_by,
     min_nonzero_abs,
     qvalue,
-    saturate,
     saturation_index,
     signature,
     span,
 )
-from .linalg import freeze, snf_invariant_factors
+from .linalg import freeze, rational_rank, saturation
 from .padic import invariant_triple, rationally_equivalent
 from .forge import SmallnessCertificate, check_certificate
 
@@ -272,12 +270,12 @@ def cmd_classify(args) -> dict:
 def cmd_saturate(args) -> dict:
     latt = _load_lattice(args.lattice)
     rows = jsonio.decode_matrix(read_json(args.basis, "--basis"))
-    sub = span(latt, rows)
-    sat = saturate(sub)
+    basis, index = saturation(span(latt, rows).basis)
+    sat = span(latt, basis)
     return {
         "basis": [encode_vector(v) for v in sat.basis],
         "gram": encode_matrix(sat.gram()),
-        "index": encode_int(saturation_index(sub)),
+        "index": encode_int(index),
     }
 
 
@@ -357,7 +355,9 @@ def verify_report(report: dict) -> list[str]:
                 failures.append("certificate does not verify")
             pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
             claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])
-            if math.prod(snf_invariant_factors(pair)) != claimed_index:
+            if rational_rank(pair) < 2:
+                failures.append("v1 and w are linearly dependent")
+            elif saturation(pair)[1] != claimed_index:
                 failures.append("saturation index of span(v1, w) misstated")
             oracle = report["oracle"]
             if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):

@@ -52,8 +52,8 @@ from .linalg import (
     lll_gram,
     mat_mul,
     mat_vec,
+    saturation,
     scale_to_integers,
-    snf_invariant_factors,
     solve,
     solve_scaled,
     transpose,
@@ -705,7 +705,7 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     lam_embed = _integral_coordinates(basis_mat, n1, n, offset=0)
     lp_embed = _integral_coordinates(basis_mat, n2, n, offset=n1)
     for embed in (lam_embed, lp_embed):
-        if any(f != 1 for f in snf_invariant_factors(embed)):
+        if saturation(embed)[1] != 1:
             raise InternalInconsistencyError("factor is not primitively embedded")
     return GlueData(
         lam=lam,
@@ -767,15 +767,19 @@ def _standard_inclusion(latt: QuadLattice, ambient_pos: int, ambient_rank: int):
 
 
 def _embedding_index(embedding) -> int:
-    """|H / (H ∩ L)| from the denominators of the embedding matrix."""
+    """d = |H / (H ∩ L)| for the n x k embedding matrix m / den of H = Z^k
+    into L = Z^n: H ∩ L is {x : m x = 0 mod den}, so with f_i the invariant
+    factors of m, d = prod den / gcd(den, f_i) = den^k / [Z^k : rows(m) +
+    den Z^k]. The Hermite form of m has rank k exactly when the embedding
+    is injective, and that index is the diagonal product of the Hermite
+    form of [H_m; den I_k]."""
     m, den = scale_to_integers(embedding)
-    factors = snf_invariant_factors(m)
-    if len(factors) != len(embedding[0]):
+    k = len(embedding[0])
+    h, rank = hermite_rows(m)
+    if rank != k:
         raise InternalInconsistencyError("embedding is not injective")
-    d = 1
-    for f in factors:
-        d *= den // math.gcd(den, f)
-    return d
+    h, _ = hermite_rows([*h, *([den * (i == j) for j in range(k)] for i in range(k))])
+    return den ** k // math.prod(h[i][i] for i in range(k))
 
 
 def _two_squares_embedding(p: int, count_neg: int, ambient: QuadLattice) -> Sublattice:
@@ -866,10 +870,10 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     s_lam = b2 // 2
     lam_sub = _two_squares_embedding(p, s_lam, ambient)
     raw = _intersect_with_image(embedding, b2, lam_sub, source)
-    sat_idx = saturation_index(raw)
+    sat_basis, sat_idx = saturation(raw.basis)
     if sat_idx > d:
         raise InternalInconsistencyError("saturation index exceeds the embedding index")
-    sat = saturate(raw)
+    sat = span(source, sat_basis)
     want_neg = s_lam - 3
     trimmed = _trim_to_signature(sat, want_neg)
     final_gram = trimmed.gram()

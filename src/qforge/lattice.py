@@ -15,13 +15,7 @@ from operator import mul
 from . import linalg
 from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import is_square
-from .linalg import (
-    hermite_rows,
-    left_kernel,
-    mat_mul,
-    smith_normal_form,
-    transpose,
-)
+from .linalg import left_kernel, mat_mul, smith_normal_form, transpose
 
 Vector = tuple[int, ...]
 
@@ -168,7 +162,7 @@ def gram_of(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
 # Signature via exact rational diagonalization
 
 
-def _diagonal_pivots(gram, order: list[int] | None = None, with_basis: bool = True):
+def _diagonal_pivots(gram, with_basis: bool = True):
     """Fraction-free congruent diagonalization of L * gram, L the common
     denominator of its entries (Bareiss: the Schur complement left by
     each pivot is kept scaled by the previous leading minor, so every
@@ -178,8 +172,8 @@ def _diagonal_pivots(gram, order: list[int] | None = None, with_basis: bool = Tr
     D_{k+1} of L * gram in the final basis, so diagonal entry k is
     D_{k+1} / (L D_k) with D_0 = 1; cols[k] = D_k b_k is basis vector k
     scaled to integers (None unless with_basis). The pivot is the first
-    nonzero diagonal entry in `order` (then position order) among the
-    remaining ones, else e_i + e_j for the first nonzero pairing b(e_i, e_j).
+    nonzero diagonal entry among the remaining ones, else e_i + e_j for the
+    first nonzero pairing b(e_i, e_j).
     """
     n = len(gram)
     den = math.lcm(*(x.denominator for row in gram for x in row))
@@ -188,11 +182,7 @@ def _diagonal_pivots(gram, order: list[int] | None = None, with_basis: bool = Tr
     minors: list[int] = []
     prev = 1
     for step in range(n):
-        candidates = list(range(step, n))
-        if order:
-            pref = [j for j in order if step <= j < n]
-            candidates = pref + [j for j in candidates if j not in pref]
-        piv = next((j for j in candidates if a[j][j]), None)
+        piv = next((j for j in range(step, n) if a[j][j]), None)
         if piv is None:
             # all diagonal entries vanish; borrow a nonzero pairing
             pair = next(((i, j) for i in range(step, n) for j in range(step, n)
@@ -226,14 +216,13 @@ def _diagonal_pivots(gram, order: list[int] | None = None, with_basis: bool = Tr
     return minors, cols, den
 
 
-def _symmetric_diagonalize(gram, order: list[int] | None = None):
+def _symmetric_diagonalize(gram):
     """Congruent diagonalization over Q.
 
     Returns (diag_entries, basis) with basis^T G basis == diag(entries)
-    exactly; `order` optionally biases pivot selection (used to exercise
-    independence of the result's invariants from the elimination order).
+    exactly.
     """
-    minors, cols, den = _diagonal_pivots(gram, order)
+    minors, cols, den = _diagonal_pivots(gram)
     prevs = [1] + minors[:-1]
     diag = [Fraction(m, den * d) for m, d in zip(minors, prevs)]
     basis = [[Fraction(c[i], d) for c, d in zip(cols, prevs)] for i in range(len(gram))]
@@ -258,31 +247,15 @@ def is_indefinite(latt: QuadLattice) -> bool:
 
 
 def saturate(sub: Sublattice) -> Sublattice:
-    """Smallest primitive sublattice containing sub: ambient ∩ Q-span.
-
-    With U B V = D the Smith form of the basis B, the rows of V^-1 span
-    Z^n and the first k of them span the saturation; since U B = D V^-1,
-    row i of those is row i of U B divided by the invariant factor d_i.
-    B is put in Hermite form first: the same lattice, with entries that
-    keep U small.
-    """
-    if not sub.basis:
-        return sub
-    b, _ = hermite_rows(sub.basis)
-    d, u, _ = smith_normal_form(b)
-    h, _ = hermite_rows([[x // d[i][i] for x in row] for i, row in enumerate(mat_mul(u, b))])
-    return Sublattice(sub.ambient, h)
+    """Smallest primitive sublattice containing sub: ambient ∩ Q-span, in
+    its Hermite basis (linalg.saturation)."""
+    return Sublattice(sub.ambient, linalg.saturation(sub.basis)[0])
 
 
 def saturation_index(sub: Sublattice) -> int:
-    """Order of saturate(sub)/sub, the product of invariant factors."""
-    if not sub.basis:
-        return 1
-    factors = linalg.snf_invariant_factors(sub.basis)
-    out = 1
-    for f in factors:
-        out *= f
-    return out
+    """Order of saturate(sub)/sub: the gcd of the maximal minors of the
+    basis, read off the Hermite form of its columns (linalg.saturation)."""
+    return linalg.saturation(sub.basis)[1]
 
 
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
@@ -326,13 +299,14 @@ class DiscriminantGroup:
 
 
 def discriminant_group(latt: QuadLattice) -> DiscriminantGroup:
+    """The dual quotient L^# / L with its torsion forms, from the Smith form
+    U G V = D: G^-1 U^-1 = V D^-1, so the dual generators G^-1 (U^-1 e_i)
+    are the columns of V divided by the invariant factors d_i > 1."""
     n = latt.rank
     det = latt.det()
     if det == 0:
         raise PreconditionError("degenerate lattice has no discriminant group")
-    # U G V = D gives G^-1 U^-1 = V D^-1: the dual generators G^-1 (U^-1 e_i)
-    # are the columns of V divided by the invariant factors
-    d, _, v = smith_normal_form(latt.gram)
+    d, v = smith_normal_form(latt.gram)
     orders = []
     gens = []
     for i in range(n):

@@ -216,113 +216,64 @@ def hermite_rows(mat) -> tuple[Matrix, int]:
     return h, len(h)
 
 
-def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
-    """(D, U, V) with U @ mat @ V == D, U, V unimodular, D diagonal with
-    d1 | d2 | ... nonnegative invariant factors."""
-    a = thaw(mat)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    u = thaw(identity(m))
-    v = thaw(identity(n))
+def saturation(mat) -> tuple[Matrix, int]:
+    """(S, index) for an integer matrix of full row rank k: S the Hermite
+    basis of Z^n ∩ Q-span(rows), index = [Z·S : Z·rows], the gcd of the
+    maximal minors.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    R, the Hermite form of the columns, is k x k upper triangular, and
+    mat = R^T S' with S' the first k columns of a unimodular matrix, so
+    S' spans the saturation; it follows from mat by exact forward
+    substitution, and the index is the product of R's diagonal.
+    """
+    k = len(mat)
+    r, rank = hermite_rows(transpose(mat))
+    if rank != k:
+        raise PreconditionError("rows are linearly dependent")
+    prim: list[list[int]] = []
+    for i, row in enumerate(mat):
+        acc = list(row)
+        for j in range(i):
+            c = r[j][i]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, prim[j])]
+        prim.append([x // r[i][i] for x in acc])
+    s, _ = hermite_rows(prim)
+    return s, math.prod(r[i][i] for i in range(k))
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+def smith_normal_form(mat) -> tuple[Matrix, Matrix]:
+    """(D, V) for a square nonsingular integer matrix: U @ mat @ V == D for
+    some unimodular U, V unimodular, D diagonal with positive d1 | d2 | ...
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def combine_rows(i, j, x, y, z, w):
-        # rows (i, j) <- (x*i + y*j, z*i + w*j); x*w - y*z == ±1
-        a[i], a[j] = (
-            [x * p + y * q for p, q in zip(a[i], a[j])],
-            [z * p + w * q for p, q in zip(a[i], a[j])],
-        )
-        u[i], u[j] = (
-            [x * p + y * q for p, q in zip(u[i], u[j])],
-            [z * p + w * q for p, q in zip(u[i], u[j])],
-        )
-
-    def combine_cols(i, j, x, y, z, w):
-        for row in a:
-            row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-        for row in v:
-            row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t] == 0:
-                    continue
-                if a[i][t] % a[t][t] == 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                else:
-                    x, y, g = xgcd(a[t][t], a[i][t])
-                    combine_rows(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            for j in range(t + 1, n):
-                if a[t][j] == 0:
-                    continue
-                if a[t][j] % a[t][t] == 0:
-                    c = -(a[t][j] // a[t][t])
-                    for row in a:
-                        row[j] += c * row[t]
-                    for row in v:
-                        row[j] += c * row[t]
-                else:
-                    x, y, g = xgcd(a[t][t], a[t][j])
-                    combine_cols(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
-            if any(a[i][t] for i in range(t + 1, m)) or any(
-                a[t][j] for j in range(t + 1, n)
-            ):
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+    Row Hermite forms of a alternate with Hermite forms of [a^T | V^T],
+    the column operations, until a is diagonal; where d_i does not divide
+    d_j, column j is added to column i and the alternation resumes
+    (Kannan-Bachem). Each such step takes d_i to a proper divisor.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise PreconditionError("Smith form needs a square matrix")
+    a = mat
+    vt = thaw(identity(n))  # V^T
+    while True:
+        a, rank = hermite_rows(a)
+        if rank != n:
+            raise PreconditionError("Smith form needs a nonsingular matrix")
+        if not any(a[i][j] for i in range(n) for j in range(i + 1, n)):
+            bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                        if a[j][j] % a[i][i]), None)
             if bad is None:
                 break
-            add_row(t, bad, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return freeze(a), freeze(u), freeze(v)
-
-
-def snf_invariant_factors(mat) -> list[int]:
-    """The nonzero invariant factors of an integer matrix. Row operations
-    keep them, so they are read from the Smith form of the row Hermite
-    form, which has only rank-many rows and is triangular (Cohen, GTM 138,
-    sec. 2.4)."""
-    h, _ = hermite_rows(mat)
-    d, _, _ = smith_normal_form(h)
-    return [d[i][i] for i in range(len(d)) if d[i][i] != 0]
+            i, j = bad
+            a = thaw(a)
+            a[j][i] = a[j][j]
+            vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+            continue
+        h, _ = hermite_rows([list(col) + row for col, row in zip(zip(*a), vt)])
+        vt = [list(row[n:]) for row in h]
+        a = transpose([row[:n] for row in h])
+    return a, transpose(vt)
 
 
 def left_kernel(mat) -> Matrix:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -123,20 +122,12 @@ def is_local_square(x: Fraction | int, place: Place) -> bool:
 # Diagonalization and the invariant triple
 
 
-def rational_diagonalize(
-    gram, rng: random.Random | None = None
-) -> tuple[list[Fraction], tuple]:
+def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:
     """Diagonal entries and basis of a congruent diagonal form over Q.
 
-    basis^T G basis == diag(entries) exactly. With `rng`, the pivot
-    preference order is shuffled; the resulting invariants must not change.
+    basis^T G basis == diag(entries) exactly.
     """
-    n = len(gram)
-    order = None
-    if rng is not None:
-        order = list(range(n))
-        rng.shuffle(order)
-    return _symmetric_diagonalize(gram, order=order)
+    return _symmetric_diagonalize(gram)
 
 
 @dataclass(frozen=True)
@@ -152,11 +143,11 @@ class InvariantTriple:
         return self.signature[0] + self.signature[1]
 
 
-def _diag_of(form, rng=None) -> list[Fraction]:
+def _diag_of(form) -> list[Fraction]:
     if isinstance(form, QuadLattice):
-        diag, _ = rational_diagonalize(form.gram, rng=rng)
+        diag, _ = rational_diagonalize(form.gram)
     elif form and isinstance(form[0], (list, tuple)):
-        diag, _ = rational_diagonalize(form, rng=rng)
+        diag, _ = rational_diagonalize(form)
     else:
         diag = [Fraction(x) for x in form]
     if any(d == 0 for d in diag):
@@ -164,9 +155,9 @@ def _diag_of(form, rng=None) -> list[Fraction]:
     return list(diag)
 
 
-def invariant_triple(form, rng: random.Random | None = None) -> InvariantTriple:
+def invariant_triple(form) -> InvariantTriple:
     """form: QuadLattice, Gram matrix, or a diagonal list of rationals."""
-    diag = _diag_of(form, rng=rng)
+    diag = _diag_of(form)
     pos = sum(1 for d in diag if d > 0)
     neg = len(diag) - pos
     primes: set = {2}
@@ -379,17 +370,16 @@ def _admitted_classes(h: list[int], g: list[int]) -> tuple[list, dict]:
                     for v in places}
 
 
-def _admitted_values(places, admitted, stop: int | None = None):
-    """The t = 1, -1, 2, -2, ..., in that order and with |t| below stop if
-    given, whose square class at each place is admitted. From _SIEVE_START
-    on, blocks are sieved: the class at 2 depends only on t mod 16, and at
-    an odd p not dividing t only on t mod p, so those places give periodic
-    masks; the classes at larger places, and at a sieved p dividing t, are
-    then checked one by one."""
+def _admitted_values(places, admitted):
+    """The t = 1, -1, 2, -2, ..., in that order, whose square class at each
+    place is admitted. From _SIEVE_START on, blocks are sieved: the class at
+    2 depends only on t mod 16, and at an odd p not dividing t only on t mod
+    p, so those places give periodic masks; the classes at larger places,
+    and at a sieved p dividing t, are then checked one by one."""
     def fits(t, where):
         return all(_square_class(t, v) in admitted[v] for v in where)
 
-    for k in range(1, _SIEVE_START if stop is None else min(stop, _SIEVE_START)):
+    for k in range(1, _SIEVE_START):
         yield from (t for t in (k, -k) if fits(t, places))
     masks = []
     for v in places:
@@ -410,7 +400,7 @@ def _admitted_values(places, admitted, stop: int | None = None):
     signs = [_square_class(sign, INF) in admitted[INF] for sign in (1, -1)]
     size = _SIEVE_BLOCK
     start = _SIEVE_START
-    while stop is None or start < stop:
+    while True:
         merged = bytearray(2 * size)  # 2i: start + i, 2i + 1: -(start + i)
         for half, wanted in enumerate(signs):
             if not wanted:
@@ -423,8 +413,6 @@ def _admitted_values(places, admitted, stop: int | None = None):
         i = merged.find(1)
         while i >= 0:
             t = -(start + i // 2) if i % 2 else start + i // 2
-            if stop is not None and abs(t) >= stop:
-                return
             if fits(t, rest) and fits(t, [p for p in odd if t % p == 0]):
                 yield t
             i = merged.find(1, i + 1)

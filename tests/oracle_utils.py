@@ -409,25 +409,48 @@ def common_value_scan(h: list[int], g: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The former rational-arithmetic versions of saturation and of the congruent
-# diagonalization, kept as references for their fraction-free replacements
+# The definition of the saturation, and the former rational-arithmetic
+# version of the congruent diagonalization, as references for the
+# fraction-free kernels
 
 
-def saturate_via_v_inverse(basis) -> tuple:
-    """Hermite basis of the saturation of the row span of `basis`: with
-    U B V = D its Smith form, the first k rows of V^-1, in Hermite form."""
-    from qforge.linalg import hermite_rows, invert_unimodular, smith_normal_form
+def saturation_failures(basis, sat) -> list[str]:
+    """The ways in which `sat` fails to be the Hermite basis of the
+    saturation Z^n ∩ Q-span of the independent rows `basis`: sat must be in
+    Hermite form (pivots positive and strictly to the right of the previous
+    ones, entries above a pivot in [0, pivot)), hold as many rows as basis,
+    contain every basis row as an integer combination of its rows (so the
+    Q-spans agree), and have maximal minors with gcd 1."""
+    failures = []
+    pivots = []
+    for row in sat:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or c <= (pivots[-1] if pivots else -1) or row[c] < 0:
+            return ["not in Hermite form"]
+        pivots.append(c)
+    if any(not 0 <= sat[i][c] < sat[k][c] for k, c in enumerate(pivots) for i in range(k)):
+        failures.append("entries above a pivot not reduced")
+    if len(sat) != len(basis):
+        failures.append("rank differs")
+    for b in basis:
+        x = []
+        for row, c in zip(sat, pivots):
+            x.append(Fraction(b[c] - sum(xi * r[c] for xi, r in zip(x, sat)), row[c]))
+        comb = [sum(xi * r[j] for xi, r in zip(x, sat)) for j in range(len(b))]
+        if comb != list(b) or any(xi.denominator != 1 for xi in x):
+            failures.append(f"{list(b)} is not in the integer span")
+    k = len(sat)
+    minors = (int(_det_fractions([[row[j] for j in cs] for row in sat]))
+              for cs in itertools.combinations(range(len(sat[0]) if sat else 0), k))
+    if math.gcd(*minors) != 1:
+        failures.append("maximal minors have a common factor")
+    return failures
 
-    _, _, v = smith_normal_form(basis)
-    h, _ = hermite_rows(invert_unimodular(v)[:len(basis)])
-    return h
 
-
-def symmetric_diagonalize_fractions(gram, order: list[int] | None = None):
+def symmetric_diagonalize_fractions(gram):
     """(diag, basis) with basis^T G basis = diag(entries), by elimination on
-    a Fraction copy of the Gram: pivot on the first nonzero diagonal entry
-    in `order` (then position order), else on e_i + e_j for the first
-    nonzero pairing."""
+    a Fraction copy of the Gram: pivot on the first nonzero diagonal entry,
+    else on e_i + e_j for the first nonzero pairing."""
     n = len(gram)
     m = [[Fraction(x) for x in row] for row in gram]
     basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -449,11 +472,7 @@ def symmetric_diagonalize_fractions(gram, order: list[int] | None = None):
 
     diag = []
     for step in range(n):
-        candidates = list(range(step, n))
-        if order:
-            pref = [j for j in order if step <= j < n]
-            candidates = pref + [j for j in candidates if j not in pref]
-        piv = next((j for j in candidates if m[j][j] != 0), None)
+        piv = next((j for j in range(step, n) if m[j][j] != 0), None)
         if piv is None:
             pair = next(((i, j) for i in range(step, n) for j in range(step, n)
                          if i != j and m[i][j] != 0), None)
@@ -505,6 +524,17 @@ def nondegenerate_flag_fractions(gram) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # Pairwise definitions that the kernels of qforge shortcut
+
+
+def signed_permutation_conjugate(gram, rng):
+    """P G P^T for a signed permutation matrix P drawn from rng: the same
+    lattice in a reordered, re-signed basis."""
+    n = len(gram)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return [[signs[i] * signs[j] * gram[perm[i]][perm[j]] for j in range(n)]
+            for i in range(n)]
 
 
 def hasse_pairwise(diag, place) -> int:

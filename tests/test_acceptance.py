@@ -12,6 +12,7 @@ from oracle_utils import (
     has_root_outside_unit_interval,
     local_solvable,
     matrix_order,
+    signed_permutation_conjugate,
 )
 from qforge.catalog import resolve
 from qforge.cli import main as cli_main
@@ -38,6 +39,7 @@ from qforge.lattice import (
     rescale,
     saturation_index,
     signature,
+    span,
 )
 from qforge.linalg import (
     char_poly,
@@ -48,7 +50,6 @@ from qforge.linalg import (
     mat_mul,
     mat_pow,
     mat_sub,
-    snf_invariant_factors,
     transpose,
 )
 from qforge.padic import hilbert_symbol, invariant_triple, symbol_support
@@ -115,8 +116,9 @@ def test_c03_diagonalization_invariance():
         latt = _random_nondegenerate(rng)
         base = invariant_triple(latt)
         for seed in (3 * i + 1, 3 * i + 2, 3 * i + 3):
-            assert invariant_triple(latt, rng=random.Random(seed)) == base
-    _report(3, "invariant triple stable across randomized eliminations, 100 lattices x 3")
+            conjugate = signed_permutation_conjugate(latt.gram, random.Random(seed))
+            assert invariant_triple(conjugate) == base
+    _report(3, "invariant triple stable under signed permutations, 100 lattices x 3")
 
 
 def test_c04_rank2_theorem_reproduction():
@@ -197,7 +199,7 @@ def test_c08_gluing_soundness():
             assert abs(det_bareiss(over.gram)) == 1
             assert signature(over) == target
             assert not over.is_even()
-            assert all(f == 1 for f in snf_invariant_factors(gd.lam_embedding))
+            assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
             n1 = gd.lam.rank
             for vec in gd.glue_vectors:
                 qv = sum(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge import cli
 from qforge.catalog import resolve
 from qforge.cli import build_parser, main, verify_report
 from qforge.errors import PreconditionError
@@ -358,6 +359,26 @@ def test_verify_report_rechecks_saturation_index(capsys):
     assert verify_report(obj) == []
     obj["sublattice"]["saturation_index_of_span"] = 2
     assert verify_report(obj) == ["saturation index of span(v1, w) misstated"]
+
+
+@pytest.mark.parametrize("w", ["v1", "zero"])
+def test_verify_rejects_dependent_v1_and_w(monkeypatch, capsys, w):
+    """A K3 report whose w is v1, or the zero vector: --verify lists the
+    dependence and the run exits 4, where reading an index off the
+    dependent rows would end in a PreconditionError (exit 2)."""
+    run, flags = cli._COMMANDS["hyperbolic"]
+
+    def tampered(args):
+        report = run(args)
+        sub = report["sublattice"]
+        sub["w"] = list(sub["v1"]) if w == "v1" else [0] * len(sub["v1"])
+        return report
+
+    monkeypatch.setitem(cli._COMMANDS, "hyperbolic", (tampered, flags))
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "2",
+                               "--verify"])
+    assert rc == 4 and obj["verified"] is False
+    assert obj["verification_failures"] == ["v1 and w are linearly dependent"]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import signal
 from fractions import Fraction
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import nondegenerate_flag_fractions
+from oracle_utils import invariant_factors_by_minors, nondegenerate_flag_fractions
 from qforge.catalog import resolve
-from qforge.errors import PreconditionError
+from qforge.errors import InternalInconsistencyError, PreconditionError
 from qforge.glue import (
     _cancel_plane,
+    _embedding_index,
     _nondegenerate_flag,
     _target_options,
     build_scaled_lattice,
@@ -37,7 +39,7 @@ from qforge.linalg import (
     freeze,
     left_kernel,
     mat_mul,
-    snf_invariant_factors,
+    rational_rank,
     transpose,
 )
 
@@ -296,13 +298,32 @@ def test_build_scaled_lattice():
     assert all(v == 0 for v in values)
 
 
+@given(st.integers(1, 4), st.integers(0, 2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_embedding_index_matches_invariant_factors(k, extra, data):
+    """On rational n x k matrices m / den: d = prod den / gcd(den, f_i),
+    f_i the invariant factors of m (the oracle's own minors); a matrix of
+    lower column rank is refused."""
+    n = k + extra
+    entry = st.fractions(-6, 6, max_denominator=data.draw(st.sampled_from((1, 2, 4, 6))))
+    mat = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    m = [[int(x * den) for x in row] for row in mat]
+    if rational_rank(m) < k:
+        with pytest.raises(InternalInconsistencyError, match="not injective"):
+            _embedding_index(mat)
+        return
+    factors = invariant_factors_by_minors(m)
+    assert _embedding_index(mat) == math.prod(den // math.gcd(den, f) for f in factors)
+
+
 def test_nikulin_glue_balanced():
     gd = nikulin_glue(rescale(diag_lattice(1, -1), 5), (3, 3))
     over = gd.overlattice
     assert abs(det_bareiss(over.gram)) == 1
     assert signature(over) == (3, 3)
     assert not over.is_even()
-    assert all(f == 1 for f in snf_invariant_factors(gd.lam_embedding))
+    assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
 
 
 def test_nikulin_glue_unimodular_input():
@@ -365,8 +386,8 @@ def test_glue_family(p, rank):
     assert abs(det_bareiss(over.gram)) == 1
     assert signature(over) == target
     assert not over.is_even()
-    assert all(f == 1 for f in snf_invariant_factors(gd.lam_embedding))
-    assert all(f == 1 for f in snf_invariant_factors(gd.lam_prime_embedding))
+    assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
+    assert saturation_index(span(gd.overlattice, gd.lam_prime_embedding)) == 1
 
 
 def test_embed_pipeline_desk_run():

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     all_values_divisible_by,
+    invariant_factors_by_minors,
     iter_search_vectors,
     pairing_pairwise,
-    saturate_via_v_inverse,
+    saturation_failures,
     symmetric_diagonalize_fractions,
 )
 from qforge.catalog import resolve
@@ -288,6 +289,29 @@ def test_discriminant_size_matches_det():
         assert discriminant_group(latt).size == abs(latt.det())
 
 
+@given(st.integers(1, 5), st.sampled_from((1, 2, 3, 6)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_discriminant_group_orders_and_generators(n, scale, data):
+    """On nonsingular symmetric Grams (scaled, so that the group is often
+    large): the orders are the invariant factors above 1, and every
+    generator g lies in the dual (G g integral) with order * g integral."""
+    upper = data.draw(st.lists(st.integers(-9, 9), min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    it = iter(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = scale * next(it)
+    latt = QuadLattice(tuple(map(tuple, rows)))
+    assume(latt.det() != 0)
+    dg = discriminant_group(latt)
+    assert list(dg.orders) == [f for f in invariant_factors_by_minors(rows) if f > 1]
+    assert dg.size == abs(latt.det())
+    for order, g in zip(dg.orders, dg.generators):
+        assert all(sum(x * y for x, y in zip(row, g)).denominator == 1 for row in rows)
+        assert all((order * x).denominator == 1 for x in g)
+
+
 def test_dimension_mismatch_errors():
     with pytest.raises(PreconditionError, match="vector length != lattice rank"):
         qvalue(U, (1, 0, 0))
@@ -334,9 +358,9 @@ def _independent_basis(draw):
 @settings(max_examples=150, deadline=None)
 @example([[2, 4, 6], [0, 3, 9]])
 @example([[10**6, -10**6], [3, -3 * 10**5]])
-def test_saturate_matches_v_inverse_reference(rows):
+def test_saturate_meets_its_definition(rows):
     latt = diag_lattice(*([1] * len(rows[0])))
-    assert saturate(span(latt, rows)).basis == saturate_via_v_inverse(rows)
+    assert saturation_failures(rows, saturate(span(latt, rows)).basis) == []
 
 
 @st.composite
@@ -349,8 +373,8 @@ def _symmetric_matrix(draw):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = next(it)
-    order = draw(st.one_of(st.none(), st.permutations(range(n))))
-    return rows, order
+    perm = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return rows, perm
 
 
 @given(_symmetric_matrix())
@@ -359,15 +383,18 @@ def _symmetric_matrix(draw):
 @example(([[0, 0, 1], [0, 0, 2], [1, 2, 0]], [2, 0, 1]))
 def test_symmetric_diagonalize_matches_fraction_reference(case):
     """Same diagonal, same basis and same signature as elimination on a
-    Fraction copy, or degenerate for both."""
-    gram, order = case
+    Fraction copy, or degenerate for both; the Gram is conjugated by the
+    drawn permutation P, P G P^T, which changes the elimination order."""
+    rows, perm = case
+    perm = perm or range(len(rows))
+    gram = [[rows[i][j] for j in perm] for i in perm]
     try:
-        want = symmetric_diagonalize_fractions(gram, order)
+        want = symmetric_diagonalize_fractions(gram)
     except ValueError:
         with pytest.raises(PreconditionError, match="degenerate"):
-            _symmetric_diagonalize(gram, order)
+            _symmetric_diagonalize(gram)
         return
-    assert _symmetric_diagonalize(gram, order) == want
+    assert _symmetric_diagonalize(gram) == want
     pos = sum(1 for d in want[0] if d > 0)
     assert signature(from_rows(gram)) == (pos, len(gram) - pos)
 

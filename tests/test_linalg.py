@@ -1,4 +1,5 @@
 """The elimination routines of qforge.linalg against sympy's exact matrices."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from qforge.linalg import (
     det_bareiss,
     identity,
     invert_unimodular,
+    mat_mul,
     rational_rank,
+    saturation,
     smith_normal_form,
-    snf_invariant_factors,
     solve,
     solve_scaled,
 )
@@ -130,10 +132,34 @@ def test_empty_and_non_unimodular_inputs():
 
 @given(matrices(kinds=(INTS, st.integers(-60, 60))))
 @settings(max_examples=150, deadline=None)
-def test_snf_invariant_factors_is_the_smith_diagonal(mat):
-    """Wide, tall and rank-deficient integer matrices: the factors read from
-    the Hermite form are the nonzero Smith diagonal of the matrix itself,
-    and the quotients of the gcds of its minors."""
-    d, _, _ = smith_normal_form(mat)
-    diagonal = [d[i][i] for i in range(min(len(mat), len(mat[0]))) if d[i][i]]
-    assert snf_invariant_factors(mat) == diagonal == invariant_factors_by_minors(mat)
+def test_saturation_index_is_the_product_of_invariant_factors(mat):
+    """Wide, tall and rank-deficient integer matrices: for independent rows
+    the index is the gcd of the maximal minors, the product of the
+    invariant factors; dependent rows are refused."""
+    if rational_rank(mat) < len(mat):
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            saturation(mat)
+        return
+    _, index = saturation(mat)
+    assert index == math.prod(invariant_factors_by_minors(mat))
+
+
+@given(matrices(square=True, kinds=(INTS, st.integers(-60, 60))))
+@settings(max_examples=150, deadline=None)
+def test_smith_form_diagonal_and_transform(mat):
+    """D is the diagonal of the invariant factors, V is unimodular, and
+    mat V = U^-1 D with U^-1 = (mat V) D^-1 an integer matrix of
+    determinant +-1; a singular matrix is refused."""
+    n = len(mat)
+    if det_bareiss(mat) == 0:
+        with pytest.raises(PreconditionError, match="nonsingular"):
+            smith_normal_form(mat)
+        return
+    d, v = smith_normal_form(mat)
+    diagonal = [d[i][i] for i in range(n)]
+    assert diagonal == invariant_factors_by_minors(mat)
+    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    assert det_bareiss(v) in (1, -1)
+    mv = mat_mul(mat, v)
+    assert all(x % f == 0 for row in mv for x, f in zip(row, diagonal))
+    assert det_bareiss([[x // f for x, f in zip(row, diagonal)] for row in mv]) in (1, -1)

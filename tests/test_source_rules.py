@@ -141,6 +141,7 @@ FRACTION_FREE = {
     "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
                 "_next_image", "_eichler_reduce", "_cancel_plane"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
+    "linalg.py": {"saturation"},
     "padic.py": {"represent_scaled"},
 }
 
@@ -160,15 +161,16 @@ def _names(node) -> set:
 def test_witness_and_saturation_stay_fraction_free():
     """No Fraction on the hot path of explicit_rational_isometry (the
     functions making the flag and the images, and moving them back from
-    G2 + U), of the congruent diagonalization or of saturate; saturate does
-    not invert the Smith V."""
+    G2 + U), of the congruent diagonalization or of the saturation; the
+    saturation neither takes a Smith form nor inverts a matrix."""
     checked = {name: {fn.name: fn for fn in _functions(name) if fn.name in wanted}
                for name, wanted in FRACTION_FREE.items()}
     assert {name: set(fns) for name, fns in checked.items()} == FRACTION_FREE
     found = [f"{name}:{where}" for name, fns in checked.items() for where, node in fns.items()
              if "Fraction" in _names(node)]
-    if "invert_unimodular" in _names(checked["lattice.py"]["saturate"]):
-        found.append("lattice.py:saturate inverts V")
+    for name, where in (("lattice.py", "saturate"), ("linalg.py", "saturation")):
+        calls = _names(checked[name][where]) & {"invert_unimodular", "smith_normal_form"}
+        found += [f"{name}:{where} calls {call}" for call in sorted(calls)]
     assert not found, found
 
 
