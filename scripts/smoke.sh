@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Smoke runs of the demos and the command line against one install of qforge.
+#
+# usage: scripts/smoke.sh PYTHON QFORGE
+#   PYTHON  the interpreter of the install (runs the demos and the JSON checks)
+#   QFORGE  its qforge command
+# Run from the root of the repository.
+set -euo pipefail
+
+py=$1
+qforge=$2
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
+  "$py" -c "import json, sys; o = json.load(sys.stdin); assert $1, o"
+}
+
+"$py" scripts/run_parabolic_demo.py
+"$py" scripts/run_hyperbolic_demo.py
+"$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify
+"$qforge" parabolic --lattice "catalog:U+U+U+E8(-1)" --n-bound 3 --verify
+timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
+"$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify
+"$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 --verify
+# a certificate with n = 10^12 is rejected at once, exit 0
+echo '{"p": 5, "alpha": [30, -10], "beta": [6, -2], "n": [1000000000000, 0]}' > "$tmp/huge-n.json"
+timeout 10 "$qforge" certify --certificate "$tmp/huge-n.json" --n-bound 4 | check 'o["valid"] is False'
+# a flag the command does not read exits 2
+rc=0; "$qforge" invariants --lattice catalog:U --verify || rc=$?
+test "$rc" -eq 2
+# saturation of [[2, 4, 6], [0, 3, 9]]: index 6 and its Hermite basis
+echo '[[2, 4, 6], [0, 3, 9]]' > "$tmp/basis.json"
+"$qforge" saturate --lattice "catalog:diag(1,1,1)" --basis "$tmp/basis.json" \
+  | check 'o["index"] == 6 and o["basis"] == [[1, 0, -3], [0, 1, 3]]'
+"$qforge" glue --lattice "catalog:diag(5,-5)" --target-signature 3,3 \
+  | check 'o["overlattice_det"] == -1'
+# a partner with a +-1 filler block beside the scaled entries
+"$qforge" glue --lattice "catalog:diag(13,-13,-1)" --target-signature 4,4 \
+  | check 'o["overlattice_det"] == 1 and o["lambda_embedding"][0] == [13, 0, 0, -5, 0, 0, 0, 0]'

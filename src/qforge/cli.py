@@ -26,7 +26,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__, catalog, forge, glue, isom, jsonio
 from .errors import PreconditionError, QforgeError
@@ -215,7 +214,7 @@ def cmd_parabolic(args) -> dict:
         "certificate_level": False,
     }
     out["embedding"] = {
-        "matrix": encode_fraction_matrix(rep.embedding),
+        "matrix": encode_fraction_matrix(rep.embedding, rep.embedding_den),
         "index_d": encode_int(rep.index_d),
         "d_squared_n": encode_int(rep.index_d**2 * args.n_bound),
         "prime": rep.prime,
@@ -374,8 +373,7 @@ def verify_report(report: dict) -> list[str]:
             d = jsonio.decode_int(emb["index_d"])
             if not is_prime(prime) or prime <= d * d * n_bound:
                 failures.append("P is not a prime above d^2 N")
-            matrix = [[Fraction(x) for x in row] for row in emb["matrix"]]
-            if glue._embedding_index(matrix) != d:
+            if glue._embedding_index(*jsonio.decode_fraction_matrix(emb["matrix"])) != d:
                 failures.append("index d does not match the embedding matrix")
             want = [1, report["input"]["rank"] // 2 - 3]
             if list(signature(latt)) != want or sub["signature"] != want:

@@ -26,12 +26,13 @@ from .lattice import (
     orthogonal_complement,
     pairing,
     qvalue,
+    rational_diagonalize,
     saturate,
     signature,
     span,
 )
 from .linalg import bilinear, freeze, identity, lll_gram, mat_mul, mat_vec, transpose
-from .padic import isotropic_vector, legendre, rational_diagonalize
+from .padic import isotropic_vector, legendre
 
 
 @dataclass(frozen=True)
@@ -111,22 +112,19 @@ def find_isotropic_pair(latt: QuadLattice) -> tuple[Vector, Vector]:
     return v, tuple(x // math.gcd(*vp) for x in vp)
 
 
-def find_w_odd_valuation(
-    comp: Sublattice, p: int, want_negative: bool = True
-) -> tuple[Vector, int]:
+def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     """(w, beta) with w primitive in comp, q(w) = beta * p and p ∤ beta.
 
-    w is in comp's coordinates; q(w) < 0 if want_negative, else q(w) > 0,
-    unless comp has no vector of that sign. If no basis vector qualifies,
-    p must be odd with p ∤ det(comp), and PreconditionError then means
-    comp is anisotropic mod p, so that no such w exists.
+    w is in comp's coordinates; q(w) < 0, or q(w) > 0 when comp has no
+    negative vector. If no basis vector qualifies, p must be odd with
+    p ∤ det(comp), and PreconditionError then means comp is anisotropic
+    mod p, so that no such w exists.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     latt = comp.as_lattice()
     diag, diag_basis = rational_diagonalize(latt.gram)
-    if all((d < 0) != want_negative for d in diag):
-        want_negative = not want_negative
+    want_negative = any(d < 0 for d in diag)
 
     def sign_ok(value) -> bool:
         return value != 0 and (value < 0) == want_negative
@@ -217,9 +215,7 @@ def find_rank2_avoiding(
     """
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
-    if latt.det() == 0:
-        raise PreconditionError("ambient lattice is degenerate")
-    if not is_indefinite(latt):
+    if not is_indefinite(latt):  # raises PreconditionError on a degenerate form
         raise PreconditionError("ambient lattice must be indefinite")
     if n_bound < 0:
         raise PreconditionError("bound must be >= 0")
@@ -246,7 +242,7 @@ def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False)
     obstruction = 2 * g * comp.as_lattice().det()
     p = next(p for p in primes_from(max(n_bound + 1, 3)) if obstruction % p)
     # q(w) < 0 whenever comp allows it, so that q(v1) > 0
-    w_coords, beta2 = find_w_odd_valuation(comp, p, want_negative=True)
+    w_coords, beta2 = find_w_odd_valuation(comp, p)
     # beta1 = ±2|g| k has the sign opposite to beta2; as k runs over 1..p-1,
     # -beta1/beta2 runs over every nonzero residue, so some k gives a non-residue
     unit = -2 * abs(g) if beta2 > 0 else 2 * abs(g)

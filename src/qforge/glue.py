@@ -29,6 +29,7 @@ from .intmath import (
 from .lattice import (
     QuadLattice,
     Sublattice,
+    _diagonal_pivots,
     diag_lattice,
     direct_sum,
     gram_apply,
@@ -36,6 +37,7 @@ from .lattice import (
     gram_of,
     pairing,
     qvalue,
+    rational_diagonalize,
     rescale,
     saturate,
     saturation_index,
@@ -53,8 +55,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     saturation,
-    scale_to_integers,
-    solve,
     solve_scaled,
     transpose,
 )
@@ -68,7 +68,6 @@ from .padic import (
     invariant_triple,
     is_local_square,
     isotropic_or_obstruction,
-    rational_diagonalize,
     rationally_equivalent,
     represent_scaled,
     solve_prescribed_hilbert,
@@ -167,8 +166,9 @@ def extend_to_standard(
 # Explicit rational isometry witnesses
 
 
-def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational T with T^T G2 T == G1, built one basis vector at a time.
+def explicit_rational_isometry(g1, g2) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, d) with T = M / d a rational T with T^T G2 T == G1, M integral and
+    d > 0, built one basis vector at a time.
 
     The basis of G1 is first changed unimodularly so that no leading minor
     vanishes; then each basis vector gets an image with the prescribed
@@ -181,7 +181,7 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     construction allows: their denominators make up the embedding index d,
     and Eichler transformations keep their entries small (_eichler_reduce)
     on both routes below. Everything is carried as integer vectors over a
-    common denominator; T is the only rational.
+    common denominator.
 
     A step whose complement is anisotropic has to represent its value
     there, and the representation's denominator enters every later
@@ -208,7 +208,7 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[Fraction, ...], ...]:
     dt = mat_mul(dm, transpose(invert_unimodular(u)))
     if gram_of(QuadLattice(g2), transpose(dt)) != freeze([[d * d * x for x in row] for row in g1]):
         raise InternalInconsistencyError("witness fails the exact congruence")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in dt)
+    return dt, d
 
 
 def _flag_images(ambient: QuadLattice, h, represent_up_to: int | None):
@@ -679,18 +679,16 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
         if qsum % 2 != 0:
             raise InternalInconsistencyError("glue generator is not isotropic mod 2Z")
 
+    # the overlattice basis is h / scale
     scale = p if pairs else 1
-    gen_rows = [[scale * int(i == j) for j in range(n)] for i in range(n)]
-    for row in glue_rows:
-        gen_rows.append([x for x in row])
-    h, rank = hermite_rows(gen_rows)
+    h, rank = hermite_rows([[scale * int(i == j) for j in range(n)] for i in range(n)]
+                           + glue_rows)
     if rank != n:
         raise InternalInconsistencyError("overlattice generators do not span")
-    basis = [[Fraction(x, scale) for x in row] for row in h]
-    gram_o = gram_of(total, basis)
-    if any(x.denominator != 1 for row in gram_o for x in row):
+    gram_o = gram_of(total, h)
+    if any(x % (scale * scale) for row in gram_o for x in row):
         raise InternalInconsistencyError("overlattice is not integral")
-    over = QuadLattice(freeze([[int(x) for x in row] for row in gram_o]),
+    over = QuadLattice(freeze([[x // (scale * scale) for x in row] for row in gram_o]),
                        label="glued overlattice")
 
     if abs(det_bareiss(over.gram)) != 1:
@@ -701,9 +699,14 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     if signature(over) != (sig_l[0] + sig_lp[0], sig_l[1] + sig_lp[1]):
         raise InternalInconsistencyError("signature is not additive")
 
-    basis_mat = freeze(basis)
-    lam_embed = _integral_coordinates(basis_mat, n1, n, offset=0)
-    lp_embed = _integral_coordinates(basis_mat, n2, n, offset=n1)
+    # the coordinates X of the factors' basis vectors: X h / scale = I, so
+    # h^T X^T = scale I, solved as h^T Y = D scale I with X^T = Y / D
+    y, den = solve_scaled(transpose(h), [[scale * int(i == j) for j in range(n)]
+                                         for i in range(n)])
+    if any(x % den for row in y for x in row):
+        raise InternalInconsistencyError("factor does not sit inside the overlattice")
+    coords = freeze([x // den for x in col] for col in zip(*y))
+    lam_embed, lp_embed = coords[:n1], coords[n1:]
     for embed in (lam_embed, lp_embed):
         if saturation(embed)[1] != 1:
             raise InternalInconsistencyError("factor is not primitively embedded")
@@ -718,18 +721,6 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     )
 
 
-def _integral_coordinates(basis_mat, count, n, offset):
-    rows = []
-    bt = transpose(basis_mat)
-    for i in range(count):
-        e = tuple(Fraction(int(j == offset + i)) for j in range(n))
-        x = solve(bt, e)
-        if x is None or any(f.denominator != 1 for f in x):
-            raise InternalInconsistencyError("factor does not sit inside the overlattice")
-        rows.append(tuple(int(f) for f in x))
-    return freeze(rows)
-
-
 # ---------------------------------------------------------------------------
 # The embedding pipeline
 
@@ -739,7 +730,9 @@ class EmbeddingReport:
     source: QuadLattice
     ambient: QuadLattice  # standard integral lattice
     extension: ExtensionResult
-    embedding: tuple[tuple[Fraction, ...], ...]  # source basis -> ambient coords
+    # source basis -> ambient coords: the rational matrix embedding / embedding_den
+    embedding: tuple[tuple[int, ...], ...]
+    embedding_den: int
     index_d: int
     prime: int
     lambda_in_source: Sublattice
@@ -756,25 +749,26 @@ def _is_standard_diagonal(latt: QuadLattice) -> bool:
 
 
 def _standard_inclusion(latt: QuadLattice, ambient_pos: int, ambient_rank: int):
-    """Signature-sorted coordinate inclusion for a +-1 diagonal lattice."""
+    """Signature-sorted coordinate inclusion for a +-1 diagonal lattice, an
+    integer matrix (over the denominator 1)."""
     pos_slots = iter(range(ambient_pos))
     neg_slots = iter(range(ambient_pos, ambient_rank))
     cols = []
     for i in range(latt.rank):
         slot = next(pos_slots) if latt.gram[i][i] > 0 else next(neg_slots)
-        cols.append(tuple(Fraction(int(r == slot)) for r in range(ambient_rank)))
+        cols.append(tuple(int(r == slot) for r in range(ambient_rank)))
     return transpose(cols)
 
 
-def _embedding_index(embedding) -> int:
+def _embedding_index(m, den: int) -> int:
     """d = |H / (H ∩ L)| for the n x k embedding matrix m / den of H = Z^k
-    into L = Z^n: H ∩ L is {x : m x = 0 mod den}, so with f_i the invariant
-    factors of m, d = prod den / gcd(den, f_i) = den^k / [Z^k : rows(m) +
-    den Z^k]. The Hermite form of m has rank k exactly when the embedding
-    is injective, and that index is the diagonal product of the Hermite
-    form of [H_m; den I_k]."""
-    m, den = scale_to_integers(embedding)
-    k = len(embedding[0])
+    into L = Z^n, m integral and den > 0, not necessarily in lowest terms:
+    H ∩ L is {x : m x = 0 mod den}, so with f_i the invariant factors of m,
+    d = prod den / gcd(den, f_i) = den^k / [Z^k : rows(m) + den Z^k]. The
+    Hermite form of m has rank k exactly when the embedding is injective,
+    and that index is the diagonal product of the Hermite form of
+    [H_m; den I_k]."""
+    k = len(m[0])
     h, rank = hermite_rows(m)
     if rank != k:
         raise InternalInconsistencyError("embedding is not injective")
@@ -806,11 +800,10 @@ def _two_squares_embedding(p: int, count_neg: int, ambient: QuadLattice) -> Subl
 
 
 def _intersect_with_image(
-    embedding, h_rank: int, lam_sub: Sublattice, source: QuadLattice
+    m, den: int, h_rank: int, lam_sub: Sublattice, source: QuadLattice
 ) -> Sublattice:
-    """{h in H : embedding(h) lies in the embedded scaled lattice}."""
-    m, den = scale_to_integers(embedding)
-    # integer relations among the columns of (den * embedding | -den * lam basis)
+    """{h in H : (m / den) h lies in the embedded scaled lattice}."""
+    # integer relations among the columns of (m | -den * lam basis)
     cols = list(transpose(m)) + [[-den * x for x in vec] for vec in lam_sub.basis]
     kernel = left_kernel(cols)
     h_rows = [row[:h_rank] for row in kernel]
@@ -821,22 +814,20 @@ def _intersect_with_image(
 def _trim_to_signature(
     sub: Sublattice, want_neg: int
 ) -> Sublattice:
-    """Primitive sublattice of signature (1, want_neg) picked from a
-    rational diagonalization basis and re-saturated."""
-    gram = sub.gram()
-    diag, basis = rational_diagonalize(gram)
-    pos_idx = [i for i, d in enumerate(diag) if d > 0]
-    neg_idx = [i for i, d in enumerate(diag) if d < 0]
+    """Primitive sublattice of signature (1, want_neg) picked from the
+    integer columns D_k b_k of a congruent diagonalization (diagonal entry k
+    has the sign of D_{k+1} D_k) and re-saturated, which depends only on
+    the lines of the chosen columns."""
+    minors, cols = _diagonal_pivots(sub.gram())
+    positive = [(m > 0) == (d > 0) for m, d in zip(minors, [1] + minors[:-1])]
+    pos_idx = [k for k, pos in enumerate(positive) if pos]
+    neg_idx = [k for k, pos in enumerate(positive) if not pos]
     if not pos_idx or len(neg_idx) < want_neg:
         raise InternalInconsistencyError(
             "intersection misses the required signature"
         )
     chosen = [pos_idx[0]] + neg_idx[:want_neg]
-    vectors = []
-    for col in chosen:
-        ints, _ = scale_to_integers([[basis[r][col] for r in range(sub.rank)]])
-        vectors.append(sub.to_ambient(ints[0]))
-    return saturate(span(sub.ambient, vectors))
+    return saturate(span(sub.ambient, [sub.to_ambient(cols[k]) for k in chosen]))
 
 
 def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
@@ -858,18 +849,18 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     ext = extend_to_standard(source, target)
 
     if _is_standard_diagonal(source):
-        embedding = _standard_inclusion(source, 3, b2 + 3)
+        embedding, den = _standard_inclusion(source, 3, b2 + 3), 1
     else:
-        t_mat = explicit_rational_isometry(
+        t_mat, den = explicit_rational_isometry(
             direct_sum(source, diag_lattice(ext.b0, ext.b1, ext.b2)).gram,
             ambient.gram,
         )
         embedding = tuple(tuple(row[:b2]) for row in t_mat)
-    d = _embedding_index(embedding)
+    d = _embedding_index(embedding, den)
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2
     lam_sub = _two_squares_embedding(p, s_lam, ambient)
-    raw = _intersect_with_image(embedding, b2, lam_sub, source)
+    raw = _intersect_with_image(embedding, den, b2, lam_sub, source)
     sat_basis, sat_idx = saturation(raw.basis)
     if sat_idx > d:
         raise InternalInconsistencyError("saturation index exceeds the embedding index")
@@ -887,7 +878,7 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
         raise InternalInconsistencyError("result is not primitive")
     return EmbeddingReport(
         source=source, ambient=ambient, extension=ext,
-        embedding=embedding, index_d=d, prime=p, lambda_in_source=trimmed,
+        embedding=embedding, embedding_den=den, index_d=d, prime=p, lambda_in_source=trimmed,
         sat_index=sat_idx,
     )
 

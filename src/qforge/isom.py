@@ -19,6 +19,7 @@ from .intmath import pell_fundamental, is_square
 from .lattice import (
     QuadLattice,
     Vector,
+    _diagonal_pivots,
     gram_of,
     orthogonal_complement,
     pairing,
@@ -134,15 +135,12 @@ def _dominant_root_interval(poly) -> tuple[Fraction, Fraction]:
 
 
 def _positive_cone_flag(g: Isometry) -> bool:
-    from .padic import rational_diagonalize
-
-    diag, basis = rational_diagonalize(g.lattice.gram)
-    idx = next(i for i, d in enumerate(diag) if d > 0)
-    col = [basis[r][idx] for r in range(g.lattice.rank)]
-    den = math.lcm(*[f.denominator for f in col])
-    w = tuple(int(f * den) for f in col)
-    gw = g.apply(w)
-    return pairing(g.lattice, gw, w) > 0
+    """Whether g keeps the cone of a positive vector w: b(g w, w) > 0. w is
+    the first positive basis vector of the congruent diagonalization,
+    scaled to integers; the sign of b(g w, w) does not depend on w's scale."""
+    minors, cols = _diagonal_pivots(g.lattice.gram)
+    w = next(c for c, m, d in zip(cols, minors, [1] + minors[:-1]) if (m > 0) == (d > 0))
+    return pairing(g.lattice, g.apply(w), w) > 0
 
 
 def classify(g: Isometry) -> IsomClass:

@@ -7,6 +7,7 @@ readers. Rationals travel as "num/den" strings, the real place as "inf".
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -41,8 +42,29 @@ def encode_matrix(mat):
     return [[encode_int(x) for x in row] for row in mat]
 
 
-def encode_fraction_matrix(mat):
-    return [[encode_fraction(x) for x in row] for row in mat]
+def encode_fraction_matrix(m, den: int):
+    """The rational matrix m / den, entry by entry in lowest terms."""
+    return [[encode_fraction(Fraction(x, den)) for x in row] for row in m]
+
+
+def decode_fraction(x) -> Fraction:
+    if isinstance(x, str) and "/" in x:
+        num, _, den = x.partition("/")
+        den = decode_int(den)
+        if den <= 0:
+            raise PreconditionError(f"expected a positive denominator, got {x!r}")
+        return Fraction(decode_int(num), den)
+    return Fraction(decode_int(x))
+
+
+def decode_fraction_matrix(rows) -> tuple[list[list[int]], int]:
+    """(m, den) for rows of "num/den" entries: den the least common
+    denominator, m integral, and m / den the matrix the rows spell."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise PreconditionError("expected a list of rational rows")
+    mat = [[decode_fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
 
 
 def decode_matrix(rows):

@@ -163,21 +163,19 @@ def gram_of(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
 
 
 def _diagonal_pivots(gram, with_basis: bool = True):
-    """Fraction-free congruent diagonalization of L * gram, L the common
-    denominator of its entries (Bareiss: the Schur complement left by
-    each pivot is kept scaled by the previous leading minor, so every
-    division is exact).
+    """Congruent diagonalization of an integer symmetric gram, in integers
+    (Bareiss: the Schur complement left by each pivot is kept scaled by
+    the previous leading minor, so every division is exact).
 
-    Returns (minors, cols, L): minors[k] is the leading (k+1)-minor
-    D_{k+1} of L * gram in the final basis, so diagonal entry k is
-    D_{k+1} / (L D_k) with D_0 = 1; cols[k] = D_k b_k is basis vector k
-    scaled to integers (None unless with_basis). The pivot is the first
+    Returns (minors, cols): minors[k] is the leading (k+1)-minor D_{k+1}
+    of gram in the final basis, so diagonal entry k is D_{k+1} / D_k with
+    D_0 = 1, of the sign of D_{k+1} D_k; cols[k] = D_k b_k is basis vector
+    k scaled to integers (None unless with_basis). The pivot is the first
     nonzero diagonal entry among the remaining ones, else e_i + e_j for the
     first nonzero pairing b(e_i, e_j).
     """
     n = len(gram)
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    a = [[int(x * den) for x in row] for row in gram]
+    a = linalg.thaw(gram)
     cols = [[int(i == j) for j in range(n)] for i in range(n)] if with_basis else None
     minors: list[int] = []
     prev = 1
@@ -213,18 +211,18 @@ def _diagonal_pivots(gram, with_basis: bool = True):
                     cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
         minors.append(p)
         prev = p
-    return minors, cols, den
+    return minors, cols
 
 
-def _symmetric_diagonalize(gram):
-    """Congruent diagonalization over Q.
+def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:
+    """Congruent diagonalization over Q of an integer symmetric gram.
 
     Returns (diag_entries, basis) with basis^T G basis == diag(entries)
     exactly.
     """
-    minors, cols, den = _diagonal_pivots(gram)
+    minors, cols = _diagonal_pivots(gram)
     prevs = [1] + minors[:-1]
-    diag = [Fraction(m, den * d) for m, d in zip(minors, prevs)]
+    diag = [Fraction(m, d) for m, d in zip(minors, prevs)]
     basis = [[Fraction(c[i], d) for c, d in zip(cols, prevs)] for i in range(len(gram))]
     return diag, linalg.freeze(basis)
 
@@ -232,7 +230,7 @@ def _symmetric_diagonalize(gram):
 def signature(latt: QuadLattice) -> tuple[int, int]:
     """(positive count, negative count) of any rational diagonalization:
     diagonal entry k has the sign of D_{k+1} D_k."""
-    minors, _, _ = _diagonal_pivots(latt.gram, with_basis=False)
+    minors, _ = _diagonal_pivots(latt.gram, with_basis=False)
     pos = sum(1 for m, d in zip(minors, [1] + minors[:-1]) if (m > 0) == (d > 0))
     return pos, len(minors) - pos
 

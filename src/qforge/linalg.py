@@ -1,12 +1,12 @@
-"""Exact matrix algebra over the integers and rationals.
+"""Exact integer matrix algebra.
 
 Matrices are tuples of tuples (immutable at API borders, lists inside the
-algorithms). No floating point anywhere.
+algorithms). No floating point anywhere; a rational matrix is an integer
+matrix with its denominator named beside it.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import PreconditionError
@@ -71,26 +71,18 @@ def mat_pow(mat, k: int) -> Matrix:
     return out
 
 
-def _row_denominator(row) -> int:
-    return math.lcm(*(x.denominator for x in row))
-
-
 def _bareiss(mat, pivot_cols: int | None = None) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination.
+    """Bareiss Gauss-Jordan elimination of an integer matrix, in integers
+    throughout (Cohen, GTM 138, sec. 2.2).
 
-    Each row is first scaled to integers by the lcm of its denominators,
-    which leaves the row space, the pivots and the solutions of an
-    augmented system unchanged. Pivots are taken left to right among the
-    first `pivot_cols` columns (default: all). Returns (rows, pivots,
-    sign): row i < len(pivots) holds the common pivot value D at column
-    pivots[i] and zeros in every other pivot column, the remaining rows
-    are zero in the searched columns, and sign is (-1)^(row swaps). Every
-    division is exact, since each entry is a minor of the scaled input.
+    Pivots are taken left to right among the first `pivot_cols` columns
+    (default: all). Returns (rows, pivots, sign): row i < len(pivots)
+    holds the common pivot value D at column pivots[i] and zeros in every
+    other pivot column, the remaining rows are zero in the searched
+    columns, and sign is (-1)^(row swaps). Every division is exact, since
+    each entry is a minor of the input.
     """
-    a = []
-    for row in mat:
-        scale = _row_denominator(row)
-        a.append([int(x * scale) for x in row])
+    a = thaw(mat)
     m = len(a)
     n = len(a[0]) if a else 0
     if pivot_cols is None:
@@ -120,32 +112,17 @@ def _bareiss(mat, pivot_cols: int | None = None) -> tuple[list[list[int]], list[
     return a, pivots, sign
 
 
-def det_bareiss(mat) -> int | Fraction:
-    """Exact determinant; an int for an integer matrix."""
+def det_bareiss(mat) -> int:
+    """Exact determinant of an integer matrix."""
     n = len(mat)
     a, pivots, sign = _bareiss(mat)
     if len(pivots) < n:
         return 0
-    det = sign * a[-1][-1] if n else 1
-    den = math.prod(map(_row_denominator, mat))
-    return det if den == 1 else Fraction(det, den)
+    return sign * a[-1][-1] if n else 1
 
 
 def rational_rank(mat) -> int:
     return len(_bareiss(mat)[1])
-
-
-def solve(mat, rhs) -> tuple | None:
-    """The rational solution x of mat @ x == rhs in reduced echelon form
-    (free variables 0), or None when the system is inconsistent."""
-    n = len(mat[0]) if mat else 0
-    a, pivots, _ = _bareiss([list(row) + [r] for row, r in zip(mat, rhs)], n)
-    if any(row[n] for row in a[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(a, pivots):
-        x[c] = Fraction(row[n], row[c])
-    return tuple(x)
 
 
 def solve_scaled(mat, rhs) -> tuple[list[list[int]], int]:
@@ -156,13 +133,6 @@ def solve_scaled(mat, rhs) -> tuple[list[list[int]], int]:
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a], a[n - 1][n - 1] if n else 1
-
-
-def scale_to_integers(mat) -> tuple[list[list[int]], int]:
-    """(M, d) with mat == M / d: d the lcm of the denominators of mat's
-    entries, M integral."""
-    d = math.lcm(*(x.denominator for row in mat for x in row))
-    return [[int(x * d) for x in row] for row in mat], d
 
 
 def invert_unimodular(mat) -> Matrix:

@@ -29,14 +29,13 @@ from .intmath import (
     unit_part,
     valuation,
 )
-from .lattice import QuadLattice, _symmetric_diagonalize
+from .lattice import QuadLattice, rational_diagonalize
 from .linalg import (
     bilinear,
     det_bareiss,
     left_kernel,
     lll_gram,
     mat_vec,
-    scale_to_integers,
 )
 
 INF = float("inf")
@@ -119,15 +118,7 @@ def is_local_square(x: Fraction | int, place: Place) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Diagonalization and the invariant triple
-
-
-def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:
-    """Diagonal entries and basis of a congruent diagonal form over Q.
-
-    basis^T G basis == diag(entries) exactly.
-    """
-    return _symmetric_diagonalize(gram)
+# The invariant triple
 
 
 @dataclass(frozen=True)
@@ -486,7 +477,7 @@ def _isotropic_subform(entries) -> list[int] | None:
 
 
 def isotropic_vector(gram) -> tuple[int, ...]:
-    """Primitive integer x != 0 with x^T G x = 0, for a rational symmetric G.
+    """Primitive integer x != 0 with x^T G x = 0, for an integer symmetric G.
 
     Constructed, not searched: the first basis vector with G_ii = 0, else a
     radical vector; else, in an indefinite-LLL reduced basis, a vector the
@@ -503,16 +494,16 @@ def isotropic_vector(gram) -> tuple[int, ...]:
 
 
 def isotropic_or_obstruction(gram) -> tuple[int, ...] | Place:
-    """isotropic_vector's x, or a place where the form is anisotropic."""
+    """isotropic_vector's x, or a place where the form is anisotropic, for
+    an integer symmetric G."""
     n = len(gram)
     if n == 0:
         raise PreconditionError("a form of rank 0 has no nonzero vector")
     for i in range(n):
         if gram[i][i] == 0:
             return tuple(int(i == j) for j in range(n))
-    g, _ = scale_to_integers(gram)
-    content = math.gcd(*(x for row in g for x in row)) or 1
-    g = [[x // content for x in row] for row in g]
+    content = math.gcd(*(x for row in gram for x in row)) or 1
+    g = [[x // content for x in row] for row in gram]
     h, reduced, x = lll_gram(g)
     if x is not None:
         # the reduction met a vanishing minor, as it does on every degenerate g

@@ -179,9 +179,10 @@ def test_c07_explicit_isometry_witnesses():
         (diag_lattice(1, -1, 2, -2, 3).gram, diag_lattice(3, -2, 2, -1, 1).gram),
     ]
     for g1, g2 in pairs:
-        t = explicit_rational_isometry(g1, g2)
-        lhs = mat_mul(transpose(t), mat_mul(g2, t))
-        assert lhs == freeze([[Fraction(x) for x in row] for row in g1])
+        m, d = explicit_rational_isometry(g1, g2)
+        assert d > 0
+        assert mat_mul(transpose(m), mat_mul(g2, m)) == freeze([[d * d * x for x in row]
+                                                                for row in g1])
     _report(7, f"{len(pairs)} exact congruence witnesses, including <2,1,1,2> vs <1,1,1,1>")
 
 
@@ -200,6 +201,11 @@ def test_c08_gluing_soundness():
             assert signature(over) == target
             assert not over.is_even()
             assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
+            # the embeddings carry both factors, orthogonal to each other
+            e, ep, o = gd.lam_embedding, gd.lam_prime_embedding, over.gram
+            assert mat_mul(e, mat_mul(o, transpose(e))) == gd.lam.gram
+            assert mat_mul(ep, mat_mul(o, transpose(ep))) == gd.lam_prime.gram
+            assert not any(map(any, mat_mul(e, mat_mul(o, transpose(ep)))))
             n1 = gd.lam.rank
             for vec in gd.glue_vectors:
                 qv = sum(

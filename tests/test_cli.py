@@ -188,6 +188,14 @@ def test_hyperbolic_rejects_small_rank(capsys):
     assert "error" in obj
 
 
+def test_hyperbolic_rejects_degenerate_form(capsys):
+    rc, obj = run_cli(
+        capsys, ["hyperbolic", "--lattice", "catalog:diag(1,-1,0,1,1)", "--n-bound", "2"]
+    )
+    assert rc == 2
+    assert obj["error"] == {"type": "PreconditionError", "message": "form is degenerate"}
+
+
 def test_parabolic_rejects_small_rank(capsys):
     rc, obj = run_cli(
         capsys,
@@ -231,6 +239,32 @@ def test_big_integer_serialization():
     assert encode_int(big) == str(big)
     assert decode_int(encode_int(big)) == big
     assert encode_int(42) == 42
+
+
+@given(st.lists(st.lists(st.one_of(st.integers(-50, 50), st.integers(-2**70, 2**70)),
+                         min_size=1, max_size=4), min_size=1, max_size=4),
+       st.integers(1, 2**60))
+@settings(max_examples=100, deadline=None)
+def test_fraction_matrix_round_trip(m, den):
+    """decode_fraction_matrix(encode_fraction_matrix(m, den)) is the same
+    rational matrix over the least common denominator of its entries."""
+    from fractions import Fraction
+    from math import lcm
+
+    from qforge.jsonio import decode_fraction_matrix, encode_fraction_matrix
+
+    want = [[Fraction(x, den) for x in row] for row in m]
+    got, got_den = decode_fraction_matrix(json.loads(json.dumps(encode_fraction_matrix(m, den))))
+    assert got_den == lcm(*(x.denominator for row in want for x in row))
+    assert [[Fraction(x, got_den) for x in row] for row in got] == want
+
+
+def test_fraction_matrix_rejects_malformed_entries():
+    from qforge.jsonio import decode_fraction_matrix
+
+    for rows in ([["1/0"]], [["1/-2"]], [["0.5"]], [[True]], ["1/2"], [["1/2/3"]]):
+        with pytest.raises(PreconditionError):
+            decode_fraction_matrix(rows)
 
 
 def test_missing_file_exit_code(capsys):

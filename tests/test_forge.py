@@ -101,31 +101,31 @@ def _nondegenerate_grams(draw):
 @given(
     latt=_nondegenerate_grams(),
     p=st.sampled_from([3, 5, 7, 11, 13, 31, 101, 1009]),
-    want_negative=st.booleans(),
 )
-def test_find_w_odd_valuation_contract(latt, p, want_negative):
+def test_find_w_odd_valuation_contract(latt, p):
+    """q(w) < 0 whenever the lattice has a negative vector, else q(w) > 0."""
     assume(latt.det() % p != 0)
     comp = span(latt, [tuple(int(i == j) for j in range(latt.rank)) for i in range(latt.rank)])
-    w, beta = find_w_odd_valuation(comp, p, want_negative=want_negative)
+    w, beta = find_w_odd_valuation(comp, p)
     value = qvalue(latt, w)
     assert math.gcd(*w) == 1
     assert value == beta * p and beta % p != 0
-    pos, neg = signature(latt)
-    if (neg if want_negative else pos) > 0:
-        assert (value < 0) == want_negative
+    _, neg = signature(latt)
+    assert (value < 0) == (neg > 0)
 
 
 def test_find_w_worked_instance():
     comp = orthogonal_complement(span(UU2, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
-    w, beta = find_w_odd_valuation(comp, 5, want_negative=True)
+    w, beta = find_w_odd_valuation(comp, 5)
     assert w == (1, -5, 0)
     assert comp.to_ambient(w) == (0, 0, 1, -5, 0)
     assert beta == -2
 
 
 def test_find_w_rank1():
+    # diag(2) has no negative vector, so q(w) > 0
     comp = span(diag_lattice(2), [(1,)])
-    w, beta = find_w_odd_valuation(comp, 2, want_negative=False)
+    w, beta = find_w_odd_valuation(comp, 2)
     assert w == (1,) and beta == 1
 
 
@@ -133,7 +133,7 @@ def test_find_w_unreachable_valuation():
     # x^2 + y^2 is anisotropic mod 3, so no primitive w has q(w) divisible by 3
     comp = span(diag_lattice(1, 1), [(1, 0), (0, 1)])
     with pytest.raises(PreconditionError):
-        find_w_odd_valuation(comp, 3, want_negative=True)
+        find_w_odd_valuation(comp, 3)
 
 
 def test_certificate_worked_example():

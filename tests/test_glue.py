@@ -116,27 +116,28 @@ def test_extend_entries_of_a_thousand(seed):
     assert ext.augmented_triple == ext.standard_triple
 
 
+def _witness(g1, g2):
+    """explicit_rational_isometry's (M, d), checked in integers: d > 0 and
+    M^T G2 M == d^2 G1, so that T = M / d has T^T G2 T == G1."""
+    m, d = explicit_rational_isometry(g1, g2)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in m for x in row)
+    assert mat_mul(transpose(m), mat_mul(g2, m)) == freeze([[d * d * x for x in row] for row in g1])
+    return m, d
+
+
 def test_explicit_isometry_identity():
     g = diag_lattice(3, -5).gram
-    t = explicit_rational_isometry(g, g)
-    assert mat_mul(transpose(t), mat_mul(g, t)) == freeze(
-        [[Fraction(x) for x in row] for row in g]
-    )
+    _witness(g, g)
 
 
 def test_explicit_isometry_scaled_pair():
-    g1 = diag_lattice(1, 1).gram
-    g2 = diag_lattice(2, 2).gram
-    t = explicit_rational_isometry(g1, g2)
-    assert t == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))
+    m, d = _witness(diag_lattice(1, 1).gram, diag_lattice(2, 2).gram)
+    assert (m, d) == (((1, 1), (1, -1)), 2)
 
 
 def test_explicit_isometry_2112():
-    g1 = diag_lattice(2, 1, 1, 2).gram
-    g2 = diag_lattice(1, 1, 1, 1).gram
-    t = explicit_rational_isometry(g1, g2)
-    product = mat_mul(transpose(t), mat_mul(g2, t))
-    assert product == freeze([[Fraction(x) for x in row] for row in g1])
+    _witness(diag_lattice(2, 1, 1, 2).gram, diag_lattice(1, 1, 1, 1).gram)
 
 
 def test_explicit_isometry_requires_equivalence():
@@ -146,12 +147,7 @@ def test_explicit_isometry_requires_equivalence():
 
 def test_explicit_isometry_exhaustion():
     # representing 13 by x^2 + y^2 needs (2, 3): constructed, not searched
-    g1 = diag_lattice(13, 13).gram
-    g2 = diag_lattice(1, 1).gram
-    t = explicit_rational_isometry(g1, g2)
-    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
-        [[Fraction(x) for x in row] for row in g1]
-    )
+    _witness(diag_lattice(13, 13).gram, diag_lattice(1, 1).gram)
 
 
 def _scrambled(gram, rng: random.Random):
@@ -195,11 +191,7 @@ def _equivalent_pair(draw):
 @given(_equivalent_pair())
 @settings(max_examples=60, deadline=None)
 def test_explicit_isometry_non_diagonal_pairs(pair):
-    g1, g2 = pair
-    t = explicit_rational_isometry(g1, g2)
-    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
-        [[Fraction(x) for x in row] for row in g1]
-    )
+    _witness(*pair)
 
 
 def test_explicit_isometry_anisotropic_complements():
@@ -213,10 +205,7 @@ def test_explicit_isometry_anisotropic_complements():
     pairs = [(_scrambled(e8, rng), _scrambled(e8, rng)),
              (_scrambled(g1, random.Random(53)), standard_lattice(2, 6).gram)]
     for g1, g2 in pairs:
-        t = explicit_rational_isometry(g1, g2)
-        assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
-            [[Fraction(x) for x in row] for row in g1]
-        )
+        _witness(g1, g2)
 
 
 @pytest.mark.parametrize("seed", [36, 184, 30, 278, 282])
@@ -229,11 +218,10 @@ def test_explicit_isometry_scrambled_images_stay_small(seed):
     g1 = _scrambled(gram, rng)
     g2 = _scrambled(gram, rng)
     with _within(2):
-        t = explicit_rational_isometry(g1, g2)
-    assert mat_mul(transpose(t), mat_mul(g2, t)) == freeze(
-        [[Fraction(x) for x in row] for row in g1]
-    )
-    assert max(max(abs(x.numerator), x.denominator) for row in t for x in row).bit_length() < 4096
+        m, d = _witness(g1, g2)
+    # the entries of T = M / d in lowest terms
+    t = [Fraction(x, d) for row in m for x in row]
+    assert max(max(abs(x.numerator), x.denominator) for x in t).bit_length() < 4096
 
 
 # hyperbolic planes W of (U + <1>) + U, in the coordinates e1, e2, e3, h1, h2:
@@ -298,23 +286,50 @@ def test_build_scaled_lattice():
     assert all(v == 0 for v in values)
 
 
-@given(st.integers(1, 4), st.integers(0, 2), st.data())
+@st.composite
+def _rational_embedding(draw):
+    """(m, den): an n x k integer matrix m over den, for n >= k."""
+    k = draw(st.integers(1, 4))
+    n = k + draw(st.integers(0, 2))
+    entry = st.fractions(-6, 6, max_denominator=draw(st.sampled_from((1, 2, 4, 6))))
+    mat = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[int(x * den) for x in row] for row in mat], den
+
+
+@given(_rational_embedding())
 @settings(max_examples=100, deadline=None)
-def test_embedding_index_matches_invariant_factors(k, extra, data):
+def test_embedding_index_matches_invariant_factors(case):
     """On rational n x k matrices m / den: d = prod den / gcd(den, f_i),
     f_i the invariant factors of m (the oracle's own minors); a matrix of
     lower column rank is refused."""
-    n = k + extra
-    entry = st.fractions(-6, 6, max_denominator=data.draw(st.sampled_from((1, 2, 4, 6))))
-    mat = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
-    den = math.lcm(*(x.denominator for row in mat for x in row))
-    m = [[int(x * den) for x in row] for row in mat]
-    if rational_rank(m) < k:
+    m, den = case
+    if rational_rank(m) < len(m[0]):
         with pytest.raises(InternalInconsistencyError, match="not injective"):
-            _embedding_index(mat)
+            _embedding_index(m, den)
         return
     factors = invariant_factors_by_minors(m)
-    assert _embedding_index(mat) == math.prod(den // math.gcd(den, f) for f in factors)
+    assert _embedding_index(m, den) == math.prod(den // math.gcd(den, f) for f in factors)
+
+
+@given(_rational_embedding(), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_embedding_index_ignores_the_scale(case, c):
+    """The pipeline passes columns of the witness (M, d), which need not be
+    in lowest terms: c m / (c den) gives the same index as m / den."""
+    m, den = case
+    assume(rational_rank(m) == len(m[0]))
+    assert _embedding_index([[c * x for x in row] for row in m], c * den) == _embedding_index(m, den)
+
+
+def _assert_factors_embedded(gd):
+    """The embeddings E, E' carry the factors into the overlattice O:
+    E O E^T == lam, E' O E'^T == lam', and E O E'^T == 0."""
+    o = gd.overlattice.gram
+    e, ep = gd.lam_embedding, gd.lam_prime_embedding
+    assert mat_mul(e, mat_mul(o, transpose(e))) == gd.lam.gram
+    assert mat_mul(ep, mat_mul(o, transpose(ep))) == gd.lam_prime.gram
+    assert not any(map(any, mat_mul(e, mat_mul(o, transpose(ep)))))
 
 
 def test_nikulin_glue_balanced():
@@ -324,12 +339,23 @@ def test_nikulin_glue_balanced():
     assert signature(over) == (3, 3)
     assert not over.is_even()
     assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
+    _assert_factors_embedded(gd)
 
 
 def test_nikulin_glue_unimodular_input():
     gd = nikulin_glue(diag_lattice(1), (2, 1))
     assert gd.anti_isometry == ()
     assert abs(det_bareiss(gd.overlattice.gram)) == 1
+    _assert_factors_embedded(gd)
+
+
+def test_nikulin_glue_filler_block():
+    # a partner of two scaled entries and a +-1 filler block, as `qforge glue`
+    # builds it for diag(13, -13, -1) at signature (4, 4)
+    gd = nikulin_glue(diag_lattice(13, -13, -1), (4, 4))
+    assert abs(det_bareiss(gd.overlattice.gram)) == 1
+    assert gd.lam_embedding[0] == (13, 0, 0, -5, 0, 0, 0, 0)
+    _assert_factors_embedded(gd)
 
 
 def test_nikulin_glue_rejects_2_torsion():
@@ -388,6 +414,7 @@ def test_glue_family(p, rank):
     assert not over.is_even()
     assert saturation_index(span(gd.overlattice, gd.lam_embedding)) == 1
     assert saturation_index(span(gd.overlattice, gd.lam_prime_embedding)) == 1
+    _assert_factors_embedded(gd)
 
 
 def test_embed_pipeline_desk_run():
@@ -409,12 +436,11 @@ def test_embed_pipeline_trivial_index():
     source = diag_lattice(*([1] * 3 + [-1] * 11))
     rep = embed_pipeline(source, 1)
     assert rep.index_d == 1  # integral inclusion by construction
-    assert rep.embedding is not None
+    assert rep.embedding_den == 1
     emb = rep.embedding
     # columns embed the source isometrically into the standard lattice
     amb = rep.ambient
-    m = mat_mul(transpose(emb), mat_mul(amb.gram, emb))
-    assert m == freeze([[Fraction(x) for x in row] for row in source.gram])
+    assert mat_mul(transpose(emb), mat_mul(amb.gram, emb)) == source.gram
 
 
 def test_embed_pipeline_rejects_wrong_signature():
@@ -428,9 +454,10 @@ def test_embed_pipeline_k3_explicit():
     source = resolve("K3")
     rep = embed_pipeline(source, 2)
     assert rep.extension.augmented_triple == rep.extension.standard_triple
-    emb = rep.embedding
+    emb, den = rep.embedding, rep.embedding_den
     m = mat_mul(transpose(emb), mat_mul(rep.ambient.gram, emb))
-    assert m == freeze([[Fraction(x) for x in row] for row in source.gram])
+    assert m == freeze([[den * den * x for x in row] for row in source.gram])
+    assert _embedding_index(emb, den) == rep.index_d
     assert rep.prime > rep.index_d**2 * 2
     final = rep.lambda_in_source
     assert signature(final.as_lattice()) == (1, 8)

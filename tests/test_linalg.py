@@ -17,19 +17,17 @@ from qforge.linalg import (
     rational_rank,
     saturation,
     smith_normal_form,
-    solve,
     solve_scaled,
 )
 
 INTS = st.integers(-6, 6)
-FRACTIONS = st.fractions(-6, 6, max_denominator=5)
 
 
 @st.composite
 def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 6), square=False,
-             kinds=(INTS, FRACTIONS)):
-    """Integer or Fraction matrices; half of them are a product through a
-    smaller inner dimension, so rank-deficient inputs are common."""
+             kinds=(INTS, st.integers(-60, 60))):
+    """Integer matrices; half of them are a product through a smaller
+    inner dimension, so rank-deficient inputs are common."""
     m = draw(rows)
     n = m if square else draw(cols)
     entries = draw(st.sampled_from(kinds))
@@ -38,13 +36,12 @@ def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 6), square=False,
     k = draw(st.integers(0, min(m, n)))
     left = [[draw(entries) for _ in range(k)] for _ in range(m)]
     right = [[draw(entries) for _ in range(n)] for _ in range(k)]
-    return [[sum((left[i][t] * right[t][j] for t in range(k)), 0) for j in range(n)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
             for i in range(m)]
 
 
 def to_sympy(mat) -> sympy.Matrix:
-    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
-                          for x in row] for row in mat])
+    return sympy.Matrix([[sympy.Integer(x) for x in row] for row in mat])
 
 
 def to_fraction(x) -> Fraction:
@@ -56,37 +53,14 @@ def to_fraction(x) -> Fraction:
 @settings(max_examples=150, deadline=None)
 def test_det_matches_sympy(mat):
     det = det_bareiss(mat)
-    assert det == to_fraction(to_sympy(mat).det())
-    if all(isinstance(x, int) for row in mat for x in row):
-        assert type(det) is int
+    assert type(det) is int
+    assert det == int(to_sympy(mat).det())
 
 
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_sympy(mat):
     assert rational_rank(mat) == to_sympy(mat).rank()
-
-
-@given(matrices(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_solve_matches_sympy(mat, data):
-    n = len(mat[0])
-    if data.draw(st.booleans()):
-        # consistent by construction: rhs = mat @ x0
-        x0 = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n))
-        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in mat]
-    else:
-        rhs = data.draw(st.lists(INTS, min_size=len(mat), max_size=len(mat)))
-    got = solve(mat, rhs)
-    a = to_sympy(mat)
-    try:
-        sol, params = a.gauss_jordan_solve(to_sympy([[r] for r in rhs]))
-    except ValueError:  # sympy: the system is inconsistent
-        assert got is None
-        return
-    expected = sol.subs({p: 0 for p in params})
-    assert got is not None
-    assert list(got) == [to_fraction(x) for x in expected]
 
 
 @given(matrices(square=True))
@@ -124,13 +98,12 @@ def test_invert_unimodular_matches_sympy(n, data):
 def test_empty_and_non_unimodular_inputs():
     assert det_bareiss([]) == 1
     assert rational_rank([]) == 0
-    assert solve([], []) == ()
     assert solve_scaled([], []) == ([], 1)
     with pytest.raises(PreconditionError):  # det 2: no integer inverse
         invert_unimodular([[2, 1], [0, 1]])
 
 
-@given(matrices(kinds=(INTS, st.integers(-60, 60))))
+@given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_saturation_index_is_the_product_of_invariant_factors(mat):
     """Wide, tall and rank-deficient integer matrices: for independent rows
@@ -144,7 +117,7 @@ def test_saturation_index_is_the_product_of_invariant_factors(mat):
     assert index == math.prod(invariant_factors_by_minors(mat))
 
 
-@given(matrices(square=True, kinds=(INTS, st.integers(-60, 60))))
+@given(matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_smith_form_diagonal_and_transform(mat):
     """D is the diagonal of the invariant factors, V is unimodular, and

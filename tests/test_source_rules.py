@@ -139,7 +139,9 @@ def test_parabolic_run_loads_no_sympy():
 # vector is an integer vector with a denominator named beside it.
 FRACTION_FREE = {
     "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
-                "_next_image", "_eichler_reduce", "_cancel_plane"},
+                "_next_image", "_eichler_reduce", "_cancel_plane", "_embedding_index",
+                "_intersect_with_image", "_trim_to_signature", "_standard_inclusion"},
+    "isom.py": {"_positive_cone_flag"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
     "linalg.py": {"saturation"},
     "padic.py": {"represent_scaled"},
@@ -161,7 +163,8 @@ def _names(node) -> set:
 def test_witness_and_saturation_stay_fraction_free():
     """No Fraction on the hot path of explicit_rational_isometry (the
     functions making the flag and the images, and moving them back from
-    G2 + U), of the congruent diagonalization or of the saturation; the
+    G2 + U), of the embedding's index, intersection and trimming, of the
+    congruent diagonalization, of the cone flag or of the saturation; the
     saturation neither takes a Smith form nor inverts a matrix."""
     checked = {name: {fn.name: fn for fn in _functions(name) if fn.name in wanted}
                for name, wanted in FRACTION_FREE.items()}
@@ -172,6 +175,13 @@ def test_witness_and_saturation_stay_fraction_free():
         calls = _names(checked[name][where]) & {"invert_unimodular", "smith_normal_form"}
         found += [f"{name}:{where} calls {call}" for call in sorted(calls)]
     assert not found, found
+
+
+def test_linalg_is_integer_only():
+    """linalg takes and returns integer matrices; a rational matrix is an
+    integer matrix over a denominator named beside it."""
+    path = next(p for p in SOURCES if p.name == "linalg.py")
+    assert "Fraction" not in _names(ast.parse(path.read_text(), filename=str(path)))
 
 
 # Library entry points that no package code calls, each with the module row
