@@ -23,6 +23,8 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 --verify
+# no basis vector qualifies as w, so w is constructed: a long cycle of reduced forms
+timeout 60 "$qforge" hyperbolic --lattice "catalog:diag(1,1,-1,-1,-1)" --n-bound 1000 --verify
 # a certificate with n = 10^12 is rejected at once, exit 0
 echo '{"p": 5, "alpha": [30, -10], "beta": [6, -2], "n": [1000000000000, 0]}' > "$tmp/huge-n.json"
 timeout 10 "$qforge" certify --certificate "$tmp/huge-n.json" --n-bound 4 | check 'o["valid"] is False'

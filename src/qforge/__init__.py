@@ -2,8 +2,9 @@
 
 Given a lattice and a bound N, the toolkit builds primitive sublattices
 that represent no nonzero number of absolute value below N, and explicit
-infinite-order isometries (hyperbolic via Pell automorphs, parabolic via
-unipotent transvections), each with machine-checkable certificates.
+infinite-order isometries (hyperbolic via the automorph from one walk
+around the cycle of reduced binary forms, parabolic via unipotent
+transvections), each with machine-checkable certificates.
 """
 
 __version__ = "0.1.0"

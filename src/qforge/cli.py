@@ -22,6 +22,7 @@ reports apart from the timings block. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -44,7 +45,7 @@ from .jsonio import (
 from .lattice import (
     ENUM_BUDGET,
     QuadLattice,
-    binary_minimum,
+    binary_cycle,
     enumerate_values,
     gram_divisible_by,
     min_nonzero_abs,
@@ -144,8 +145,7 @@ def cmd_hyperbolic(args) -> dict:
     t0 = time.monotonic()
     result = forge.find_rank2_avoiding(latt, args.n_bound)
     sub_latt = result.lattice.as_lattice(label="constructed rank-2")
-    iso, cls = isom.find_hyperbolic(sub_latt)
-    smallest, witness = binary_minimum(sub_latt)
+    iso, cls = isom.find_hyperbolic(sub_latt, result.automorph)
     elapsed = time.monotonic() - t0
     report = {
         "tool": {"name": "qforge", "version": __version__},
@@ -173,8 +173,8 @@ def cmd_hyperbolic(args) -> dict:
             "classification": _classification_obj(cls),
         },
         "oracle": {
-            "min_nonzero_abs": encode_int(smallest),
-            "min_witness": encode_vector(witness),
+            "min_nonzero_abs": encode_int(result.minimum),
+            "min_witness": encode_vector(result.witness),
             "all_values_divisible_by_p": gram_divisible_by(sub_latt.gram, result.certificate.p),
         },
         "checks": [
@@ -364,9 +364,11 @@ def verify_report(report: dict) -> list[str]:
             claimed = jsonio.decode_int(oracle["min_nonzero_abs"])
             witness = tuple(jsonio.decode_int(x) for x in oracle["min_witness"])
             failures += _minimum_failures(latt, claimed, witness)
-            smallest, _ = min_nonzero_abs(latt, CROSS_CHECK_HEIGHT)
-            if smallest is not None and smallest < claimed:
-                failures.append(f"a value below the claimed minimum at height {CROSS_CHECK_HEIGHT}")
+            if latt.rank == 2:
+                smallest, _ = min_nonzero_abs(latt, CROSS_CHECK_HEIGHT)
+                if smallest is not None and smallest < claimed:
+                    failures.append(
+                        f"a value below the claimed minimum at height {CROSS_CHECK_HEIGHT}")
         emb = report.get("embedding")
         if emb:
             prime = jsonio.decode_int(emb["prime"])
@@ -401,7 +403,7 @@ def _minimum_failures(latt: QuadLattice, claimed: int, witness) -> list[str]:
     """The claimed global minimum against the cycle walk, and its witness."""
     failures = []
     try:
-        exact, _ = binary_minimum(latt)
+        exact, _, _ = binary_cycle(latt)
     except QforgeError:
         return ["sublattice form is not anisotropic indefinite binary"]
     if exact < claimed:
@@ -458,18 +460,18 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qforge",
         description="exact constructions on integer quadratic lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, flags) in _COMMANDS.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAG_SPECS[flag])
         p.add_argument("--out", help="write the JSON report here")
-        p.set_defaults(run=run)
     return parser
 
 
@@ -477,7 +479,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # reports print exact integers, however long
     try:
         args = build_parser().parse_args(argv)
-        report = args.run(args)
+        report = _COMMANDS[args.command][0](args)  # read per call: the parser is built once
         verify = getattr(args, "verify", False)
         if verify:
             failures = verify_report(report)

@@ -20,7 +20,7 @@ from .lattice import (
     QuadLattice,
     Sublattice,
     Vector,
-    binary_minimum,
+    binary_cycle,
     gram_divisible_by,
     is_indefinite,
     orthogonal_complement,
@@ -60,6 +60,10 @@ class Rank2Result:
     v1: Vector
     w: Vector
     certificate: SmallnessCertificate
+    # from the walk around the sublattice's rho-cycle (lattice.binary_cycle)
+    minimum: int  # exact min |q| over nonzero vectors, >= max(N, 1)
+    witness: Vector  # attains it, in the coordinates of the sublattice basis
+    automorph: tuple[Vector, Vector]  # of infinite order, in the same coordinates
 
 
 def check_certificate(cert: SmallnessCertificate, n_bound: int) -> tuple[bool, str]:
@@ -223,16 +227,17 @@ def find_rank2_avoiding(
         # no isotropic basis vector: construct in an LLL-reduced basis, whose
         # small Gram keeps v, v', w and so the rank-2 discriminant small
         h, gram, _ = lll_gram(latt.gram)
-        reduced = _construct(QuadLattice(freeze(gram)), n_bound, reduce_complement=True)
-        v1, w = (mat_vec(transpose(h), x) for x in (reduced.v1, reduced.w))
-        result = Rank2Result(saturate(span(latt, [v1, w])), v1, w, reduced.certificate)
+        v1, w, cert = _construct(QuadLattice(freeze(gram)), n_bound, reduce_complement=True)
+        v1, w = (mat_vec(transpose(h), x) for x in (v1, w))
     else:
-        result = _construct(latt, n_bound)
-    _post_verify(result, n_bound)
-    return result
+        v1, w, cert = _construct(latt, n_bound)
+    sub = saturate(span(latt, [v1, w]))
+    return Rank2Result(sub, v1, w, cert, *_post_verify(sub, cert.p, n_bound))
 
 
-def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False) -> Rank2Result:
+def _construct(
+    latt: QuadLattice, n_bound: int, reduce_complement: bool = False
+) -> tuple[Vector, Vector, SmallnessCertificate]:
     v, vp = find_isotropic_pair(latt)
     g = pairing(latt, v, vp)
     comp = orthogonal_complement(span(latt, [v, vp]))
@@ -267,16 +272,18 @@ def _construct(latt: QuadLattice, n_bound: int, reduce_complement: bool = False)
     ok, reason = check_certificate(cert, n_bound)
     if not ok:
         raise InternalInconsistencyError(f"constructed certificate fails: {reason}")
-    return Rank2Result(saturate(span(latt, [v1, w])), v1, w, cert)
+    return v1, w, cert
 
 
-def _post_verify(result: Rank2Result, n_bound: int) -> None:
-    sat_latt = result.lattice.as_lattice()
-    p = result.certificate.p
+def _post_verify(sub: Sublattice, p: int, n_bound: int):
+    """binary_cycle of the sublattice, after checking that it has signature
+    (1, 1), a Gram that is 0 mod p and no nonzero value below max(N, 1)."""
+    sat_latt = sub.as_lattice()
     if signature(sat_latt) != (1, 1):
         raise InternalInconsistencyError("constructed lattice is not of signature (1,1)")
     if not gram_divisible_by(sat_latt.gram, p):
         raise InternalInconsistencyError(f"Gram of the sublattice is not 0 mod {p}")
-    smallest, witness = binary_minimum(sat_latt)
+    smallest, witness, automorph = binary_cycle(sat_latt)
     if smallest < max(n_bound, 1):
         raise InternalInconsistencyError(f"small value {smallest} slipped through at {witness}")
+    return smallest, witness, automorph

@@ -413,30 +413,3 @@ def two_squares(p: int) -> tuple[int, int]:
     if b * b + c * c != p:
         raise InternalInconsistencyError(f"Hermite–Serret misses {p}")
     return min(b, c), max(b, c)
-
-
-def pell_fundamental(d: int) -> tuple[int, int]:
-    """Least (x, y), y > 0, with x**2 - d*y**2 == 1, for d > 0 non-square.
-
-    Continued fraction expansion of sqrt(d): the convergent h_j / k_j has
-    h_j^2 - d k_j^2 = (-1)^(j+1) q_(j+1), and the state q returns to 1 exactly
-    at the ends of the period. So the loop stops at the first q = 1 with an
-    even sign: the end of the period, or of twice the period when it is odd.
-    The number of steps is still the period length, about sqrt(d) at worst.
-    """
-    if d <= 0 or is_square(d):
-        raise PreconditionError(f"{d} is a square or non-positive")
-    a0 = math.isqrt(d)
-    m, q, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    sign = -1  # (-1)^(j+1) for the convergent h_j / k_j held in h, k
-    while True:
-        m = q * a - m
-        q = (d - m * m) // q
-        if q == 1 and sign == 1:
-            return h, k
-        a = (a0 + m) // q
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        sign = -sign

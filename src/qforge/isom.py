@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .forge import find_isotropic
-from .intmath import pell_fundamental, is_square
 from .lattice import (
     QuadLattice,
     Vector,
@@ -32,7 +31,6 @@ from .linalg import (
     det_bareiss,
     freeze,
     identity,
-    invert_unimodular,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -62,14 +60,6 @@ class Isometry:
 
     def apply(self, v) -> Vector:
         return mat_vec(self.matrix, v)
-
-    def power(self, k: int) -> "Isometry":
-        if k < 0:
-            return self.inverse().power(-k)
-        return Isometry(self.lattice, mat_pow(self.matrix, k))
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, invert_unimodular(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -205,36 +195,6 @@ def _primitive_column(mat) -> Vector:
 # Constructors
 
 
-def pell_automorph(latt: QuadLattice) -> Isometry:
-    """Infinite-order isometry of an anisotropic binary form of signature
-    (1,1), from the fundamental solution of t^2 - D u^2 = 4.
-
-    With Gram [[g11, g12], [g12, g22]] divided by its content, the form is
-    g11 x^2 + 2 g12 xy + g22 y^2; its discriminant D = 4 (g12^2 - g11 g22)
-    is 4 * |det| > 0 and D/4 square exactly when the form represents zero.
-    An automorph of the divided form preserves the lattice's own form, and
-    the division keeps D, hence the Pell period, free of the content.
-    """
-    if latt.rank != 2:
-        raise PreconditionError("Pell automorphs exist for binary forms only")
-    (g11, g12), (_, g22) = latt.gram
-    content = math.gcd(g11, g12, g22) or 1
-    g11, g12, g22 = g11 // content, g12 // content, g22 // content
-    d4 = g12 * g12 - g11 * g22  # D/4
-    if d4 <= 0:
-        raise PreconditionError("form is not indefinite")
-    if is_square(d4):
-        raise PreconditionError("form represents zero; no Pell automorph")
-    x, y = pell_fundamental(d4)
-    t, u = 2 * x, y
-    a, b, c = g11, 2 * g12, g22
-    matrix = (
-        ((t - b * u) // 2, -c * u),
-        (a * u, (t + b * u) // 2),
-    )
-    return Isometry(latt, matrix)
-
-
 def eichler_transvection(
     latt: QuadLattice, v: Vector, a: Vector
 ) -> Isometry:
@@ -306,11 +266,12 @@ def find_parabolic(latt: QuadLattice) -> tuple[Isometry, IsomClass]:
     return iso, cls
 
 
-def find_hyperbolic(latt: QuadLattice) -> tuple[Isometry, IsomClass]:
-    """Pell automorph of an anisotropic signature-(1,1) lattice, verified
-    hyperbolic, with its classification."""
-    iso = pell_automorph(latt)
+def find_hyperbolic(latt: QuadLattice, automorph) -> tuple[Isometry, IsomClass]:
+    """The automorph of an anisotropic signature-(1,1) lattice that
+    lattice.binary_cycle returns, verified hyperbolic, with its
+    classification."""
+    iso = Isometry(latt, automorph)
     cls = classify(iso)
     if cls.tag is not Tag.HYPERBOLIC:
-        raise InternalInconsistencyError(f"Pell automorph classified {cls.tag}")
+        raise InternalInconsistencyError(f"cycle automorph classified {cls.tag}")
     return iso, cls

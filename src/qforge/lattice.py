@@ -385,29 +385,14 @@ def enumerate_values(
     return out
 
 
-def min_nonzero_abs(
-    latt: QuadLattice, height: int, budget: int = ENUM_BUDGET
-) -> tuple[int | None, Vector | None]:
-    """Minimum |q| over nonzero values in the box, with a witness.
-
-    Streaming form of enumerate_values for desk-scale verification runs.
-    """
-    _check_budget(latt.rank, height, budget)
-    if latt.rank == 2:
-        return _min_nonzero_abs_rank2(latt, height)
-    best = None
-    witness = None
-    for value, vec in iter_box_values(latt, height):
-        if value != 0 and (best is None or abs(value) < best):
-            best = abs(value)
-            witness = vec
-    return best, witness
-
-
-def _min_nonzero_abs_rank2(latt: QuadLattice, height: int):
-    a = latt.gram[0][0]
-    b2 = 2 * latt.gram[0][1]
-    c = latt.gram[1][1]
+def min_nonzero_abs(latt: QuadLattice, height: int) -> tuple[int | None, Vector | None]:
+    """Minimum |q| over the nonzero vectors of a binary lattice with both
+    coordinates in [-height, height], with a witness: the --verify
+    cross-check of binary_cycle's minimum."""
+    if latt.rank != 2:
+        raise PreconditionError("the box minimum is for binary lattices")
+    (a, g12), (_, c) = latt.gram
+    b2 = 2 * g12
     best = None
     witness = None
     for x in range(-height, height + 1):
@@ -434,9 +419,10 @@ def gram_divisible_by(gram, p: int) -> bool:
 
 
 
-def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
+def binary_cycle(latt: QuadLattice) -> tuple[int, Vector, tuple[Vector, Vector]]:
     """Exact min |q| over Z^2 \\ 0 of an anisotropic indefinite binary
-    lattice, with a witness (first nonzero coordinate positive).
+    lattice, a witness (first nonzero coordinate positive) and a proper
+    automorph of infinite order, from one walk around the rho-cycle.
 
     With the Gram divided by its content g, the form f = (a, 2b, c) has
     non-square discriminant D > 0. Its minimum is at most sqrt(D/5)
@@ -446,9 +432,15 @@ def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
     Binary Quadratic Forms, ch. 6). So walking f to its cycle and once
     around it visits the minimum. The witness is the first vector of the
     walk, from f itself on, whose value attains it.
+
+    The walk holds the current form as f(T x) with det T = 1. With T0 at
+    the first reduced form and T1 one round later, f(T1 x) = f(T0 x), so
+    A = T1 T0^-1 fixes f. One round is the least unit > 1 of norm +1 of
+    the primitive form f / content(f), up to sign (same reference); A is
+    taken with a positive trace, and then A[1][0] has the sign of a.
     """
     if latt.rank != 2:
-        raise PreconditionError("binary_minimum needs a rank-2 lattice")
+        raise PreconditionError("binary_cycle needs a rank-2 lattice")
     (g11, g12), (_, g22) = latt.gram
     d4 = g12 * g12 - g11 * g22
     if d4 <= 0 or is_square(d4):
@@ -464,6 +456,7 @@ def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
     while (a, b, c) != start:
         if start is None and 0 < b <= s and 2 * abs(a) - b <= s < 2 * abs(a) + b:
             start = (a, b, c)  # the first reduced form: the cycle begins here
+            t0_inv = ((col2[1], -col2[0]), (-col1[1], col1[0]))  # adj T0, as det T0 = 1
         # rho: (a, b, c) -> (c, r, a - b t + c t^2), r = -b + 2 c t in the
         # normal range, -|c| < r <= |c| if |c| > sqrt(D), else (sqrt(D) - 2|c|, sqrt(D))
         top = abs(c) if abs(c) > s else s
@@ -478,4 +471,10 @@ def binary_minimum(latt: QuadLattice) -> tuple[int, Vector]:
     m = g * best
     if abs(qvalue(latt, witness)) != m or 5 * best * best > disc:
         raise InternalInconsistencyError(f"cycle minimum {m} at {witness} does not check")
-    return m, witness
+    auto = mat_mul(((col1[0], col2[0]), (col1[1], col2[1])), t0_inv)
+    if auto[0][0] + auto[1][1] < 0:
+        auto = tuple(tuple(-x for x in row) for row in auto)
+    # rho runs the cycle in the direction of the unit > 1: only the sign is free
+    if (auto[1][0] > 0) != (g11 > 0):
+        raise InternalInconsistencyError(f"a round of the cycle gave {auto}, a unit below 1")
+    return m, witness, auto

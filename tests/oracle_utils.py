@@ -332,7 +332,8 @@ def _shell(rank: int, m: int, primitive_only: bool):
 
 
 # ---------------------------------------------------------------------------
-# The former Pell loop: squares the convergents h, k on every step
+# Pell's equation by the continued fraction of sqrt(d), squaring the
+# convergents h, k on every step; and the binary automorph it gives
 
 
 def pell_fundamental_squaring(d: int) -> tuple[int, int]:
@@ -348,6 +349,17 @@ def pell_fundamental_squaring(d: int) -> tuple[int, int]:
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
     return h, k
+
+
+def pell_automorph_matrix(gram) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The automorph ((t - b u)/2, -c u), (a u, (t + b u)/2)) of the Gram
+    [[g11, g12], [g12, g22]] divided by its content, for the solution
+    (t, u) = (2x, y) of x^2 - d y^2 = 1 above, d = g12^2 - g11 g22."""
+    (g11, g12), (_, g22) = gram
+    g = math.gcd(g11, g12, g22)
+    a, b, c = g11 // g, 2 * g12 // g, g22 // g
+    x, u = pell_fundamental_squaring((b * b - 4 * a * c) // 4)
+    return ((x - b * u // 2, -c * u), (a * u, x + b * u // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -582,3 +594,24 @@ def invariant_factors_by_minors(mat) -> list[int]:
         out.append(dk // prev)
         prev = dk
     return out
+
+
+# ---------------------------------------------------------------------------
+# Powers and inverses of isometries
+
+
+def isometry_inverse(iso):
+    from qforge.isom import Isometry
+    from qforge.linalg import invert_unimodular
+
+    return Isometry(iso.lattice, invert_unimodular(iso.matrix))
+
+
+def isometry_power(iso, k: int):
+    """iso^k; a negative k powers the inverse."""
+    from qforge.isom import Isometry
+    from qforge.linalg import mat_pow
+
+    if k < 0:
+        return isometry_power(isometry_inverse(iso), -k)
+    return Isometry(iso.lattice, mat_pow(iso.matrix, k))

@@ -29,11 +29,12 @@ from qforge.isom import (
     classify,
     eichler_transvection,
     find_parabolic,
-    pell_automorph,
 )
 from qforge.jsonio import dump_json
 from qforge.lattice import (
+    binary_cycle,
     diag_lattice,
+    enumerate_values,
     from_rows,
     min_nonzero_abs,
     rescale,
@@ -236,8 +237,7 @@ def test_c09_embedding_desk_run():
     assert all(x % rep.prime == 0 for row in gram for x in row)
     assert rep.prime > rep.index_d**2 * 3
     # independent spot enumeration: the rank-5 box of height 8 has 17^5 - 1 vectors
-    smallest, _ = min_nonzero_abs(final.as_lattice(), 8)
-    assert smallest is None or smallest >= 3
+    assert all(v == 0 or abs(v) >= 3 for v in enumerate_values(final.as_lattice(), 8))
     iso, cls = find_parabolic(final.as_lattice())
     assert cls.tag is Tag.PARABOLIC and classify(iso) == cls
     elapsed = time.monotonic() - start
@@ -276,7 +276,8 @@ def test_c10_classification_vs_oracle():
 
 
 def test_c11_constructor_correctness():
-    auto = pell_automorph(diag_lattice(1, -2))
+    l12 = diag_lattice(1, -2)
+    auto = Isometry(l12, binary_cycle(l12)[2])
     assert auto.matrix == ((3, 4), (2, 3))
     assert char_poly(auto.matrix) == (1, -6, 1)  # x^2 - 6x + 1
     assert classify(auto).tag is Tag.HYPERBOLIC

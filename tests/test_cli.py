@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge import cli
+from qforge import cli, lattice
 from qforge.catalog import resolve
 from qforge.cli import build_parser, main, verify_report
 from qforge.errors import PreconditionError
@@ -363,8 +363,8 @@ def test_hyperbolic_k3_bound_beyond_a_divisor_scan(capsys):
 
 
 def test_hyperbolic_k3_content_of_the_gram(capsys):
-    """At N = 10^5 the sublattice Gram is 2p diag(2, -1): the Pell automorph
-    comes from the divided form, whose period does not grow with p."""
+    """At N = 10^5 the sublattice Gram is 2p diag(2, -1): the cycle is walked
+    on the divided form, whose period does not grow with p."""
     rc, obj = run_cli(
         capsys,
         ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "100000", "--verify"],
@@ -413,6 +413,49 @@ def test_verify_rejects_dependent_v1_and_w(monkeypatch, capsys, w):
                                "--verify"])
     assert rc == 4 and obj["verified"] is False
     assert obj["verification_failures"] == ["v1 and w are linearly dependent"]
+
+
+def test_verify_rejects_a_gram_of_rank_three(monkeypatch, capsys):
+    """A report whose sublattice Gram gains a third row and column (still
+    0 mod p): the cycle walk and the isometry fail on it, the binary box is
+    not run, and the run exits 4."""
+    run, flags = cli._COMMANDS["hyperbolic"]
+
+    def tampered(args):
+        report = run(args)
+        sub = report["sublattice"]
+        p = sub["certificate"]["p"]
+        sub["gram"] = [row + [0] for row in sub["gram"]] + [[0, 0, p]]
+        return report
+
+    monkeypatch.setitem(cli._COMMANDS, "hyperbolic", (tampered, flags))
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "2",
+                               "--verify"])
+    assert rc == 4 and obj["verified"] is False
+    assert obj["verification_failures"] == [
+        "sublattice form is not anisotropic indefinite binary",
+        "isometry does not verify: matrix rank != lattice rank",
+    ]
+
+
+@pytest.mark.parametrize("verify, walks", [(False, 1), (True, 2)])
+def test_hyperbolic_walks_the_cycle_once(monkeypatch, capsys, verify, walks):
+    """The construction's walk gives the report's minimum, witness and
+    automorph; --verify walks the cycle once more on its own."""
+    calls = []
+    original = lattice.binary_cycle
+
+    def counting(latt):
+        calls.append(latt.gram)
+        return original(latt)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qforge") and getattr(module, "binary_cycle", None) is original:
+            monkeypatch.setattr(module, "binary_cycle", counting)
+    argv = ["hyperbolic", "--lattice", "catalog:diag(1,1,-1,-1,-1)", "--n-bound", "1000"]
+    rc, obj = run_cli(capsys, argv + ["--verify"] * verify)
+    assert rc == 0 and obj.get("verified", True) is True
+    assert len(calls) == walks
 
 
 @pytest.fixture(scope="module")

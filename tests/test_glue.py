@@ -27,6 +27,7 @@ from qforge.lattice import (
     QuadLattice,
     diag_lattice,
     direct_sum,
+    enumerate_values,
     from_rows,
     min_nonzero_abs,
     rescale,
@@ -428,8 +429,7 @@ def test_embed_pipeline_desk_run():
     assert saturation_index(final) == 1
     gram = final.gram()
     assert all(x % rep.prime == 0 for row in gram for x in row)
-    best, _ = min_nonzero_abs(final.as_lattice(), 6)
-    assert best is None or best >= 3
+    assert all(v == 0 or abs(v) >= 3 for v in enumerate_values(final.as_lattice(), 6))
 
 
 def test_embed_pipeline_trivial_index():

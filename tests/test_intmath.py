@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from sympy.ntheory.residue_ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import ldescent as sympy_ldescent
 
-from oracle_utils import pell_fundamental_squaring, two_squares_scan
+from oracle_utils import two_squares_scan
 from qforge.errors import PreconditionError
 from qforge.intmath import (
     factorize,
     is_prime,
     ldescent,
     next_prime,
-    pell_fundamental,
     primes_from,
     sqrt_mod,
     two_squares,
@@ -112,8 +111,3 @@ def test_two_squares_rejects_non_primes_and_3_mod_4(n):
     with pytest.raises(PreconditionError, match="not a sum of two coprime squares"):
         two_squares(n)
 
-
-def test_pell_fundamental_matches_the_squaring_loop():
-    for d in range(2, 10**4):
-        if math.isqrt(d) ** 2 != d:
-            assert pell_fundamental(d) == pell_fundamental_squaring(d), d

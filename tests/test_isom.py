@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import brute_char_poly, matrix_order
-from qforge.errors import PreconditionError
+from oracle_utils import brute_char_poly, isometry_inverse, isometry_power, matrix_order
+from qforge.errors import InternalInconsistencyError, PreconditionError
 from qforge.isom import (
     Isometry,
     Tag,
@@ -12,14 +12,18 @@ from qforge.isom import (
     find_hyperbolic,
     find_parabolic,
     is_isometry,
-    pell_automorph,
 )
-from qforge.lattice import diag_lattice, from_rows, qvalue
+from qforge.lattice import binary_cycle, diag_lattice, from_rows, qvalue
 from qforge.linalg import char_poly, identity, mat_mul, mat_pow, mat_sub, is_zero
 from qforge.polys import strip_cyclotomic
 
 L12 = diag_lattice(1, -2)
 U_MINUS2 = from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+
+
+def pell_automorph(latt):
+    """The automorph of the least unit > 1 of norm +1, from binary_cycle."""
+    return Isometry(latt, binary_cycle(latt)[2])
 
 
 def test_is_isometry():
@@ -104,13 +108,13 @@ def test_pell_automorph_worked_lattice():
 
 
 def test_pell_rejects_isotropic():
-    with pytest.raises(PreconditionError, match="form represents zero"):
-        pell_automorph(diag_lattice(1, -1))
+    with pytest.raises(PreconditionError, match="form is definite, degenerate or isotropic"):
+        binary_cycle(diag_lattice(1, -1))
 
 
 def test_pell_rejects_definite():
-    with pytest.raises(PreconditionError, match="form is not indefinite"):
-        pell_automorph(diag_lattice(1, 2))
+    with pytest.raises(PreconditionError, match="form is definite, degenerate or isotropic"):
+        binary_cycle(diag_lattice(1, 2))
 
 
 def test_transvection_worked_matrix():
@@ -151,17 +155,18 @@ def test_transvection_odd_direction_doubles():
 def test_transvection_powers_stay_parabolic():
     iso = eichler_transvection(U_MINUS2, (1, 0, 0), (0, 0, 1))
     for m in (2, 3, 5):
-        power = iso.power(m)
+        power = isometry_power(iso, m)
         b = mat_sub(power.matrix, identity(3))
         assert not is_zero(mat_mul(b, b))
         assert classify(power).tag is Tag.PARABOLIC
-    assert classify(iso.inverse()).tag is Tag.PARABOLIC
+    assert classify(isometry_inverse(iso)).tag is Tag.PARABOLIC
 
 
 def test_hyperbolic_powers_and_inverse():
     iso = pell_automorph(L12)
-    assert classify(iso.power(3)).tag is Tag.HYPERBOLIC
-    assert classify(iso.inverse()).tag is Tag.HYPERBOLIC
+    assert classify(isometry_power(iso, 3)).tag is Tag.HYPERBOLIC
+    assert classify(isometry_power(iso, -2)).tag is Tag.HYPERBOLIC
+    assert classify(isometry_inverse(iso)).tag is Tag.HYPERBOLIC
 
 
 def test_find_parabolic_worked():
@@ -181,15 +186,21 @@ def test_find_parabolic_anisotropic_rank2():
 
 
 def test_find_hyperbolic():
-    iso, cls = find_hyperbolic(diag_lattice(20, -10))
+    latt = diag_lattice(20, -10)
+    iso, cls = find_hyperbolic(latt, binary_cycle(latt)[2])
     assert cls.tag is Tag.HYPERBOLIC and classify(iso) == cls
+
+
+def test_find_hyperbolic_rejects_a_finite_order_automorph():
+    with pytest.raises(InternalInconsistencyError, match="classified Tag.ELLIPTIC"):
+        find_hyperbolic(L12, ((-1, 0), (0, -1)))
 
 
 @given(st.integers(1, 4))
 @settings(max_examples=4, deadline=None)
 def test_classify_powers_same_tag(m):
     hyp = pell_automorph(L12)
-    assert classify(hyp.power(m)).tag is Tag.HYPERBOLIC
+    assert classify(isometry_power(hyp, m)).tag is Tag.HYPERBOLIC
 
 
 def test_small_isometry_oracle_agreement_spot():

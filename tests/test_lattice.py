@@ -10,16 +10,17 @@ from oracle_utils import (
     invariant_factors_by_minors,
     iter_search_vectors,
     pairing_pairwise,
+    pell_automorph_matrix,
     saturation_failures,
     symmetric_diagonalize_fractions,
 )
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError, SearchExhaustedError
-from qforge.linalg import rational_rank
+from qforge.linalg import mat_mul, rational_rank, transpose
 from qforge.lattice import (
     QuadLattice,
     Sublattice,
-    binary_minimum,
+    binary_cycle,
     diag_lattice,
     direct_sum,
     discriminant_group,
@@ -188,7 +189,7 @@ def test_binary_minimum_against_box(entries):
     assume(d4 > 0 and math.isqrt(d4) ** 2 != d4)
     latt = from_rows([[a, b], [b, c]])
     height = 30
-    m, witness = binary_minimum(latt)
+    m, witness, _ = binary_cycle(latt)
     box_min, _ = min_nonzero_abs(latt, height)
     assert abs(qvalue(latt, witness)) == m
     assert m <= box_min
@@ -207,7 +208,55 @@ def test_binary_minimum_against_box(entries):
 ])
 def test_binary_minimum_rejects_isotropic_and_definite(gram):
     with pytest.raises(PreconditionError, match="form is definite, degenerate or isotropic"):
-        binary_minimum(from_rows(gram))
+        binary_cycle(from_rows(gram))
+
+
+def test_min_nonzero_abs_is_for_binary_lattices():
+    with pytest.raises(PreconditionError, match="the box minimum is for binary lattices"):
+        min_nonzero_abs(diag_lattice(1, -1, -1), 2)
+
+
+_ANISOTROPIC_INDEFINITE = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(*[st.integers(-10**4 // k, 10**4 // k).map(lambda x: k * x)] * 3)
+).filter(lambda e: e[1] ** 2 - e[0] * e[2] > 0
+         and math.isqrt(e[1] ** 2 - e[0] * e[2]) ** 2 != e[1] ** 2 - e[0] * e[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_ANISOTROPIC_INDEFINITE)
+@example(entries=(50, -31, 10))  # content 2 after dividing: a cube root of the Pell matrix
+@example(entries=(2, 5, 4))  # content 2, but the Pell matrix itself
+@example(entries=(1, 0, -2))
+@example(entries=(-3, 1, 2))  # g11 < 0
+def test_cycle_automorph_is_the_least_unit(entries):
+    """The walk's automorph fixes the Gram, has det 1 and trace > 2, and
+    A[1][0] has the sign of g11. Against x^2 - d y^2 = 1 (squaring loop),
+    whose matrix has the even trace 2x: A equals it when its trace t is
+    even. An odd t needs (g11, 2 g12, g22) / content of content 2, whose
+    primitive form has the unit (t + u sqrt(d)) / 2 with t, u odd; its cube
+    is then the least unit of Z[sqrt(d)], so A^3 equals the Pell matrix."""
+    a, b, c = entries
+    gram = ((a, b), (b, c))
+    auto = binary_cycle(from_rows(gram))[2]
+    (p, q), (r, s) = auto
+    assert mat_mul(mat_mul(transpose(auto), gram), auto) == gram
+    assert p * s - q * r == 1 and p + s > 2
+    assert (r > 0) == (a > 0) and r != 0
+    pell = pell_automorph_matrix(gram)
+    if (p + s) % 2 == 0:
+        assert auto == pell
+    else:
+        g = math.gcd(a, b, c)
+        assert (a // g) % 2 == 0 and (c // g) % 2 == 0
+        assert mat_mul(mat_mul(auto, auto), auto) == pell
+
+
+def test_cycle_automorph_content_two_example():
+    minimum, witness, auto = binary_cycle(from_rows([[50, -31], [-31, 10]]))
+    assert (minimum, witness) == (2, (1, 1))
+    assert auto == ((162791, -31025), (155125, -29564))
+    assert mat_mul(mat_mul(auto, auto), auto) == (
+        (2889448033323421, -550676175206200), (2753380876031000, -524744252955019))
 
 
 def test_search_order_canon():
@@ -235,7 +284,7 @@ def test_saturate_properties(seed, rank):
     rows = []
     while len(rows) < k:
         cand = tuple(rng.randint(-4, 4) for _ in range(rank))
-        from qforge.linalg import rational_rank
+        from qforge.linalg import mat_mul, rational_rank, transpose
 
         if any(cand) and rational_rank(rows + [cand]) == len(rows) + 1:
             rows.append(cand)
@@ -347,7 +396,7 @@ def _independent_basis(draw):
         mult = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
                              min_size=k, max_size=k))
         rows = [[sum(m * r[j] for m, r in zip(mrow, base)) for j in range(n)] for mrow in mult]
-    from qforge.linalg import rational_rank
+    from qforge.linalg import mat_mul, rational_rank, transpose
 
     assume(rational_rank(rows) == k)
     return rows

@@ -194,12 +194,17 @@ LIBRARY_API = {
 
 
 def test_every_top_level_name_is_used_or_documented():
-    """Each top-level function and class of the package is referenced from
-    another place in it, or is a documented library entry point: a name
-    only tests call belongs in the tests (oracle_utils)."""
+    """Each top-level function and class of the package, and each method
+    other than a dunder, is referenced from another place in it, or is a
+    documented library entry point (with the methods of a documented
+    class): a name only tests call belongs in the tests (oracle_utils)."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    defined = [(name, node) for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    top = [(name, node) for name, tree in trees.items() for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    methods = [(name, node) for name, cls in top
+               if isinstance(cls, ast.ClassDef) and cls.name not in LIBRARY_API
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     uses: dict[str, list] = {}  # name -> (file, line) of every reference
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -207,7 +212,7 @@ def test_every_top_level_name_is_used_or_documented():
                 node.attr if isinstance(node, ast.Attribute) else None)
             if ref:
                 uses.setdefault(ref, []).append((name, node.lineno))
-    unused = [f"{name}:{node.lineno} {node.name}" for name, node in defined
+    unused = [f"{name}:{node.lineno} {node.name}" for name, node in top + methods
               if node.name not in LIBRARY_API
               and all(f == name and node.lineno <= line <= node.end_lineno
                       for f, line in uses.get(node.name, ()))]
@@ -215,7 +220,7 @@ def test_every_top_level_name_is_used_or_documented():
     readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     rows = {line.split("|")[1].strip(" `"): line for line in readme
             if line.startswith("| `qforge.")}
-    assert {node.name for _, node in defined} >= LIBRARY_API.keys()
+    assert {node.name for _, node in top} >= LIBRARY_API.keys()
     undocumented = [name for name, (module, words) in LIBRARY_API.items()
                     if words not in rows.get(module, "")]
     assert not undocumented, undocumented
