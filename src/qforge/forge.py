@@ -20,13 +20,13 @@ from .lattice import (
     QuadLattice,
     Sublattice,
     Vector,
+    _diagonal_pivots,
     binary_cycle,
     gram_divisible_by,
     is_indefinite,
     orthogonal_complement,
     pairing,
     qvalue,
-    rational_diagonalize,
     saturate,
     signature,
     span,
@@ -127,8 +127,11 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     latt = comp.as_lattice()
-    diag, diag_basis = rational_diagonalize(latt.gram)
-    want_negative = any(d < 0 for d in diag)
+    # diagonal entry k is minors[k] / prevs[k], and cols[k] / prevs[k] its basis vector
+    minors, cols = _diagonal_pivots(latt.gram)
+    prevs = [1] + minors[:-1]
+    signs = [m * d for m, d in zip(minors, prevs)]
+    want_negative = any(d < 0 for d in signs)
 
     def sign_ok(value) -> bool:
         return value != 0 and (value < 0) == want_negative
@@ -150,9 +153,10 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
         moved = [w for w in (_add(x, units[j], p), _add(x, units[j], -p)) if valuation_one(w)]
         w = next((w for w in moved if sign_ok(qvalue(latt, w))), moved[0])
         # w + p^2 k s keeps q(w) mod p^2, and takes the sign of q(s) for large k
-        idx = next(i for i, d in enumerate(diag) if sign_ok(d))
-        den = math.lcm(*(row[idx].denominator for row in diag_basis))
-        s = [int(row[idx] * den) for row in diag_basis]
+        idx = next(i for i, d in enumerate(signs) if sign_ok(d))
+        prev = prevs[idx]
+        den = math.lcm(*(prev // math.gcd(c, prev) for c in cols[idx]))
+        s = [c * den // prev for c in cols[idx]]
         k = 0
         while not sign_ok(qvalue(latt, _add(w, s, p * p * k))):
             k = max(1, 2 * k)

@@ -387,20 +387,43 @@ def enumerate_values(
 
 def min_nonzero_abs(latt: QuadLattice, height: int) -> tuple[int | None, Vector | None]:
     """Minimum |q| over the nonzero vectors of a binary lattice with both
-    coordinates in [-height, height], with a witness: the --verify
-    cross-check of binary_cycle's minimum."""
+    coordinates in [-height, height], with its lexicographically first
+    witness: the --verify cross-check of binary_cycle's minimum.
+
+    Row x of the box is the quadratic f(y) = c y^2 + 2bx y + a x^2. Its
+    real roots x(-b ± sqrt(b^2 - ac))/c and its vertex -bx/c cut
+    [-height, height] into runs on which |f| is strictly monotone, so the
+    row's least nonzero |f| lies at ±height or within one of the floor of
+    a root or of the vertex (one step past a root that is an integer). As
+    q(-v) = q(v), the first witness lies in a row x <= 0, and only those
+    rows are read: O(height) values in all.
+    """
     if latt.rank != 2:
         raise PreconditionError("the box minimum is for binary lattices")
-    (a, g12), (_, c) = latt.gram
-    b2 = 2 * g12
+    (a, b), (_, c) = latt.gram
+    d4 = b * b - a * c
     best = None
     witness = None
-    for x in range(-height, height + 1):
+    for x in range(-height, 1):
+        # the turning points of row x are (p ± sqrt(disc)) / den with den > 0;
+        # beside an irrational root t the integers floor(t) and floor(t) + 1
+        # are wanted, and (p - r) // den, one of the two, serves as its floor
+        if c:
+            p, den = (-b * x, c) if c > 0 else (b * x, -c)
+            floors = [p // den]
+            disc = x * x * d4
+            if disc >= 0:
+                r = math.isqrt(disc)
+                floors += [(p + r) // den, (p - r) // den]
+        else:
+            floors = [-a * x // (2 * b)] if b and x else []
+        ys = {-height, height}
+        ys.update(y for t in floors for y in (t - 1, t, t + 1) if -height <= y <= height)
         ax2 = a * x * x
-        b2x = b2 * x
-        for y in range(-height, height + 1):
+        b2x = 2 * b * x
+        for y in sorted(ys):
             v = ax2 + (b2x + c * y) * y
-            if v and (x or y):
+            if v:
                 av = -v if v < 0 else v
                 if best is None or av < best:
                     best = av

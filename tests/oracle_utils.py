@@ -295,6 +295,28 @@ def all_values_divisible_by(latt, p: int, height: int) -> tuple[bool, tuple | No
     return True, None
 
 
+def box_min_scan(latt, height: int) -> tuple[int | None, tuple | None]:
+    """For a binary lattice: the minimum |q| over the nonzero vectors with
+    both coordinates in [-height, height], and the first vector in
+    lexicographic order that attains it, by evaluating the whole box;
+    (None, None) when every value there is 0."""
+    (a, g12), (_, c) = latt.gram
+    b2 = 2 * g12
+    best = None
+    witness = None
+    for x in range(-height, height + 1):
+        ax2 = a * x * x
+        b2x = b2 * x
+        for y in range(-height, height + 1):
+            v = ax2 + (b2x + c * y) * y
+            if v and (x or y):
+                av = -v if v < 0 else v
+                if best is None or av < best:
+                    best = av
+                    witness = (x, y)
+    return best, witness
+
+
 # ---------------------------------------------------------------------------
 # The canonical search order of the former vector hunts, kept as a reference:
 # shell by shell in increasing L1 norm; inside a shell lexicographic with

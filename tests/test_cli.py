@@ -525,6 +525,16 @@ def test_verify_report_rechecks_oracle_claims(reports, name):
     assert failure in verify_report(report)
 
 
+def test_verify_report_box_cross_check_fires(reports):
+    """An overstated minimum fails the cycle walk and, on its own, the
+    height-60 box cross-check too: the box holds the true minimum's witness."""
+    report = copy.deepcopy(reports["hyperbolic"])
+    _shift_minimum(1)(report)
+    failures = verify_report(report)
+    assert "oracle minimum overstated" in failures
+    assert f"a value below the claimed minimum at height {cli.CROSS_CHECK_HEIGHT}" in failures
+
+
 def test_search_exhausted_exit_code(capsys):
     # enumerate is the one command left with a budgeted search
     rc, obj = run_cli(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     all_values_divisible_by,
+    box_min_scan,
     invariant_factors_by_minors,
     iter_search_vectors,
     pairing_pairwise,
@@ -214,6 +215,45 @@ def test_binary_minimum_rejects_isotropic_and_definite(gram):
 def test_min_nonzero_abs_is_for_binary_lattices():
     with pytest.raises(PreconditionError, match="the box minimum is for binary lattices"):
         min_nonzero_abs(diag_lattice(1, -1, -1), 2)
+
+
+_ENTRY = st.one_of(st.integers(-10, 10), st.integers(-10**12, 10**12))
+
+
+def _factored(u, v, s, w, t):
+    """t (u x + v y)(s x + w y) as (g11, g12, g22), doubled when u w + v s is odd."""
+    mid = u * w + v * s
+    k = 2 * t if mid % 2 else t
+    return k * u * s, k * mid // 2, k * v * w
+
+
+_BINARY_ENTRIES = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY),
+    # a = 0, b = 0 or c = 0
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, st.integers(0, 2)).map(
+        lambda e: tuple(0 if i == e[3] else x for i, x in enumerate(e[:3]))),
+    # isotropic: a product of two linear forms, t (u x + v y)(s x + w y)
+    st.tuples(*[st.integers(-30, 30)] * 4, _ENTRY).map(lambda e: _factored(*e)),
+    # degenerate: t (u x + v y)^2, the zero Gram among them
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30), _ENTRY).map(
+        lambda e: _factored(e[0], e[1], e[0], e[1], e[2])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_BINARY_ENTRIES, height=st.integers(0, 60))
+@example(entries=(0, 1, 0), height=60)  # U: isotropic, both coordinate axes zero
+@example(entries=(0, 0, 0), height=60)  # the zero Gram: no nonzero value
+@example(entries=(0, 0, 5), height=3)  # diag(0, 5): degenerate
+@example(entries=(3, 1, -7), height=0)  # height 0: only the zero vector
+def test_min_nonzero_abs_matches_the_scan(entries, height):
+    """The row-by-row minimum equals the full box scan: the same least
+    nonzero |q| and the same lexicographically first witness, on binary
+    Grams with entries up to 10^12 in absolute value, isotropic and
+    degenerate ones included."""
+    a, b, c = entries
+    latt = from_rows([[a, b], [b, c]])
+    assert min_nonzero_abs(latt, height) == box_min_scan(latt, height)
 
 
 _ANISOTROPIC_INDEFINITE = st.integers(1, 4).flatmap(

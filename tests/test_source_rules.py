@@ -135,9 +135,10 @@ def test_parabolic_run_loads_no_sympy():
     assert proc.stdout.split() == ["0", "[]"], proc.stdout
 
 
-# Functions of the parabolic hot path that work in integers: a rational
-# vector is an integer vector with a denominator named beside it.
+# Functions of the parabolic and hyperbolic hot paths that work in integers:
+# a rational vector is an integer vector with a denominator named beside it.
 FRACTION_FREE = {
+    "forge.py": {"find_w_odd_valuation"},
     "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
                 "_next_image", "_eichler_reduce", "_cancel_plane", "_embedding_index",
                 "_intersect_with_image", "_trim_to_signature", "_standard_inclusion"},
@@ -164,8 +165,9 @@ def test_witness_and_saturation_stay_fraction_free():
     """No Fraction on the hot path of explicit_rational_isometry (the
     functions making the flag and the images, and moving them back from
     G2 + U), of the embedding's index, intersection and trimming, of the
-    congruent diagonalization, of the cone flag or of the saturation; the
-    saturation neither takes a Smith form nor inverts a matrix."""
+    congruent diagonalization, of the cone flag, of the saturation or of
+    the rank-2 construction's w of p-valuation 1; the saturation neither
+    takes a Smith form nor inverts a matrix."""
     checked = {name: {fn.name: fn for fn in _functions(name) if fn.name in wanted}
                for name, wanted in FRACTION_FREE.items()}
     assert {name: set(fns) for name, fns in checked.items()} == FRACTION_FREE
