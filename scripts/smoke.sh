@@ -21,7 +21,13 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 "$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify
 "$qforge" parabolic --lattice "catalog:U+U+U+E8(-1)" --n-bound 3 --verify
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
-"$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify
+"$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify > "$tmp/k3.json"
+# the report's own check line: classify --lattice <sublattice.gram> --matrix <isometry.matrix>
+"$py" -c 'import json, sys; r = json.load(open(sys.argv[1]))
+json.dump({"gram": r["sublattice"]["gram"]}, open(sys.argv[2], "w"))
+json.dump(r["isometry"]["matrix"], open(sys.argv[3], "w"))' "$tmp/k3.json" "$tmp/k3-gram.json" "$tmp/k3-matrix.json"
+"$qforge" classify --lattice "$tmp/k3-gram.json" --matrix "$tmp/k3-matrix.json" \
+  | check 'o["classification"]["dominant_root_between"] == json.load(open("'"$tmp/k3.json"'"))["isometry"]["classification"]["dominant_root_between"]'
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 --verify
 # no basis vector qualifies as w, so w is constructed: a long cycle of reduced forms
 timeout 60 "$qforge" hyperbolic --lattice "catalog:diag(1,1,-1,-1,-1)" --n-bound 1000 --verify

@@ -20,7 +20,6 @@ from .lattice import (
     QuadLattice,
     Sublattice,
     Vector,
-    _diagonal_pivots,
     binary_cycle,
     gram_divisible_by,
     is_indefinite,
@@ -122,14 +121,17 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     w is in comp's coordinates; q(w) < 0, or q(w) > 0 when comp has no
     negative vector. If no basis vector qualifies, p must be odd with
     p ∤ det(comp), and PreconditionError then means comp is anisotropic
-    mod p, so that no such w exists.
+    mod p, so that no such w exists. The signs, det(comp) and the
+    direction that fixes the sign of q(w) all come from comp's congruent
+    diagonalization (QuadLattice.pivots), which the caller may already
+    have formed on comp.as_lattice().
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     latt = comp.as_lattice()
     # diagonal entry k is minors[k] / prevs[k], and cols[k] / prevs[k] its basis vector
-    minors, cols = _diagonal_pivots(latt.gram)
-    prevs = [1] + minors[:-1]
+    minors, cols = latt.pivots
+    prevs = [1, *minors[:-1]]
     signs = [m * d for m, d in zip(minors, prevs)]
     want_negative = any(d < 0 for d in signs)
 
@@ -143,7 +145,7 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     units = identity(latt.rank)
     w = next((e for e in units if sign_ok(qvalue(latt, e)) and valuation_one(e)), None)
     if w is None:
-        if p == 2 or latt.det() % p == 0:
+        if p == 2 or minors[-1] % p == 0:  # minors[-1] = det(comp)
             raise PreconditionError("no basis vector qualifies, and p is 2 or divides det")
         x = _isotropic_mod_p(latt.gram, p)
         if x is None:
@@ -248,7 +250,11 @@ def _construct(
     if reduce_complement:
         h, _, _ = lll_gram(comp.gram())
         comp = Sublattice(latt, freeze(mat_mul(h, comp.basis)))
-    obstruction = 2 * g * comp.as_lattice().det()
+    # comp, the complement of the hyperbolic plane <v, v'>, is non-degenerate,
+    # and the last minor of its pivots is its determinant; find_w_odd_valuation
+    # reads the same pivots off the same lattice
+    minors, _ = comp.as_lattice().pivots
+    obstruction = 2 * g * minors[-1]
     p = next(p for p in primes_from(max(n_bound + 1, 3)) if obstruction % p)
     # q(w) < 0 whenever comp allows it, so that q(v1) > 0
     w_coords, beta2 = find_w_odd_valuation(comp, p)

@@ -37,7 +37,7 @@ from .lattice import (
     gram_of,
     pairing,
     qvalue,
-    rational_diagonalize,
+    rational_diagonal,
     rescale,
     saturate,
     saturation_index,
@@ -104,7 +104,7 @@ def extend_to_standard(
     """(b0, b1, b2) with diag(H) + (b0, b1, b2) rationally equivalent to the
     +-1 diagonal form of the target signature; always re-verified through
     the full invariant triple."""
-    diag, _ = rational_diagonalize(latt.gram)
+    diag = rational_diagonal(latt.gram)
     r = sum(1 for d in diag if d > 0)
     s = len(diag) - r
     if target_signature not in _target_options(r, s):

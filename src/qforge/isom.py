@@ -18,7 +18,6 @@ from .forge import find_isotropic
 from .lattice import (
     QuadLattice,
     Vector,
-    _diagonal_pivots,
     gram_of,
     orthogonal_complement,
     pairing,
@@ -98,38 +97,50 @@ def _exact_order(matrix, k: int) -> int:
 
 def _dominant_root_interval(poly) -> tuple[Fraction, Fraction]:
     """Rational interval (lo, hi) outside [-1, 1] holding the real root
-    lambda with |lambda| > 1 of the non-cyclotomic part, by bisection.
+    lambda with |lambda| > 1 of the non-cyclotomic part, by 12 bisection
+    steps.
 
     That part is the minimal polynomial of lambda: monic, of even degree,
     with p(1) < 0 when lambda > 1 and p(-1) < 0 when lambda < -1, while p
     is positive beyond the Cauchy bound B. So p changes sign on (1, B) or
-    on (-B, -1).
+    on (-B, -1). The bisection runs in integers: after k steps lo and hi
+    are L / 2^k and H / 2^k, and the sign of p at M / 2^k is that of
+    2^(k deg) p(M / 2^k), by Horner with the coefficient of x^i shifted by
+    k (deg - i) bits. p keeps its sign at hi, so that sign is read once.
+    A midpoint that is a root comes back centred in an interval half as
+    wide as the one it splits.
     """
-    bound = Fraction(1 + max(abs(c) for c in poly), 1)
+    deg = len(poly) - 1
+    bound = 1 + max(abs(c) for c in poly)
     if poly_eval(poly, 1) < 0:
-        lo, hi = Fraction(1), bound
+        lo, hi = 1, bound
     elif poly_eval(poly, -1) < 0:
-        lo, hi = -bound, Fraction(-1)
+        lo, hi = -bound, -1
     else:
         raise InternalInconsistencyError("the non-cyclotomic part changes sign on neither side")
-    for _ in range(12):
-        mid = (lo + hi) / 2
-        val = poly_eval(poly, mid)
+    hi_positive = poly_eval(poly, hi) > 0
+    for k in range(1, 13):
+        mid = lo + hi  # the midpoint (lo + hi) / 2^k, with lo, hi still over 2^(k - 1)
+        val = 0
+        for i in range(deg, -1, -1):
+            val = val * mid + (poly[i] << (k * (deg - i)))
         if val == 0:
-            return (mid - (hi - lo) / 4, mid + (hi - lo) / 4)
-        if (val > 0) == (poly_eval(poly, hi) > 0):
-            hi = mid
+            # the root mid / 2^k, with a quarter of the width on either side
+            den = 1 << (k + 1)
+            return Fraction(2 * mid - (hi - lo), den), Fraction(2 * mid + (hi - lo), den)
+        if (val > 0) == hi_positive:
+            lo, hi = 2 * lo, mid
         else:
-            lo = mid
-    return lo, hi
+            lo, hi = mid, 2 * hi
+    return Fraction(lo, 1 << 12), Fraction(hi, 1 << 12)
 
 
 def _positive_cone_flag(g: Isometry) -> bool:
     """Whether g keeps the cone of a positive vector w: b(g w, w) > 0. w is
     the first positive basis vector of the congruent diagonalization,
     scaled to integers; the sign of b(g w, w) does not depend on w's scale."""
-    minors, cols = _diagonal_pivots(g.lattice.gram)
-    w = next(c for c, m, d in zip(cols, minors, [1] + minors[:-1]) if (m > 0) == (d > 0))
+    minors, cols = g.lattice.pivots
+    w = next(c for c, m, d in zip(cols, minors, [1, *minors[:-1]]) if (m > 0) == (d > 0))
     return pairing(g.lattice, g.apply(w), w) > 0
 
 

@@ -32,10 +32,14 @@ def decode_int(x) -> int:
 
 
 def encode_fraction(q) -> str | int:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return encode_int(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _encode_ratio(*Fraction(q).as_integer_ratio())
+
+
+def _encode_ratio(num: int, den: int) -> str | int:
+    """num / den for den > 0, in lowest terms: an integer, else "num/den"."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return encode_int(num) if den == 1 else f"{num}/{den}"
 
 
 def encode_matrix(mat):
@@ -43,18 +47,22 @@ def encode_matrix(mat):
 
 
 def encode_fraction_matrix(m, den: int):
-    """The rational matrix m / den, entry by entry in lowest terms."""
-    return [[encode_fraction(Fraction(x, den)) for x in row] for row in m]
+    """The rational matrix m / den (den > 0), entry by entry in lowest terms."""
+    return [[_encode_ratio(x, den) for x in row] for row in m]
 
 
-def decode_fraction(x) -> Fraction:
+def _decode_ratio(x) -> tuple[int, int]:
+    """(num, den) in lowest terms with den > 0, for an integer or a
+    "num/den" string."""
     if isinstance(x, str) and "/" in x:
         num, _, den = x.partition("/")
         den = decode_int(den)
         if den <= 0:
             raise PreconditionError(f"expected a positive denominator, got {x!r}")
-        return Fraction(decode_int(num), den)
-    return Fraction(decode_int(x))
+        num = decode_int(num)
+        g = math.gcd(num, den)
+        return num // g, den // g
+    return decode_int(x), 1
 
 
 def decode_fraction_matrix(rows) -> tuple[list[list[int]], int]:
@@ -62,9 +70,9 @@ def decode_fraction_matrix(rows) -> tuple[list[list[int]], int]:
     denominator, m integral, and m / den the matrix the rows spell."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise PreconditionError("expected a list of rational rows")
-    mat = [[decode_fraction(x) for x in row] for row in rows]
-    den = math.lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
+    mat = [[_decode_ratio(x) for x in row] for row in rows]
+    den = math.lcm(*(d for row in mat for _, d in row))
+    return [[num * (den // d) for num, d in row] for row in mat], den
 
 
 def decode_matrix(rows):

@@ -47,6 +47,14 @@ class QuadLattice:
         return linalg.det_bareiss(self.gram)
 
     @functools.cached_property
+    def pivots(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(minors, cols) of _diagonal_pivots, with the basis, formed once
+        per lattice. Every step is a unimodular congruence, so minors[-1]
+        is det G; PreconditionError when G is degenerate."""
+        minors, cols = _diagonal_pivots(self.gram)
+        return tuple(minors), linalg.freeze(cols)
+
+    @functools.cached_property
     def diagonal(self) -> tuple[int, ...] | None:
         """The Gram's diagonal when no other entry is nonzero, else None."""
         if any(x for i, row in enumerate(self.gram) for j, x in enumerate(row) if i != j):
@@ -108,10 +116,19 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return gram_of(self.ambient, self.basis)
+        return self._lattice.gram
+
+    @functools.cached_property
+    def _lattice(self) -> QuadLattice:
+        return QuadLattice(gram_of(self.ambient, self.basis))
 
     def as_lattice(self, label: str | None = None) -> QuadLattice:
-        return QuadLattice(self.gram(), label=label)
+        """The span with its own Gram. The Gram is formed once, and without
+        a label every call returns the same lattice, so that what it caches
+        (QuadLattice.pivots) is shared."""
+        if label is None:
+            return self._lattice
+        return QuadLattice(self._lattice.gram, label=label)
 
     def to_ambient(self, coords) -> Vector:
         if len(coords) != self.rank:
@@ -225,6 +242,13 @@ def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:
     diag = [Fraction(m, d) for m, d in zip(minors, prevs)]
     basis = [[Fraction(c[i], d) for c, d in zip(cols, prevs)] for i in range(len(gram))]
     return diag, linalg.freeze(basis)
+
+
+def rational_diagonal(gram) -> list[Fraction]:
+    """The diagonal of rational_diagonalize(gram), D_{k+1} / D_k, read off
+    the minors alone: no basis is built."""
+    minors, _ = _diagonal_pivots(gram, with_basis=False)
+    return [Fraction(m, d) for m, d in zip(minors, [1] + minors[:-1])]
 
 
 def signature(latt: QuadLattice) -> tuple[int, int]:

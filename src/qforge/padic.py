@@ -29,7 +29,7 @@ from .intmath import (
     unit_part,
     valuation,
 )
-from .lattice import QuadLattice, rational_diagonalize
+from .lattice import QuadLattice, rational_diagonal, rational_diagonalize
 from .linalg import (
     bilinear,
     det_bareiss,
@@ -136,9 +136,9 @@ class InvariantTriple:
 
 def _diag_of(form) -> list[Fraction]:
     if isinstance(form, QuadLattice):
-        diag, _ = rational_diagonalize(form.gram)
+        diag = rational_diagonal(form.gram)
     elif form and isinstance(form[0], (list, tuple)):
-        diag, _ = rational_diagonalize(form)
+        diag = rational_diagonal(form)
     else:
         diag = [Fraction(x) for x in form]
     if any(d == 0 for d in diag):

@@ -318,6 +318,36 @@ def box_min_scan(latt, height: int) -> tuple[int | None, tuple | None]:
 
 
 # ---------------------------------------------------------------------------
+# The former Fraction bisection for the dominant root's interval, verbatim
+
+
+def dominant_root_interval_fractions(poly):
+    """isom._dominant_root_interval as it was in Fraction arithmetic: 12
+    bisection steps from (1, B) or (-B, -1), B = 1 + max |c|, with p(hi)
+    evaluated again at every step."""
+    from qforge.errors import InternalInconsistencyError
+    from qforge.polys import poly_eval
+
+    bound = Fraction(1 + max(abs(c) for c in poly), 1)
+    if poly_eval(poly, 1) < 0:
+        lo, hi = Fraction(1), bound
+    elif poly_eval(poly, -1) < 0:
+        lo, hi = -bound, Fraction(-1)
+    else:
+        raise InternalInconsistencyError("the non-cyclotomic part changes sign on neither side")
+    for _ in range(12):
+        mid = (lo + hi) / 2
+        val = poly_eval(poly, mid)
+        if val == 0:
+            return (mid - (hi - lo) / 4, mid + (hi - lo) / 4)
+        if (val > 0) == (poly_eval(poly, hi) > 0):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # The canonical search order of the former vector hunts, kept as a reference:
 # shell by shell in increasing L1 norm; inside a shell lexicographic with
 # per-coordinate value order 1, 2, ..., 0, -1, -2, ...; only sign-canonical

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge import cli, lattice
+from qforge import cli, forge, lattice, linalg, padic
 from qforge.catalog import resolve
 from qforge.cli import build_parser, main, verify_report
 from qforge.errors import PreconditionError
 from qforge.jsonio import dump_json, lattice_to_obj, load_lattice_file
-from qforge.lattice import from_rows
+from qforge.lattice import from_rows, orthogonal_complement, span
 from qforge.linalg import mat_mul, transpose
 
 
@@ -267,6 +267,16 @@ def test_fraction_matrix_rejects_malformed_entries():
             decode_fraction_matrix(rows)
 
 
+def test_fraction_matrix_reduces_entries():
+    """Entries are reduced before the common denominator is taken."""
+    from qforge.jsonio import decode_fraction_matrix, encode_fraction_matrix
+
+    assert decode_fraction_matrix([["2/4", "-6/3", 5], ["0/7", "10/20", "3"]]) == (
+        [[1, -4, 10], [0, 1, 6]], 2)
+    assert encode_fraction_matrix([[2, -6, 0], [12, 9, -3]], 6) == [
+        ["1/3", -1, 0], [2, "3/2", "-1/2"]]
+
+
 def test_missing_file_exit_code(capsys):
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "/nonexistent.json"])
     assert rc == 2
@@ -456,6 +466,58 @@ def test_hyperbolic_walks_the_cycle_once(monkeypatch, capsys, verify, walks):
     rc, obj = run_cli(capsys, argv + ["--verify"] * verify)
     assert rc == 0 and obj.get("verified", True) is True
     assert len(calls) == walks
+
+
+def _record_callers(monkeypatch, module, name):
+    """Wrap module.name in every qforge namespace that binds it. Each call
+    appends (its first argument, the (module, function) of every frame
+    above it, innermost first)."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            callers.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+            frame = frame.f_back
+        calls.append((args[0], callers))
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("qforge") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_hyperbolic_eliminates_the_complement_once(monkeypatch, capsys, verify):
+    """On K3 at N = 13 the complement of the isotropic pair is diagonalized
+    once; its determinant (for the choice of p and the precondition of the
+    odd-valuation vector) is the last minor of those pivots. The only
+    determinant left is the unimodularity check of an isometry."""
+    k3 = resolve("K3")
+    comp_gram = orthogonal_complement(span(k3, forge.find_isotropic_pair(k3))).gram()
+    dets = _record_callers(monkeypatch, linalg, "det_bareiss")
+    pivots = _record_callers(monkeypatch, lattice, "_diagonal_pivots")
+    argv = ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "13"]
+    rc, obj = run_cli(capsys, argv + ["--verify"] * verify)
+    assert rc == 0 and obj.get("verified", True) is True
+    assert dets and {callers[0] for _, callers in dets} == {("qforge.isom", "is_isometry")}
+    assert [linalg.freeze(gram) for gram, _ in pivots].count(comp_gram) == 1
+
+
+def test_parabolic_diagonals_build_no_basis(monkeypatch, capsys):
+    """invariant_triple and extend_to_standard read only the diagonal of a
+    congruent diagonalization: on a K3 parabolic run no call beneath them
+    builds its basis (rational_diagonalize)."""
+    bases = _record_callers(monkeypatch, lattice, "rational_diagonalize")
+    triples = _record_callers(monkeypatch, padic, "invariant_triple")
+    argv = ["parabolic", "--lattice", "catalog:K3", "--n-bound", "2", "--verify"]
+    rc, obj = run_cli(capsys, argv)
+    assert rc == 0 and obj["verified"] is True
+    barred = {("qforge.padic", "invariant_triple"), ("qforge.glue", "extend_to_standard")}
+    assert any(("qforge.glue", "extend_to_standard") in callers for _, callers in triples)
+    assert [callers for _, callers in bases if barred & set(callers)] == []
 
 
 @pytest.fixture(scope="module")

@@ -206,6 +206,9 @@ def test_rank2_values_multiples_of_p():
 def test_select_prime():
     assert find_rank2_avoiding(UU2, 4).certificate.p == 5
     assert find_rank2_avoiding(UU2, 0).certificate.p == 3
+    # the complement U + diag(-1, -17) has determinant -17, the last minor of
+    # its pivots (the first is -1): p skips 17
+    assert find_rank2_avoiding(resolve("U+U+diag(-1,-17)"), 13).certificate.p == 19
 
 
 def test_av_bvp_identity():

@@ -142,8 +142,12 @@ def test_explicit_isometry_2112():
 
 
 def test_explicit_isometry_requires_equivalence():
-    with pytest.raises(PreconditionError):
-        explicit_rational_isometry(diag_lattice(1, 1).gram, diag_lattice(1, -1).gram)
+    """The public entry point refuses forms that are not rationally
+    equivalent: another signature, and the same signature with another
+    discriminant class."""
+    for first, second in (((1, 1), (1, -1)), ((1, 1), (1, 3))):
+        with pytest.raises(PreconditionError, match="forms are not rationally equivalent"):
+            explicit_rational_isometry(diag_lattice(*first).gram, diag_lattice(*second).gram)
 
 
 def test_explicit_isometry_exhaustion():

@@ -1,12 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import brute_char_poly, isometry_inverse, isometry_power, matrix_order
+from oracle_utils import (
+    brute_char_poly,
+    dominant_root_interval_fractions,
+    isometry_inverse,
+    isometry_power,
+    matrix_order,
+)
 from qforge.errors import InternalInconsistencyError, PreconditionError
 from qforge.isom import (
     Isometry,
     Tag,
+    _dominant_root_interval,
     classify,
     eichler_transvection,
     find_hyperbolic,
@@ -61,6 +68,32 @@ def test_classify_hyperbolic():
     # contains 3 + 2*sqrt(2)
     assert lo < hi and lo > 1
     assert (lo * lo - 6 * lo + 1) * (hi * hi - 6 * hi + 1) <= 0
+
+
+_QUADRATICS = st.integers(-10**6, 10**6).map(lambda t: (1, -t, 1))  # x^2 - t x + 1
+_MONIC = st.integers(4, 8).flatmap(
+    lambda d: st.lists(st.integers(-50, 50), min_size=d, max_size=d).map(lambda c: (*c, 1)))
+
+
+def _outcome(interval, poly):
+    try:
+        return interval(poly)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly=st.one_of(_QUADRATICS, _MONIC))
+@example(poly=(-2, 1))  # x - 2 on (1, 3): the first midpoint is the root
+@example(poly=(1, -3, 1))  # lambda = (3 + sqrt 5) / 2
+@example(poly=(1, 3, 1))  # lambda = -(3 + sqrt 5) / 2, on (-B, -1)
+@example(poly=(1, -2, 1))  # (x - 1)^2 changes sign on neither side
+def test_dominant_root_interval_matches_the_fraction_bisection(poly):
+    """The integer bisection gives the Fraction bisection's interval, or its
+    error, on quadratics x^2 - t x + 1 with |t| <= 10^6 and on monic
+    polynomials of degree 4 to 8."""
+    assert _outcome(_dominant_root_interval, poly) == _outcome(
+        dominant_root_interval_fractions, poly)
 
 
 def test_classify_parabolic_transvection():
