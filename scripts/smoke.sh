@@ -46,3 +46,10 @@ echo '[[2, 4, 6], [0, 3, 9]]' > "$tmp/basis.json"
 # a partner with a +-1 filler block beside the scaled entries
 "$qforge" glue --lattice "catalog:diag(13,-13,-1)" --target-signature 4,4 \
   | check 'o["overlattice_det"] == 1 and o["lambda_embedding"][0] == [13, 0, 0, -5, 0, 0, 0, 0]'
+# P = 7 is 3 mod 4: the partner's signs are forced to -eps
+"$qforge" glue --lattice "catalog:diag(7,-7)" --target-signature 3,3 \
+  | check 'abs(o["overlattice_det"]) == 1'
+# ... and diag(7,-7,-7) forces two plus signs where (2, 5) has room for one: exit 2
+rc=0; "$qforge" glue --lattice "catalog:diag(7,-7,-7)" --target-signature 2,5 > "$tmp/forced.json" || rc=$?
+test "$rc" -eq 2
+check 'o["error"]["type"] == "PreconditionError"' < "$tmp/forced.json"

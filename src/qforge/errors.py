@@ -1,10 +1,9 @@
 """Exception hierarchy: one class per CLI exit code under a common base.
 
 Exit codes follow the CLI contract: 2 for violated preconditions or bad
-input, 3 for exhausted bounded searches, 4 for internal inconsistencies
-(a step that is guaranteed to succeed failed, i.e. a bug). Exit 3 comes
-from two searches only: the budgeted box enumeration of `enumerate` and
-the scan over diagonal sign patterns in `glue.nikulin_glue` (`glue`).
+input, 3 for a spent budget, 4 for internal inconsistencies (a step that
+is guaranteed to succeed failed, i.e. a bug). Exit 3 comes only from the
+`--budget` of the box enumeration of `enumerate`.
 """
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
+from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import (
     bezout,
     is_prime,
@@ -373,8 +373,8 @@ def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
     remaining basis vector whose projection off the earlier rows has the
     least nonzero |q| (first in order on ties), which keeps the complements
     of explicit_rational_isometry close to unimodular. When every remaining
-    projection is isotropic, e_i ± e_j for the first remaining i, j with a
-    nonzero one; a sign works, else e_i would pair to zero with the rest.
+    projection is isotropic, e_i + e_j for the first remaining i, j with a
+    nonzero one, which exists as the form is non-degenerate.
 
     Fraction-free Gram-Schmidt: with D the Gram determinant of the chosen
     rows, D o and D q(o) are integral (Cramer), and each update divides
@@ -388,12 +388,14 @@ def _nondegenerate_flag(latt: QuadLattice) -> list[list[int]]:
         if live:
             row, o, qo = pool.pop(min(live, key=lambda i: (abs(pool[i][2]), i)))
         else:
-            i = min(pool)
-            for j, sign in ((j, sign) for j in sorted(pool) if j != i for sign in (1, -1)):
-                o = [a + sign * b for a, b in zip(pool[i][1], pool[j][1])]
+            # q(o_i +- o_j) = +-2 b(o_i, o_j) for isotropic o_i, o_j: the sign -1
+            # succeeds only where +1 does
+            i, *rest = sorted(pool)
+            for j in rest:
+                o = [a + b for a, b in zip(pool[i][1], pool[j][1])]
                 qo = qvalue(latt, o) // det
                 if qo:
-                    row = [a + sign * b for a, b in zip(pool[i][0], pool[j][0])]
+                    row = [a + b for a, b in zip(pool[i][0], pool[j][0])]
                     break
             del pool[i]
         rows.append(row)
@@ -547,9 +549,9 @@ class GlueData:
     lam_prime_embedding: tuple[tuple[int, ...], ...]
 
 
-def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], list[int]]:
-    """(P, eps, unimodular_signs) for a diagonal lattice with entries in
-    {+-1, +-P}, P an odd prime."""
+def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int]]:
+    """(P, eps): the scaling prime and the signs of the +-P entries of a
+    diagonal lattice with entries in {+-1, +-P}, P an odd prime."""
     n = latt.rank
     for i in range(n):
         for j in range(n):
@@ -557,12 +559,9 @@ def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], li
                 raise PreconditionError("gluing supports diagonal lattices only")
     p = None
     eps: list[int] = []
-    units: list[int] = []
     for i in range(n):
         e = latt.gram[i][i]
-        if abs(e) == 1:
-            units.append(e)
-        else:
+        if abs(e) != 1:
             if not is_prime(abs(e)):
                 raise PreconditionError(f"diagonal entry {e} is not +-1 or +-prime")
             if abs(e) == 2:
@@ -572,90 +571,63 @@ def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int], li
             elif p != abs(e):
                 raise PreconditionError("multiple scaling primes are unsupported")
             eps.append(1 if e > 0 else -1)
-    return p, eps, units
+    return p, eps
 
 
 def nikulin_glue(
     lam: QuadLattice, target_signature: tuple[int, int]
 ) -> GlueData:
     """Glue lam with a partner of opposite discriminant form into an odd
-    unimodular overlattice of the target signature.
+    unimodular overlattice of the target signature (Nikulin's overlattice
+    construction).
 
     Supported family: P * (odd unimodular diagonal) ⊕ (unimodular
-    diagonal) for a single odd prime P. The anti-isometry is searched over
-    diagonal sign patterns and units mod P; every output is verified
+    diagonal) for a single odd prime P. The partner is P * diag(delta)
+    plus a +-1 filler, and e_i / P -> u_i e'_i / P is an anti-isometry
+    when u_i^2 = -eps_i delta_i mod P. For P = 3 mod 4, -1 is a non-residue,
+    so delta = -eps is forced; for P = 1 mod 4 every sign admits a unit, and
+    delta is eps with its last signs flipped to the count of plus signs
+    nearest eps's that the target leaves room for. Every output is verified
     (determinant, signature, oddness, primitivity, glue isotropy).
     """
-    p, eps, _units = _parse_scaled_diagonal(lam)
+    p, eps = _parse_scaled_diagonal(lam)
     pos, neg = signature(lam)
     if pos != 1:
         raise PreconditionError("lam must have signature (1, s)")
     r_t, s_t = target_signature
-    rank_t = r_t + s_t
-    if 2 * lam.rank >= rank_t:
+    if 2 * lam.rank >= r_t + s_t:
         raise PreconditionError("need 2 * rank(lam) < rank(target)")
     if r_t < 1 or s_t < 1:
         raise PreconditionError("target must be indefinite")
-    need_pos = r_t - pos
-    need_neg = s_t - neg
+    need_pos, need_neg = r_t - pos, s_t - neg
     if need_pos < 0 or need_neg < 0:
         raise PreconditionError("target signature too small for lam")
 
     if p is None:
-        lam_prime = standard_lattice(need_pos, need_neg)
-        return _assemble_glue(lam, lam_prime, p=None, pairs=[])
+        return _assemble_glue(lam, standard_lattice(need_pos, need_neg), p=None, pairs=[])
 
-    m = len(eps)
-    k_eps = sum(1 for e in eps if e > 0)
-    if p % 4 == 1:
-        # sqrt(-1) exists mod p, so any elementwise pairing admits a unit;
-        # scan partner sign counts nearest to eps first
-        candidates = []
-        for k_delta in sorted(range(m + 1), key=lambda k: (abs(k - k_eps), k)):
-            delta = list(eps)
-            want = k_delta - k_eps
-            if want > 0:
-                for i in range(m - 1, -1, -1):
-                    if want and delta[i] == -1:
-                        delta[i] = 1
-                        want -= 1
-            elif want < 0:
-                want = -want
-                for i in range(m - 1, -1, -1):
-                    if want and delta[i] == 1:
-                        delta[i] = -1
-                        want -= 1
-            candidates.append(delta)
+    if p % 4 == 3:
+        delta = [-e for e in eps]
+        if delta.count(1) > need_pos or delta.count(-1) > need_neg:
+            raise PreconditionError(
+                f"P = {p} is 3 mod 4, which forces the partner signs {delta}: "
+                f"they leave no room for the target signature {target_signature}")
     else:
-        # -1 is a non-residue: -eps[i]*delta[i] must be 1, forcing delta = -eps
-        candidates = [[-e for e in eps]]
-    for delta in candidates:
-        k_delta = sum(1 for d in delta if d > 0)
-        filler_pos = need_pos - k_delta
-        filler_neg = need_neg - (m - k_delta)
-        if filler_pos < 0 or filler_neg < 0:
-            continue
-        units = []
-        ok = True
-        for e, d in zip(eps, delta):
-            root = sqrt_mod((-e * d) % p, p)
-            if root is None:
-                ok = False
-                break
-            # the odd representative of {root, p - root} makes the glue
-            # generator's q-value even, not merely integral
-            units.append(root if root % 2 == 1 else p - root)
-        if not ok:
-            continue
-        lam_prime = direct_sum(
-            rescale(diag_lattice(*delta), p),
-            standard_lattice(filler_pos, filler_neg),
-        ) if filler_pos + filler_neg else rescale(diag_lattice(*delta), p)
-        pairs = [(i, units[i], i) for i in range(m)]
-        return _assemble_glue(lam, lam_prime, p=p, pairs=pairs)
-    raise SearchExhaustedError(
-        "no diagonal anti-isometry pattern fits the target signature"
-    )
+        # the count lies in [m - need_neg, need_pos], which is not empty:
+        # need_pos + need_neg = rank(target) - rank(lam) > rank(lam) >= m
+        m, k_eps = len(eps), eps.count(1)
+        want = min(max(k_eps, m - need_neg), need_pos) - k_eps
+        flip = [i for i, e in enumerate(eps) if e == (-1 if want > 0 else 1)]
+        flip = flip[len(flip) - abs(want):]
+        delta = [-e if i in flip else e for i, e in enumerate(eps)]
+    # the odd representative of {root, p - root} makes the glue generator's
+    # q-value even, not merely integral
+    units = [root if root % 2 else p - root
+             for root in (sqrt_mod(-e * d % p, p) for e, d in zip(eps, delta))]
+    lam_prime = direct_sum(rescale(diag_lattice(*delta), p),
+                           standard_lattice(need_pos - delta.count(1),
+                                            need_neg - delta.count(-1)))
+    return _assemble_glue(lam, lam_prime, p=p, pairs=[(i, u, i) for i, u in enumerate(units)])
 
 
 def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
@@ -673,10 +645,9 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
         glue_rows.append(row)
         glue_fracs.append(tuple(Fraction(x, p) for x in row))
         # glue isotropy: integral, and even thanks to the odd-unit choice
-        qsum = Fraction(lam.gram[lam_p_indices[i]][lam_p_indices[i]], p * p) + Fraction(
-            u * u * lam_prime.gram[lp_p_indices[j]][lp_p_indices[j]], p * p
-        )
-        if qsum % 2 != 0:
+        a = lam.gram[lam_p_indices[i]][lam_p_indices[i]]
+        b = lam_prime.gram[lp_p_indices[j]][lp_p_indices[j]]
+        if (a + u * u * b) % (2 * p * p):
             raise InternalInconsistencyError("glue generator is not isotropic mod 2Z")
 
     # the overlattice basis is h / scale
@@ -714,7 +685,7 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
         lam=lam,
         lam_prime=lam_prime,
         overlattice=over,
-        anti_isometry=tuple((i, u, j) for (i, u, j) in pairs),
+        anti_isometry=tuple(pairs),
         glue_vectors=tuple(glue_fracs),
         lam_embedding=lam_embed,
         lam_prime_embedding=lp_embed,
@@ -886,7 +857,4 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
 def _next_glue_prime(bound: int) -> int:
     """Smallest prime p > bound with p ≡ 1 (mod 4), so that p is a sum of
     two squares (needed by the two-squares blocks)."""
-    for p in primes_from(max(bound + 1, 5)):
-        if p % 4 == 1:
-            return p
-    raise InternalInconsistencyError("unreachable")
+    return next(p for p in primes_from(max(bound + 1, 5)) if p % 4 == 1)

@@ -185,35 +185,27 @@ def rationally_equivalent(f1, f2) -> bool:
 
 
 def _gf2_solve(rows: list[list[int]], rhs: list[int], nvars: int) -> list[int] | None:
-    """Solve a linear system over GF(2); free variables set to 0."""
-    aug = [(sum(bit << i for i, bit in enumerate(row)) | (r << nvars))
-           for row, r in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []  # (row index in echelon list, var)
-    echelon: list[int] = []
-    for vec in aug:
-        for erow, var in zip(echelon, [p for _, p in pivots]):
-            if (vec >> var) & 1:
-                vec ^= erow
-        lead = None
-        for v in range(nvars):
-            if (vec >> v) & 1:
-                lead = v
-                break
-        if lead is None:
-            if (vec >> nvars) & 1:
+    """Solve a linear system over GF(2); free variables set to 0.
+
+    Rows are bit masks with the right-hand side at bit nvars, kept fully
+    reduced: each pivot variable is set in its own row only."""
+    reduced: dict[int, int] = {}  # pivot variable -> row
+    for row, r in zip(rows, rhs):
+        vec = sum(bit << i for i, bit in enumerate(row)) | (r << nvars)
+        for var, prow in reduced.items():
+            if vec >> var & 1:
+                vec ^= prow
+        low = vec & ((1 << nvars) - 1)
+        if not low:
+            if vec:
                 return None
             continue
-        echelon.append(vec)
-        pivots.append((len(echelon) - 1, lead))
-    # back-substitute
-    for idx in range(len(echelon) - 1, -1, -1):
-        for jdx in range(idx):
-            if (echelon[jdx] >> pivots[idx][1]) & 1:
-                echelon[jdx] ^= echelon[idx]
-    sol = [0] * nvars
-    for erow, (_, var) in zip(echelon, pivots):
-        sol[var] = (erow >> nvars) & 1
-    return sol
+        lead = (low & -low).bit_length() - 1
+        for var, prow in reduced.items():
+            if prow >> lead & 1:
+                reduced[var] = prow ^ vec
+        reduced[lead] = vec
+    return [reduced[var] >> nvars & 1 if var in reduced else 0 for var in range(nvars)]
 
 
 def solve_prescribed_hilbert(

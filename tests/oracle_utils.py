@@ -667,3 +667,121 @@ def isometry_power(iso, k: int):
     if k < 0:
         return isometry_power(isometry_inverse(iso), -k)
     return Isometry(iso.lattice, mat_pow(iso.matrix, k))
+
+
+# ---------------------------------------------------------------------------
+# Former scans and passes that qforge has replaced
+
+
+def gf2_solve_reference(rows: list[list[int]], rhs: list[int], nvars: int) -> list[int] | None:
+    """padic._gf2_solve as an echelon pass and a back-substitution pass:
+    solve a linear system over GF(2); free variables set to 0."""
+    aug = [(sum(bit << i for i, bit in enumerate(row)) | (r << nvars))
+           for row, r in zip(rows, rhs)]
+    pivots: list[tuple[int, int]] = []  # (row index in echelon list, var)
+    echelon: list[int] = []
+    for vec in aug:
+        for erow, var in zip(echelon, [p for _, p in pivots]):
+            if (vec >> var) & 1:
+                vec ^= erow
+        lead = None
+        for v in range(nvars):
+            if (vec >> v) & 1:
+                lead = v
+                break
+        if lead is None:
+            if (vec >> nvars) & 1:
+                return None
+            continue
+        echelon.append(vec)
+        pivots.append((len(echelon) - 1, lead))
+    # back-substitute
+    for idx in range(len(echelon) - 1, -1, -1):
+        for jdx in range(idx):
+            if (echelon[jdx] >> pivots[idx][1]) & 1:
+                echelon[jdx] ^= echelon[idx]
+    sol = [0] * nvars
+    for erow, (_, var) in zip(echelon, pivots):
+        sol[var] = (erow >> nvars) & 1
+    return sol
+
+
+def nikulin_glue_scan(lam, target_signature):
+    """glue.nikulin_glue as a scan: partner sign patterns nearest eps first
+    for P = 1 mod 4, each tested for units mod P, and SearchExhaustedError
+    when no pattern fits the target signature."""
+    from qforge.errors import PreconditionError, SearchExhaustedError
+    from qforge.glue import _assemble_glue, _parse_scaled_diagonal, standard_lattice
+    from qforge.intmath import sqrt_mod
+    from qforge.lattice import diag_lattice, direct_sum, rescale, signature
+
+    p, eps = _parse_scaled_diagonal(lam)
+    pos, neg = signature(lam)
+    if pos != 1:
+        raise PreconditionError("lam must have signature (1, s)")
+    r_t, s_t = target_signature
+    rank_t = r_t + s_t
+    if 2 * lam.rank >= rank_t:
+        raise PreconditionError("need 2 * rank(lam) < rank(target)")
+    if r_t < 1 or s_t < 1:
+        raise PreconditionError("target must be indefinite")
+    need_pos = r_t - pos
+    need_neg = s_t - neg
+    if need_pos < 0 or need_neg < 0:
+        raise PreconditionError("target signature too small for lam")
+
+    if p is None:
+        lam_prime = standard_lattice(need_pos, need_neg)
+        return _assemble_glue(lam, lam_prime, p=None, pairs=[])
+
+    m = len(eps)
+    k_eps = sum(1 for e in eps if e > 0)
+    if p % 4 == 1:
+        # sqrt(-1) exists mod p, so any elementwise pairing admits a unit;
+        # scan partner sign counts nearest to eps first
+        candidates = []
+        for k_delta in sorted(range(m + 1), key=lambda k: (abs(k - k_eps), k)):
+            delta = list(eps)
+            want = k_delta - k_eps
+            if want > 0:
+                for i in range(m - 1, -1, -1):
+                    if want and delta[i] == -1:
+                        delta[i] = 1
+                        want -= 1
+            elif want < 0:
+                want = -want
+                for i in range(m - 1, -1, -1):
+                    if want and delta[i] == 1:
+                        delta[i] = -1
+                        want -= 1
+            candidates.append(delta)
+    else:
+        # -1 is a non-residue: -eps[i]*delta[i] must be 1, forcing delta = -eps
+        candidates = [[-e for e in eps]]
+    for delta in candidates:
+        k_delta = sum(1 for d in delta if d > 0)
+        filler_pos = need_pos - k_delta
+        filler_neg = need_neg - (m - k_delta)
+        if filler_pos < 0 or filler_neg < 0:
+            continue
+        units = []
+        ok = True
+        for e, d in zip(eps, delta):
+            root = sqrt_mod((-e * d) % p, p)
+            if root is None:
+                ok = False
+                break
+            # the odd representative of {root, p - root} makes the glue
+            # generator's q-value even, not merely integral
+            units.append(root if root % 2 == 1 else p - root)
+        if not ok:
+            continue
+        lam_prime = direct_sum(
+            rescale(diag_lattice(*delta), p),
+            standard_lattice(filler_pos, filler_neg),
+        ) if filler_pos + filler_neg else rescale(diag_lattice(*delta), p)
+        pairs = [(i, units[i], i) for i in range(m)]
+        return _assemble_glue(lam, lam_prime, p=p, pairs=pairs)
+    raise SearchExhaustedError(
+        "no diagonal anti-isometry pattern fits the target signature"
+    )

@@ -83,6 +83,18 @@ def test_glue_command(capsys):
     assert abs(obj["overlattice_det"]) == 1
 
 
+def test_glue_forced_signs_exit_2(capsys):
+    """P = 7 is 3 mod 4, so the partner's signs are -eps = (-1, 1, 1): two
+    plus signs, where the target (2, 5) leaves room for one. That is a
+    precondition on the input, not a spent budget."""
+    rc, obj = run_cli(
+        capsys,
+        ["glue", "--lattice", "catalog:diag(7,-7,-7)", "--target-signature", "2,5"],
+    )
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+    assert "P = 7" in obj["error"]["message"]
+
+
 def test_isotropic_command(capsys):
     rc, obj = run_cli(capsys, ["isotropic", "--lattice", "catalog:U"])
     assert rc == 0 and obj["vector"] == [1, 0]

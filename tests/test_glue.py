@@ -8,9 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import invariant_factors_by_minors, nondegenerate_flag_fractions
+from oracle_utils import (
+    invariant_factors_by_minors,
+    nikulin_glue_scan,
+    nondegenerate_flag_fractions,
+)
 from qforge.catalog import resolve
-from qforge.errors import InternalInconsistencyError, PreconditionError
+from qforge.errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from qforge.glue import (
     _cancel_plane,
     _embedding_index,
@@ -276,6 +280,7 @@ def _nondegenerate_gram(draw):
 @settings(max_examples=150, deadline=None)
 @example(resolve("U+U").gram)
 @example(resolve("K3").gram)
+@example(((0, -1), (-1, 0)))
 def test_nondegenerate_flag_matches_fraction_reference(gram):
     assert _nondegenerate_flag(QuadLattice(gram)) == nondegenerate_flag_fractions(gram)
 
@@ -361,6 +366,51 @@ def test_nikulin_glue_filler_block():
     assert abs(det_bareiss(gd.overlattice.gram)) == 1
     assert gd.lam_embedding[0] == (13, 0, 0, -5, 0, 0, 0, 0)
     _assert_factors_embedded(gd)
+
+
+@st.composite
+def _glue_case(draw):
+    """(lam, target): lam diagonal of signature (1, s) with up to 4 entries
+    +-P and up to 3 entries +-1, in any order, and an indefinite target of
+    rank at most 16."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    scaled = draw(st.integers(0, 4))
+    units = draw(st.integers(0 if scaled else 1, 3))
+    entries = [p] * scaled + [1] * units
+    plus = draw(st.integers(0, len(entries) - 1))
+    entries = draw(st.permutations([e if i == plus else -e for i, e in enumerate(entries)]))
+    rank_t = draw(st.integers(2 * len(entries) + 1, 16))
+    r_t = draw(st.integers(1, rank_t - 1))
+    return diag_lattice(*entries), (r_t, rank_t - r_t)
+
+
+@given(_glue_case())
+@settings(max_examples=300, deadline=None)
+@example((diag_lattice(7, -7, -7), (2, 5)))
+@example((diag_lattice(13, 13, -13), (3, 5)))
+def test_nikulin_glue_matches_the_sign_scan(case):
+    """The partner's signs in closed form give the GlueData of the former
+    scan over sign patterns wherever the scan succeeds, the same
+    precondition errors, and a PreconditionError naming P where the scan ran
+    out: then P = 3 mod 4 forces the signs."""
+    lam, target = case
+    try:
+        expected = nikulin_glue_scan(lam, target)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as err:
+            nikulin_glue(lam, target)
+        assert str(err.value) == str(exc)
+        return
+    except SearchExhaustedError:
+        p = max(abs(lam.gram[i][i]) for i in range(lam.rank))
+        assert p % 4 == 3
+        with pytest.raises(PreconditionError, match=f"P = {p} is 3 mod 4, which forces"):
+            nikulin_glue(lam, target)
+        return
+    gd = nikulin_glue(lam, target)
+    assert gd.lam_prime.gram == expected.lam_prime.gram
+    assert gd.anti_isometry == expected.anti_isometry
+    assert gd == expected
 
 
 def test_nikulin_glue_rejects_2_torsion():

@@ -5,11 +5,12 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
     common_value_scan,
+    gf2_solve_reference,
     hasse_pairwise,
     isotropic_over_q_oracle,
     local_solvable,
@@ -447,3 +448,27 @@ def test_isotropic_or_obstruction_degenerate_gives_radical_vector(data):
     x = padic.isotropic_or_obstruction(gram)
     assert any(x) and math.gcd(*x) == 1 and not any(mat_vec(gram, x))
     assert x == tuple(padic._primitive(kernel[0]))
+
+
+@st.composite
+def _gf2_system(draw):
+    """(rows, rhs, nvars): up to 16 equations in up to 14 variables over
+    GF(2), consistent or not."""
+    nvars = draw(st.integers(1, 14))
+    nrows = draw(st.integers(0, 16))
+    bits = st.integers(0, 1)
+    rows = draw(st.lists(st.lists(bits, min_size=nvars, max_size=nvars),
+                         min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(bits, min_size=nrows, max_size=nrows))
+    return rows, rhs, nvars
+
+
+@given(_gf2_system())
+@settings(max_examples=400, deadline=None)
+@example(([[1, 1], [1, 1]], [0, 1], 2))
+@example(([[0, 1, 1], [1, 1, 0], [1, 0, 1]], [1, 0, 1], 3))
+def test_gf2_solve_matches_the_back_substitution(system):
+    """One fully reduced pass keeps the pivots of the echelon pass with
+    back-substitution, so the solution with free variables 0, or None for an
+    inconsistent system, is the same."""
+    assert padic._gf2_solve(*system) == gf2_solve_reference(*system)

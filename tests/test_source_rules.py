@@ -86,6 +86,17 @@ def test_every_error_class_is_caught_or_documented():
     assert not unused, unused
 
 
+def test_search_exhausted_only_from_the_enumerate_budget():
+    """Exit 3 means a spent budget: the one `raise SearchExhaustedError` of
+    the package is the budget check of the box enumeration (`enumerate`)."""
+    found = []  # file:top-level definition (or line) of each such raise
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            found += [f"{path.name}:{getattr(top, 'name', top.lineno)}" for node in ast.walk(top)
+                      if isinstance(node, ast.Raise) and "SearchExhaustedError" in _names(node)]
+    assert found == ["lattice.py:_check_budget"], found
+
+
 L1_SHELL_SCANS = {"iter_search_vectors", "_shell"}
 
 
