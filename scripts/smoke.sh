@@ -41,6 +41,9 @@ test "$rc" -eq 2
 echo '[[2, 4, 6], [0, 3, 9]]' > "$tmp/basis.json"
 "$qforge" saturate --lattice "catalog:diag(1,1,1)" --basis "$tmp/basis.json" \
   | check 'o["index"] == 6 and o["basis"] == [[1, 0, -3], [0, 1, 3]]'
+# a definite target: the discriminant is above 2^53 and the signs stay integers
+"$qforge" extend --lattice "catalog:diag(1000000007,1000000009,998244353)" --target-signature 6,0 \
+  | check 'o["triples_equal"] is True'
 "$qforge" glue --lattice "catalog:diag(5,-5)" --target-signature 3,3 \
   | check 'o["overlattice_det"] == -1'
 # a partner with a +-1 filler block beside the scaled entries

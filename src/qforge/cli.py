@@ -144,7 +144,7 @@ def cmd_hyperbolic(args) -> dict:
     latt = _load_lattice(args.lattice)
     t0 = time.monotonic()
     result = forge.find_rank2_avoiding(latt, args.n_bound)
-    sub_latt = result.lattice.as_lattice(label="constructed rank-2")
+    sub_latt = result.lattice.as_lattice()
     iso, cls = isom.find_hyperbolic(sub_latt, result.automorph)
     elapsed = time.monotonic() - t0
     report = {
@@ -226,7 +226,7 @@ def cmd_parabolic(args) -> dict:
         "saturation_index_of_intersection": encode_int(rep.sat_index),
     }
     out["oracle"] = {"gram_divisible_by": rep.prime}
-    final = rep.lambda_in_source.as_lattice(label="constructed sublattice")
+    final = rep.lambda_in_source.as_lattice()
     iso, cls = isom.find_parabolic(final)
     out["isometry"] = {
         "matrix": encode_matrix(iso.matrix),

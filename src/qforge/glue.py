@@ -37,7 +37,6 @@ from .lattice import (
     gram_of,
     pairing,
     qvalue,
-    rational_diagonal,
     rescale,
     saturate,
     saturation_index,
@@ -61,8 +60,10 @@ from .linalg import (
 from .padic import (
     INF,
     InvariantTriple,
+    _diag_of,
     _least_admitted,
     _square_classes,
+    _triple,
     hasse_invariant,
     hilbert_symbol,
     invariant_triple,
@@ -104,7 +105,7 @@ def extend_to_standard(
     """(b0, b1, b2) with diag(H) + (b0, b1, b2) rationally equivalent to the
     +-1 diagonal form of the target signature; always re-verified through
     the full invariant triple."""
-    diag = rational_diagonal(latt.gram)
+    diag, primes = _diag_of(latt)
     r = sum(1 for d in diag if d > 0)
     s = len(diag) - r
     if target_signature not in _target_options(r, s):
@@ -115,11 +116,8 @@ def extend_to_standard(
     k = t - s
     signs = _SIGN_PATTERNS[k]
 
-    primes: set = {2}
-    for d in diag:
-        primes.update(prime_support(d))
     d_class = product_square_class(diag, primes)
-    c = (-1) ** (t - 1) * d_class
+    c = (-1) ** (t + 1) * d_class
     places = primes | {INF}
     std_diag = [1] * target_signature[0] + [-1] * t
     s_map: dict = {}
@@ -127,12 +125,9 @@ def extend_to_standard(
         s_map[place] = (
             hasse_invariant(std_diag, place)
             * hasse_invariant(diag, place)
-            * hilbert_symbol(d_class, (-1) ** (t - 1), place)
+            * hilbert_symbol(d_class, (-1) ** (t + 1), place)
         )
-    prod = 1
-    for v in s_map.values():
-        prod *= v
-    if prod != 1:
+    if math.prod(s_map.values()) != 1:
         raise InternalInconsistencyError("required local signs violate the product formula")
 
     # b1 must have (c b0, b1)_v = s_v (b0, c)_v at every place, and -1 is
@@ -146,10 +141,10 @@ def extend_to_standard(
     b0 = _least_admitted(list(s_map), admitted)
     targets = {v: s_map.get(v, 1) * hilbert_symbol(b0, c, v)
                for v in set(s_map) | set(prime_support(b0))}
-    b1 = solve_prescribed_hilbert(Fraction(c * b0), targets, sign=signs[1])
-    b2 = product_square_class([(-1) ** t * d_class, b0, b1],
-                              primes | prime_support(b0) | prime_support(b1))
-    aug_triple = invariant_triple(list(diag) + [b0, b1, b2])
+    b1 = solve_prescribed_hilbert(c * b0, targets, sign=signs[1])
+    primes |= prime_support(b0) | prime_support(b1)
+    b2 = product_square_class([(-1) ** t * d_class, b0, b1], primes)
+    aug_triple = _triple(diag + [b0, b1, b2], primes)
     std_triple = invariant_triple(std_diag)
     if aug_triple != std_triple:
         raise InternalInconsistencyError(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import InternalInconsistencyError, PreconditionError
 
@@ -319,60 +318,37 @@ def ldescent(a: int, b: int) -> tuple[int, int, int] | None:
     return out if g == 1 else tuple(v // g for v in out)
 
 
-def prime_support(q: Fraction | int) -> frozenset[int]:
-    """Primes dividing numerator or denominator of a nonzero rational."""
-    q = Fraction(q)
-    if q == 0:
+def prime_support(n: int) -> frozenset[int]:
+    """Primes dividing the nonzero integer n."""
+    if n == 0:
         raise ValueError("zero has no prime support")
-    primes: set[int] = set(factorize(q.numerator))
-    primes.update(factorize(q.denominator))
-    return frozenset(primes)
+    return frozenset(factorize(n))
 
 
-def valuation(q: Fraction | int, p: int) -> int:
-    q = Fraction(q)
-    if q == 0:
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
         raise ValueError("zero has infinite valuation")
     v = 0
-    n = q.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
-def unit_part(q: Fraction | int, p: int) -> Fraction:
-    """q / p**valuation(q, p)."""
-    return Fraction(q) / Fraction(p) ** valuation(q, p)
-
-
-def unit_mod(q: Fraction | int, p_power: int, p: int) -> int:
-    """Residue mod p_power of a rational with denominator coprime to p."""
-    q = Fraction(q)
-    if q.denominator % p == 0:
-        raise ValueError("denominator not coprime to p")
-    return q.numerator * pow(q.denominator, -1, p_power) % p_power
-
-
-def squarefree_part(q: Fraction | int) -> int:
-    """Signed squarefree integer representing q modulo rational squares."""
-    q = Fraction(q)
-    if q == 0:
+def squarefree_part(n: int) -> int:
+    """The signed squarefree integer in the square class of the nonzero n."""
+    if n == 0:
         raise ValueError("zero has no square class")
-    sign = -1 if q < 0 else 1
-    out = sign
-    for p, e in factorize(q.numerator * q.denominator).items():
+    out = -1 if n < 0 else 1
+    for p, e in factorize(n).items():
         if e % 2:
             out *= p
     return out
 
 
 def product_square_class(values, primes) -> int:
-    """squarefree_part of the product of the nonzero rationals `values`,
+    """squarefree_part of the product of the nonzero integers `values`,
     given primes that include every prime dividing one of them: each prime
     with an odd valuation sum is a factor, so no product is factored."""
     out = -1 if sum(v < 0 for v in values) % 2 else 1

@@ -122,13 +122,11 @@ class Sublattice:
     def _lattice(self) -> QuadLattice:
         return QuadLattice(gram_of(self.ambient, self.basis))
 
-    def as_lattice(self, label: str | None = None) -> QuadLattice:
-        """The span with its own Gram. The Gram is formed once, and without
-        a label every call returns the same lattice, so that what it caches
-        (QuadLattice.pivots) is shared."""
-        if label is None:
-            return self._lattice
-        return QuadLattice(self._lattice.gram, label=label)
+    def as_lattice(self) -> QuadLattice:
+        """The span with its own Gram. The Gram is formed once and every call
+        returns the same lattice, so that what it caches (QuadLattice.pivots)
+        is shared."""
+        return self._lattice
 
     def to_ambient(self, coords) -> Vector:
         if len(coords) != self.rank:

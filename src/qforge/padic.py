@@ -25,8 +25,6 @@ from .intmath import (
     primes_from,
     product_square_class,
     squarefree_part,
-    unit_mod,
-    unit_part,
     valuation,
 )
 from .lattice import QuadLattice, rational_diagonal, rational_diagonalize
@@ -64,11 +62,18 @@ def _omega2(u: int) -> int:
     return ((u % 8) ** 2 - 1) // 8 % 2
 
 
+def _class_int(x: Fraction | int) -> int:
+    """The integer n d in the square class of the rational n / d, d > 0."""
+    return x.numerator * x.denominator
+
+
 @functools.lru_cache(maxsize=1024)  # a parabolic benchmark round peaks at 296 entries
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
-    """+1 iff a x^2 + b y^2 = z^2 has a nonzero solution locally at place."""
-    a = Fraction(a)
-    b = Fraction(b)
+    """+1 iff a x^2 + b y^2 = z^2 has a nonzero solution locally at place.
+
+    The symbol depends only on the square classes of a and b, so each is
+    read as an integer (_class_int) and every valuation is >= 0."""
+    a, b = _class_int(a), _class_int(b)
     if a == 0 or b == 0:
         raise PreconditionError("Hilbert symbol needs nonzero arguments")
     if place == INF:
@@ -76,20 +81,13 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     p = int(place)
     if not is_prime(p):
         raise PreconditionError(f"{p} is not a prime")
-    alpha = valuation(a, p)
-    beta = valuation(b, p)
-    u = unit_part(a, p)
-    v = unit_part(b, p)
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, v = a // p**alpha, b // p**beta
     if p != 2:
         eps = (p - 1) // 2 % 2
         sign = (-1) ** (alpha * beta * eps)
-        lu = legendre(unit_mod(u, p, p), p)
-        lv = legendre(unit_mod(v, p, p), p)
-        return sign * lu**beta * lv**alpha
-
-    um = unit_mod(u, 8, 2)
-    vm = unit_mod(v, 8, 2)
-    expo = _eps2(um) * _eps2(vm) + alpha * _omega2(vm) + beta * _omega2(um)
+        return sign * legendre(u, p)**beta * legendre(v, p)**alpha
+    expo = _eps2(u) * _eps2(v) + alpha * _omega2(v) + beta * _omega2(u)
     return (-1) ** (expo % 2)
 
 
@@ -98,23 +96,24 @@ def symbol_support(*values) -> list[Place]:
     rationals `values` is +1: 2, their prime supports, and INF."""
     places: set = {2}
     for x in values:
-        places.update(prime_support(x))
+        places.update(prime_support(_class_int(x)))
     return sorted(places) + [INF]
 
 
 def is_local_square(x: Fraction | int, place: Place) -> bool:
-    x = Fraction(x)
+    x = _class_int(x)
     if x == 0:
         raise PreconditionError("zero is not classified")
     if place == INF:
         return x > 0
     p = int(place)
-    if valuation(x, p) % 2 != 0:
+    v = valuation(x, p)
+    if v % 2 != 0:
         return False
-    u = unit_part(x, p)
+    u = x // p**v
     if p == 2:
-        return unit_mod(u, 8, 2) == 1
-    return legendre(unit_mod(u, p, p), p) == 1
+        return u % 8 == 1
+    return legendre(u, p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +133,37 @@ class InvariantTriple:
         return self.signature[0] + self.signature[1]
 
 
-def _diag_of(form) -> list[Fraction]:
+def _diag_of(form) -> tuple[list[int], set[int]]:
+    """A rational diagonal of form (QuadLattice, Gram matrix, or a diagonal
+    list of rationals), each entry as its _class_int, and 2 with the primes
+    of every entry. The numerator and the denominator are factored apart:
+    their product may be out of reach where each is not."""
     if isinstance(form, QuadLattice):
-        diag = rational_diagonal(form.gram)
-    elif form and isinstance(form[0], (list, tuple)):
-        diag = rational_diagonal(form)
-    else:
-        diag = [Fraction(x) for x in form]
+        form = form.gram
+    diag = rational_diagonal(form) if form and isinstance(form[0], (list, tuple)) else form
     if any(d == 0 for d in diag):
         raise PreconditionError("form is degenerate")
-    return list(diag)
+    primes = {2}
+    for d in diag:
+        primes |= prime_support(d.numerator) | prime_support(d.denominator)
+    return [_class_int(d) for d in diag], primes
+
+
+def _triple(diag: list[int], primes) -> InvariantTriple:
+    """The invariant triple of the nonzero integer diagonal diag, given
+    primes that include 2 and every prime dividing one of its entries."""
+    pos = sum(1 for d in diag if d > 0)
+    return InvariantTriple(
+        signature=(pos, len(diag) - pos),
+        disc=product_square_class(diag, primes),
+        minus_places=tuple(place for place in sorted(primes) + [INF]
+                           if hasse_invariant(diag, place) == -1),
+    )
 
 
 def invariant_triple(form) -> InvariantTriple:
     """form: QuadLattice, Gram matrix, or a diagonal list of rationals."""
-    diag = _diag_of(form)
-    pos = sum(1 for d in diag if d > 0)
-    neg = len(diag) - pos
-    primes: set = {2}
-    for d in diag:
-        primes.update(prime_support(d))
-    minus = [place for place in sorted(primes) + [INF] if hasse_invariant(diag, place) == -1]
-    return InvariantTriple(
-        signature=(pos, neg),
-        disc=product_square_class(diag, primes),
-        minus_places=tuple(minus),
-    )
+    return _triple(*_diag_of(form))
 
 
 def hasse_invariant(diag, place: Place) -> int:
@@ -226,7 +230,7 @@ def solve_prescribed_hilbert(
     checked first (PreconditionError), so the loop ends. y is re-verified
     symbol by symbol before it is returned.
     """
-    x = Fraction(x)
+    x = _class_int(x)
     if x == 0:
         raise PreconditionError("x must be nonzero")
     for place, delta in targets.items():
@@ -526,7 +530,7 @@ def _zero_of_reduced(g) -> list | Place:
     diag, basis = rational_diagonalize(g)
     if n > 4 and len({d > 0 for d in diag}) == 1:
         return INF  # definite: no need for the square classes
-    entries = [squarefree_part(d) for d in diag[:8]]
+    entries = [squarefree_part(_class_int(d)) for d in diag[:8]]
     chosen = _isotropic_subform(entries)
     if chosen is None:
         other = next((i for i in range(8, n) if (diag[i] > 0) != (diag[0] > 0)), None)
@@ -534,7 +538,7 @@ def _zero_of_reduced(g) -> list | Place:
             return _obstruction(entries) if n <= 4 else INF
         # the first eight entries share a sign: four of them and one of the other sign
         chosen = [0, 1, 2, 3, other]
-        entries = [squarefree_part(diag[i]) for i in chosen]
+        entries = [squarefree_part(_class_int(diag[i])) for i in chosen]
     else:
         entries = [entries[i] for i in chosen]
     y = [Fraction(0)] * n

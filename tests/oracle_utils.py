@@ -785,3 +785,88 @@ def nikulin_glue_scan(lam, target_signature):
     raise SearchExhaustedError(
         "no diagonal anti-isometry pattern fits the target signature"
     )
+
+
+# ---------------------------------------------------------------------------
+# Hilbert symbols over Fractions: the reference the integer square-class
+# symbols of qforge.padic are checked against. A rational is split into
+# p**valuation times a unit, and the unit is reduced mod p or mod 8.
+
+
+def valuation_fraction(q, p: int) -> int:
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("zero has infinite valuation")
+    v = 0
+    n = q.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = q.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def unit_part(q, p: int) -> Fraction:
+    """q / p**valuation(q, p)."""
+    return Fraction(q) / Fraction(p) ** valuation_fraction(q, p)
+
+
+def unit_mod(q, p_power: int, p: int) -> int:
+    """Residue mod p_power of a rational with denominator coprime to p."""
+    q = Fraction(q)
+    if q.denominator % p == 0:
+        raise ValueError("denominator not coprime to p")
+    return q.numerator * pow(q.denominator, -1, p_power) % p_power
+
+
+def hilbert_symbol_fraction(a, b, place) -> int:
+    """+1 iff a x^2 + b y^2 = z^2 has a nonzero solution locally at place."""
+    from qforge.errors import PreconditionError
+    from qforge.intmath import is_prime
+    from qforge.padic import INF, _eps2, _omega2, legendre
+
+    a = Fraction(a)
+    b = Fraction(b)
+    if a == 0 or b == 0:
+        raise PreconditionError("Hilbert symbol needs nonzero arguments")
+    if place == INF:
+        return -1 if a < 0 and b < 0 else 1
+    p = int(place)
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not a prime")
+    alpha = valuation_fraction(a, p)
+    beta = valuation_fraction(b, p)
+    u = unit_part(a, p)
+    v = unit_part(b, p)
+    if p != 2:
+        eps = (p - 1) // 2 % 2
+        sign = (-1) ** (alpha * beta * eps)
+        lu = legendre(unit_mod(u, p, p), p)
+        lv = legendre(unit_mod(v, p, p), p)
+        return sign * lu**beta * lv**alpha
+
+    um = unit_mod(u, 8, 2)
+    vm = unit_mod(v, 8, 2)
+    expo = _eps2(um) * _eps2(vm) + alpha * _omega2(vm) + beta * _omega2(um)
+    return (-1) ** (expo % 2)
+
+
+def is_local_square_fraction(x, place) -> bool:
+    from qforge.errors import PreconditionError
+    from qforge.padic import INF, legendre
+
+    x = Fraction(x)
+    if x == 0:
+        raise PreconditionError("zero is not classified")
+    if place == INF:
+        return x > 0
+    p = int(place)
+    if valuation_fraction(x, p) % 2 != 0:
+        return False
+    u = unit_part(x, p)
+    if p == 2:
+        return unit_mod(u, 8, 2) == 1
+    return legendre(unit_mod(u, p, p), p) == 1

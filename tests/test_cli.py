@@ -74,6 +74,18 @@ def test_extend_command(capsys):
     assert obj["triples_equal"] is True
 
 
+@pytest.mark.parametrize("lattice, target", [
+    ("catalog:diag(1000000007,1000000009,998244353)", "6,0"),
+    ("catalog:diag(1073741827,1073741831)", "5,0"),
+])
+def test_extend_to_a_definite_target(capsys, lattice, target):
+    """At a target (r, 0) the sign (-1) ** (t + 1) is the int 1: a float
+    there lost the digits of a discriminant above 2^53."""
+    rc, obj = run_cli(capsys, ["extend", "--lattice", lattice, "--target-signature", target])
+    assert rc == 0
+    assert obj["triples_equal"] is True
+
+
 def test_glue_command(capsys):
     rc, obj = run_cli(
         capsys,

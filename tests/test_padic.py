@@ -12,6 +12,8 @@ from oracle_utils import (
     common_value_scan,
     gf2_solve_reference,
     hasse_pairwise,
+    hilbert_symbol_fraction,
+    is_local_square_fraction,
     isotropic_over_q_oracle,
     local_solvable,
     signed_permutation_conjugate,
@@ -133,6 +135,27 @@ def _product_over_places(a, b) -> int:
 @settings(max_examples=120, deadline=None)
 def test_hilbert_product_formula(a, b):
     assert _product_over_places(a, b) == 1
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+).filter(lambda q: q != 0)
+
+
+@given(_RATIONALS, _RATIONALS)
+@settings(max_examples=300, deadline=None)
+@example(Fraction(1, 3), 3)  # (1/3, 3) at 3 is -1, a float where 1/3 has valuation -1
+@example(Fraction(-7, 32), Fraction(5, 48))
+def test_symbols_match_the_fraction_reference(a, b):
+    """The square-class symbols agree with the Fraction reference (units
+    split off as rationals) at every place where a symbol of a and b can
+    be -1, and are ints there."""
+    for place in symbol_support(a, b):
+        value = hilbert_symbol(a, b, place)
+        assert type(value) is int and value == hilbert_symbol_fraction(a, b, place), place
+        assert is_local_square(a, place) == is_local_square_fraction(a, place), place
+        assert is_local_square(b, place) == is_local_square_fraction(b, place), place
 
 
 def test_rational_diagonalize_diag_input():

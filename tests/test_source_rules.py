@@ -197,6 +197,13 @@ def test_linalg_is_integer_only():
     assert "Fraction" not in _names(ast.parse(path.read_text(), filename=str(path)))
 
 
+def test_intmath_is_integer_only():
+    """intmath takes and returns integers: a rational's square class is the
+    integer numerator * denominator, read where the rational is."""
+    path = next(p for p in SOURCES if p.name == "intmath.py")
+    assert "Fraction" not in _names(ast.parse(path.read_text(), filename=str(path)))
+
+
 # Library entry points that no package code calls, each with the module row
 # of the README's library-layout table and the words there that document it.
 LIBRARY_API = {
