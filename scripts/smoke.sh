@@ -37,6 +37,10 @@ timeout 10 "$qforge" certify --certificate "$tmp/huge-n.json" --n-bound 4 | chec
 # a flag the command does not read exits 2
 rc=0; "$qforge" invariants --lattice catalog:U --verify || rc=$?
 test "$rc" -eq 2
+# a short catalog name of rank above catalog.MAX_RANK exits 2 before any Gram is built
+rc=0; "$qforge" invariants --lattice "catalog:diag(1^99999999999)" > "$tmp/huge-rank.json" || rc=$?
+test "$rc" -eq 2
+check 'o["error"]["type"] == "PreconditionError"' < "$tmp/huge-rank.json"
 # saturation of [[2, 4, 6], [0, 3, 9]]: index 6 and its Hermite basis
 echo '[[2, 4, 6], [0, 3, 9]]' > "$tmp/basis.json"
 "$qforge" saturate --lattice "catalog:diag(1,1,1)" --basis "$tmp/basis.json" \

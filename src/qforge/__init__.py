@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .lattice import (  # noqa: F401
     QuadLattice,
     Sublattice,
-    DiscriminantGroup,
     diag_lattice,
     direct_sum,
     enumerate_values,

@@ -2,9 +2,9 @@
 
 Atoms: U, E8, E8(-1), K3 (= U+U+U+E8(-1)+E8(-1)), <k> for a rank-1
 lattice, and diag(a1,...,an) with a^k repetition shorthand. Atoms may be
-joined with "+" for direct sums, e.g. "U+U+<2>". The QFORGE_CATALOG
-environment variable points at a JSON file whose entries extend or
-override the bundled ones.
+joined with "+" for direct sums, e.g. "U+U+<2>"; a name builds a lattice
+of rank at most MAX_RANK. The QFORGE_CATALOG environment variable points
+at a JSON file whose entries extend or override the bundled ones.
 """
 from __future__ import annotations
 
@@ -18,6 +18,10 @@ from .jsonio import lattice_from_obj, read_json
 from .lattice import QuadLattice, diag_lattice, direct_sum, rescale
 
 _ENV_VAR = "QFORGE_CATALOG"
+
+# Largest rank a catalog name may build, checked before any Gram is
+# allocated; the largest ambient any command builds has rank 25.
+MAX_RANK = 1000
 
 
 def _bundled() -> dict:
@@ -54,6 +58,8 @@ def _parse_diag_args(body: str) -> list[int]:
             raise PreconditionError(f"diag entry {part!r} must be an integer a or a^k") from None
         if repeat < 1:
             raise PreconditionError(f"diag entry {part!r} repeats fewer than once")
+        if len(out) + repeat > MAX_RANK:
+            raise PreconditionError(f"diag has more than {MAX_RANK} entries")
         out.extend([entry] * repeat)
     return out
 
@@ -82,9 +88,15 @@ def resolve(name: str) -> QuadLattice:
     parts = [p.strip() for p in _split_atoms(name)]
     if not parts:
         raise PreconditionError("empty catalog name")
-    if len(parts) == 1:
-        return _atom(parts[0])
-    return direct_sum(*[_atom(p) for p in parts], label=name)
+    atoms, rank = [], 0
+    for part in parts:
+        atoms.append(_atom(part))
+        rank += atoms[-1].rank
+        if rank > MAX_RANK:
+            raise PreconditionError(f"the catalog name has rank above {MAX_RANK}")
+    if len(atoms) == 1:
+        return atoms[0]
+    return direct_sum(*atoms, label=name)
 
 
 def _split_atoms(name: str) -> list[str]:

@@ -50,7 +50,6 @@ from .lattice import (
     gram_divisible_by,
     min_nonzero_abs,
     qvalue,
-    saturation_index,
     signature,
     span,
 )
@@ -164,9 +163,7 @@ def cmd_hyperbolic(args) -> dict:
             "w": encode_vector(result.w),
             "certificate": _certificate_obj(result.certificate),
             "certificate_valid": check_certificate(result.certificate, args.n_bound)[0],
-            "saturation_index_of_span": encode_int(
-                saturation_index(span(latt, [result.v1, result.w]))
-            ),
+            "saturation_index_of_span": encode_int(result.saturation_index),
         },
         "isometry": {
             "matrix": encode_matrix(iso.matrix),

@@ -26,11 +26,10 @@ from .lattice import (
     orthogonal_complement,
     pairing,
     qvalue,
-    saturate,
     signature,
     span,
 )
-from .linalg import bilinear, freeze, identity, lll_gram, mat_mul, mat_vec, transpose
+from .linalg import bilinear, freeze, identity, lll_gram, mat_mul, mat_vec, saturation, transpose
 from .padic import isotropic_vector, legendre
 
 
@@ -58,6 +57,7 @@ class Rank2Result:
     lattice: Sublattice  # saturated, rank 2, signature (1, 1)
     v1: Vector
     w: Vector
+    saturation_index: int  # [lattice : span(v1, w)]
     certificate: SmallnessCertificate
     # from the walk around the sublattice's rho-cycle (lattice.binary_cycle)
     minimum: int  # exact min |q| over nonzero vectors, >= max(N, 1)
@@ -237,8 +237,9 @@ def find_rank2_avoiding(
         v1, w = (mat_vec(transpose(h), x) for x in (v1, w))
     else:
         v1, w, cert = _construct(latt, n_bound)
-    sub = saturate(span(latt, [v1, w]))
-    return Rank2Result(sub, v1, w, cert, *_post_verify(sub, cert.p, n_bound))
+    basis, index = saturation((v1, w))
+    sub = Sublattice(latt, basis)
+    return Rank2Result(sub, v1, w, index, cert, *_post_verify(sub, cert.p, n_bound))
 
 
 def _construct(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import InternalInconsistencyError, PreconditionError
@@ -29,7 +28,6 @@ from .intmath import (
 from .lattice import (
     QuadLattice,
     Sublattice,
-    _diagonal_pivots,
     diag_lattice,
     direct_sum,
     gram_apply,
@@ -420,7 +418,7 @@ def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value,
     making b(x0 + z0, e) the least positive value of its class mod b(K, e),
     so that lambda has a small denominator, and the image is then made
     small (_eichler_reduce). Otherwise x0's projection to K is replaced by
-    a representation (padic.represent). Rational vectors are integer
+    a representation (padic.represent_scaled). Rational vectors are integer
     vectors over a denominator named with them.
     """
     x0, den = _flag_solve(flag, pairs)
@@ -539,7 +537,6 @@ class GlueData:
     overlattice: QuadLattice
     # anti-isometry on dual generators (e_i / P -> u_i * e'_j / P)
     anti_isometry: tuple[tuple[int, int, int], ...]  # (i, unit, j)
-    glue_vectors: tuple[tuple[Fraction, ...], ...]
     lam_embedding: tuple[tuple[int, ...], ...]  # lam basis in overlattice coords
     lam_prime_embedding: tuple[tuple[int, ...], ...]
 
@@ -632,13 +629,11 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     lam_p_indices = [i for i in range(n1) if abs(lam.gram[i][i]) != 1]
     lp_p_indices = [i for i in range(n2) if abs(lam_prime.gram[i][i]) != 1]
     glue_rows: list[list[int]] = []
-    glue_fracs: list[tuple[Fraction, ...]] = []
-    for idx, (i, u, j) in enumerate(pairs):
+    for i, u, j in pairs:
         row = [0] * n
         row[lam_p_indices[i]] = 1
         row[n1 + lp_p_indices[j]] = u
         glue_rows.append(row)
-        glue_fracs.append(tuple(Fraction(x, p) for x in row))
         # glue isotropy: integral, and even thanks to the odd-unit choice
         a = lam.gram[lam_p_indices[i]][lam_p_indices[i]]
         b = lam_prime.gram[lp_p_indices[j]][lp_p_indices[j]]
@@ -681,7 +676,6 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
         lam_prime=lam_prime,
         overlattice=over,
         anti_isometry=tuple(pairs),
-        glue_vectors=tuple(glue_fracs),
         lam_embedding=lam_embed,
         lam_prime_embedding=lp_embed,
     )
@@ -784,8 +778,8 @@ def _trim_to_signature(
     integer columns D_k b_k of a congruent diagonalization (diagonal entry k
     has the sign of D_{k+1} D_k) and re-saturated, which depends only on
     the lines of the chosen columns."""
-    minors, cols = _diagonal_pivots(sub.gram())
-    positive = [(m > 0) == (d > 0) for m, d in zip(minors, [1] + minors[:-1])]
+    minors, cols = sub.as_lattice().pivots
+    positive = [(m > 0) == (d > 0) for m, d in zip(minors, [1, *minors[:-1]])]
     pos_idx = [k for k, pos in enumerate(positive) if pos]
     neg_idx = [k for k, pos in enumerate(positive) if not pos]
     if not pos_idx or len(neg_idx) < want_neg:
@@ -833,10 +827,9 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     sat = span(source, sat_basis)
     want_neg = s_lam - 3
     trimmed = _trim_to_signature(sat, want_neg)
-    final_gram = trimmed.gram()
-    if signature(QuadLattice(final_gram)) != (1, want_neg):
+    if signature(trimmed.as_lattice()) != (1, want_neg):
         raise InternalInconsistencyError("trimmed lattice has wrong signature")
-    if not gram_divisible_by(final_gram, p):
+    if not gram_divisible_by(trimmed.gram(), p):
         raise InternalInconsistencyError(
             "Gram of the saturation is not divisible by the scaling prime"
         )

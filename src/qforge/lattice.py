@@ -15,7 +15,7 @@ from operator import mul
 from . import linalg
 from .errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from .intmath import is_square
-from .linalg import left_kernel, mat_mul, smith_normal_form, transpose
+from .linalg import left_kernel, mat_mul, transpose
 
 Vector = tuple[int, ...]
 
@@ -263,7 +263,7 @@ def is_indefinite(latt: QuadLattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Saturation, complements, discriminant group
+# Saturation and complements
 
 
 def saturate(sub: Sublattice) -> Sublattice:
@@ -286,68 +286,6 @@ def orthogonal_complement(sub: Sublattice) -> Sublattice:
     a = mat_mul(amb.gram, transpose(sub.basis))
     rows = left_kernel(a)
     return Sublattice(amb, rows)
-
-
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """Dual quotient with its torsion forms.
-
-    orders: invariant factors > 1, each dividing the next.
-    generators: rational coordinate vectors of dual generators.
-    pairings[i][j]: b-value mod Z in [0, 1).
-    qvalues[i]: q-value mod 2Z in [0, 2) for even lattices, mod Z otherwise.
-    """
-
-    orders: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    pairings: tuple[tuple[Fraction, ...], ...]
-    qvalues: tuple[Fraction, ...]
-    even: bool
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def is_trivial(self) -> bool:
-        return not self.orders
-
-    def has_2_torsion(self) -> bool:
-        return any(d % 2 == 0 for d in self.orders)
-
-
-def discriminant_group(latt: QuadLattice) -> DiscriminantGroup:
-    """The dual quotient L^# / L with its torsion forms, from the Smith form
-    U G V = D: G^-1 U^-1 = V D^-1, so the dual generators G^-1 (U^-1 e_i)
-    are the columns of V divided by the invariant factors d_i > 1."""
-    n = latt.rank
-    det = latt.det()
-    if det == 0:
-        raise PreconditionError("degenerate lattice has no discriminant group")
-    d, v = smith_normal_form(latt.gram)
-    orders = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            orders.append(di)
-            gens.append(tuple(Fraction(v[r][i], di) for r in range(n)))
-    even = latt.is_even()
-    qmod = 2 if even else 1
-    pair_rows = []
-    qvals = []
-    for g1 in gens:
-        pair_rows.append(tuple(pairing(latt, g1, g2) % 1 for g2 in gens))
-        qvals.append(qvalue(latt, g1) % qmod)
-    return DiscriminantGroup(
-        orders=tuple(orders),
-        generators=tuple(tuple(g) for g in gens),
-        pairings=tuple(pair_rows),
-        qvalues=tuple(qvals),
-        even=even,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -212,40 +212,6 @@ def saturation(mat) -> tuple[Matrix, int]:
     return s, math.prod(r[i][i] for i in range(k))
 
 
-def smith_normal_form(mat) -> tuple[Matrix, Matrix]:
-    """(D, V) for a square nonsingular integer matrix: U @ mat @ V == D for
-    some unimodular U, V unimodular, D diagonal with positive d1 | d2 | ...
-
-    Row Hermite forms of a alternate with Hermite forms of [a^T | V^T],
-    the column operations, until a is diagonal; where d_i does not divide
-    d_j, column j is added to column i and the alternation resumes
-    (Kannan-Bachem). Each such step takes d_i to a proper divisor.
-    """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise PreconditionError("Smith form needs a square matrix")
-    a = mat
-    vt = thaw(identity(n))  # V^T
-    while True:
-        a, rank = hermite_rows(a)
-        if rank != n:
-            raise PreconditionError("Smith form needs a nonsingular matrix")
-        if not any(a[i][j] for i in range(n) for j in range(i + 1, n)):
-            bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                        if a[j][j] % a[i][i]), None)
-            if bad is None:
-                break
-            i, j = bad
-            a = thaw(a)
-            a[j][i] = a[j][j]
-            vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
-            continue
-        h, _ = hermite_rows([list(col) + row for col, row in zip(zip(*a), vt)])
-        vt = [list(row[n:]) for row in h]
-        a = transpose([row[:n] for row in h])
-    return a, transpose(vt)
-
-
 def left_kernel(mat) -> Matrix:
     """Hermite basis rows of {x : x @ mat == 0}, saturated in Z^m: the
     I-parts of the rows of the Hermite form of [mat | I] whose mat-part

@@ -548,22 +548,16 @@ def _zero_of_reduced(g) -> list | Place:
     return [sum(row[k] * y[k] for k in chosen) for row in basis]
 
 
-def represent(gram, delta) -> tuple[Fraction, ...]:
-    """Rational w with w^T G w = delta != 0, for a non-degenerate integer G.
+def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
+    """(W, s) with s > 0, gcd(W, s) = 1 and q(W / s) = num / den != 0, for
+    a non-degenerate integer G and den > 0.
 
     When G is isotropic, with e isotropic and u an integer combination
-    rescaled to b(u, e) = 1, w = u + ((delta - q(u)) / 2) e. Otherwise
-    w = x / s for an isotropic (x, s) of G + <-delta>; s != 0 since G is
-    anisotropic. PreconditionError when G does not represent delta over Q.
+    rescaled to b(u, e) = 1, W / s = u + ((num / den - q(u)) / 2) e.
+    Otherwise (W, s) is an isotropic vector of den G + <-num>; s != 0
+    since G is anisotropic. PreconditionError when G does not represent
+    num / den over Q.
     """
-    delta = Fraction(delta)
-    w, s = represent_scaled(gram, delta.numerator, delta.denominator)
-    return tuple(Fraction(c, s) for c in w)
-
-
-def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
-    """represent(gram, num / den), den > 0, in integers: (W, s) with s > 0
-    and W / s the representing vector."""
     n = len(gram)
     e = isotropic_or_obstruction(gram)
     if not isinstance(e, tuple):
@@ -575,8 +569,8 @@ def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
     c, acc = bezout(ge)  # b(c, e) = acc, so u = c / acc has b(u, e) = 1
     if acc == 0:
         raise PreconditionError("the form is degenerate")
-    # w = u + ((delta - q(u)) / 2) e over the common denominator 2 den acc^2,
-    # with den acc^2 (delta - q(u)) = num acc^2 - den q(c)
+    # W / s = u + ((num / den - q(u)) / 2) e over the common denominator
+    # 2 den acc^2, with den acc^2 (num / den - q(u)) = num acc^2 - den q(c)
     gap = num * acc * acc - den * bilinear(gram, c, c)
     return lowest_terms([2 * den * acc * ci + gap * ei for ci, ei in zip(c, e)],
                          2 * den * acc * acc)

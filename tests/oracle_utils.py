@@ -787,6 +787,23 @@ def nikulin_glue_scan(lam, target_signature):
     )
 
 
+def glue_vectors(gd, p: int) -> list[tuple[Fraction, ...]]:
+    """The glue vectors (e_i + u e'_j) / P of a nikulin_glue result, one
+    for each pair (i, u, j) of its anti-isometry, in the coordinates of
+    lam ⊕ lam_prime: e_i is the i-th basis vector of lam with diagonal
+    entry +-P, and e'_j the j-th such vector of lam_prime."""
+    n1 = gd.lam.rank
+    lam_idx = [i for i in range(n1) if abs(gd.lam.gram[i][i]) == p]
+    lp_idx = [n1 + i for i in range(gd.lam_prime.rank) if abs(gd.lam_prime.gram[i][i]) == p]
+    out = []
+    for i, u, j in gd.anti_isometry:
+        vec = [Fraction(0)] * (n1 + gd.lam_prime.rank)
+        vec[lam_idx[i]] = Fraction(1, p)
+        vec[lp_idx[j]] = Fraction(u, p)
+        out.append(tuple(vec))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Hilbert symbols over Fractions: the reference the integer square-class
 # symbols of qforge.padic are checked against. A rational is split into

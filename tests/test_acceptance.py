@@ -9,6 +9,7 @@ from oracle_utils import (
     all_values_divisible_by,
     brute_char_poly,
     enumerate_isometries,
+    glue_vectors,
     has_root_outside_unit_interval,
     local_solvable,
     matrix_order,
@@ -208,7 +209,7 @@ def test_c08_gluing_soundness():
             assert mat_mul(ep, mat_mul(o, transpose(ep))) == gd.lam_prime.gram
             assert not any(map(any, mat_mul(e, mat_mul(o, transpose(ep)))))
             n1 = gd.lam.rank
-            for vec in gd.glue_vectors:
+            for vec in glue_vectors(gd, p):
                 qv = sum(
                     vec[i] * gd.lam.gram[i][j] * vec[j]
                     for i in range(n1)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge import cli, forge, lattice, linalg, padic
+from qforge import cli, forge, jsonio, lattice, linalg, padic
 from qforge.catalog import resolve
 from qforge.cli import build_parser, main, verify_report
 from qforge.errors import PreconditionError
@@ -530,6 +530,16 @@ def test_hyperbolic_eliminates_the_complement_once(monkeypatch, capsys, verify):
     assert [linalg.freeze(gram) for gram, _ in pivots].count(comp_gram) == 1
 
 
+def test_hyperbolic_saturates_the_span_once(monkeypatch, capsys):
+    """Without --verify, span(v1, w) is saturated once: the sublattice and
+    the report's saturation_index_of_span come from the same call."""
+    sats = _record_callers(monkeypatch, linalg, "saturation")
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "13"])
+    assert rc == 0
+    pair = linalg.freeze([map(jsonio.decode_int, obj["sublattice"][k]) for k in ("v1", "w")])
+    assert [linalg.freeze(rows) for rows, _ in sats].count(pair) == 1
+
+
 def test_parabolic_diagonals_build_no_basis(monkeypatch, capsys):
     """invariant_triple and extend_to_standard read only the diagonal of a
     congruent diagonalization: on a K3 parabolic run no call beneath them
@@ -734,6 +744,17 @@ def test_catalog_env_malformed(tmp_path, monkeypatch, capsys, text):
     monkeypatch.setenv("QFORGE_CATALOG", str(extra))
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U"])
     assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
+def test_catalog_rank_beyond_the_limit_exit_2(capsys):
+    """A short name for a huge diagonal is refused before its Gram exists."""
+    rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:diag(1^99999999999)"])
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
+def test_catalog_sum_beyond_the_limit():
+    with pytest.raises(PreconditionError, match="rank above 1000"):
+        resolve("+".join(["<1>"] * 1001))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    glue_vectors,
     invariant_factors_by_minors,
     nikulin_glue_scan,
     nondegenerate_flag_fractions,
@@ -426,7 +427,9 @@ def test_nikulin_glue_rejects_small_target():
 def test_glue_generator_isotropy():
     gd = nikulin_glue(rescale(diag_lattice(1, -1, -1), 5), (4, 4))
     lam, lam_p = gd.lam, gd.lam_prime
-    for vec in gd.glue_vectors:
+    vectors = glue_vectors(gd, 5)
+    assert len(vectors) == 3
+    for vec in vectors:
         n1 = lam.rank
         qv = sum(
             vec[i] * (lam.gram[i][j] if i < n1 and j < n1 else 0) * vec[j]

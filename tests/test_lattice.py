@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracle_utils import (
     all_values_divisible_by,
     box_min_scan,
-    invariant_factors_by_minors,
     iter_search_vectors,
     pairing_pairwise,
     pell_automorph_matrix,
@@ -24,7 +23,6 @@ from qforge.lattice import (
     binary_cycle,
     diag_lattice,
     direct_sum,
-    discriminant_group,
     enumerate_values,
     from_rows,
     min_nonzero_abs,
@@ -106,32 +104,6 @@ def test_orthogonal_complement_block():
     amb = direct_sum(U, U, diag_lattice(2))
     comp = orthogonal_complement(span(amb, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
     assert comp.basis == ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-
-
-def test_discriminant_unimodular_trivial():
-    assert discriminant_group(U).is_trivial()
-    assert discriminant_group(resolve("E8")).is_trivial()
-
-
-def test_discriminant_minus_two():
-    from fractions import Fraction
-
-    dg = discriminant_group(diag_lattice(-2))
-    assert dg.orders == (2,)
-    assert dg.even
-    # q = -1/2 mod 2Z, canonical representative 3/2
-    assert dg.qvalues[0] == Fraction(3, 2)
-
-
-def test_discriminant_scaled():
-    dg = discriminant_group(diag_lattice(5, -5))
-    assert dg.orders == (5, 5)
-    assert not dg.even
-    assert sorted(dg.qvalues) == [  # 1/5 and -1/5 mod Z
-        pytest.approx(v) for v in sorted([1 / 5, 4 / 5])
-    ]
-    assert dg.size == 25 == abs(diag_lattice(5, -5).det())
-    assert not dg.has_2_torsion()
 
 
 def test_enumerate_values_hyperbolic_plane():
@@ -371,35 +343,6 @@ def test_signature_additivity(seed, r1, r2):
     assert signature(direct_sum(a, b)) == (sa[0] + sb[0], sa[1] + sb[1])
 
 
-def test_discriminant_size_matches_det():
-    for entries in [(3, 5), (2, -4), (6, -9, 2)]:
-        latt = diag_lattice(*entries)
-        assert discriminant_group(latt).size == abs(latt.det())
-
-
-@given(st.integers(1, 5), st.sampled_from((1, 2, 3, 6)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_discriminant_group_orders_and_generators(n, scale, data):
-    """On nonsingular symmetric Grams (scaled, so that the group is often
-    large): the orders are the invariant factors above 1, and every
-    generator g lies in the dual (G g integral) with order * g integral."""
-    upper = data.draw(st.lists(st.integers(-9, 9), min_size=n * (n + 1) // 2,
-                               max_size=n * (n + 1) // 2))
-    it = iter(upper)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = scale * next(it)
-    latt = QuadLattice(tuple(map(tuple, rows)))
-    assume(latt.det() != 0)
-    dg = discriminant_group(latt)
-    assert list(dg.orders) == [f for f in invariant_factors_by_minors(rows) if f > 1]
-    assert dg.size == abs(latt.det())
-    for order, g in zip(dg.orders, dg.generators):
-        assert all(sum(x * y for x, y in zip(row, g)).denominator == 1 for row in rows)
-        assert all((order * x).denominator == 1 for x in g)
-
-
 def test_dimension_mismatch_errors():
     with pytest.raises(PreconditionError, match="vector length != lattice rank"):
         qvalue(U, (1, 0, 0))
@@ -407,11 +350,6 @@ def test_dimension_mismatch_errors():
         pairing(U, (1, 0), (1,))
     with pytest.raises(PreconditionError, match="gram matrix must be symmetric"):
         from_rows([[0, 1], [2, 0]])  # not symmetric
-
-
-def test_discriminant_group_degenerate_rejected():
-    with pytest.raises(PreconditionError, match="degenerate lattice has no discriminant group"):
-        discriminant_group(diag_lattice(2, 0))
 
 
 def test_span_rejects_dependent_basis():

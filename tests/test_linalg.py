@@ -13,10 +13,8 @@ from qforge.linalg import (
     det_bareiss,
     identity,
     invert_unimodular,
-    mat_mul,
     rational_rank,
     saturation,
-    smith_normal_form,
     solve_scaled,
 )
 
@@ -115,24 +113,3 @@ def test_saturation_index_is_the_product_of_invariant_factors(mat):
         return
     _, index = saturation(mat)
     assert index == math.prod(invariant_factors_by_minors(mat))
-
-
-@given(matrices(square=True))
-@settings(max_examples=150, deadline=None)
-def test_smith_form_diagonal_and_transform(mat):
-    """D is the diagonal of the invariant factors, V is unimodular, and
-    mat V = U^-1 D with U^-1 = (mat V) D^-1 an integer matrix of
-    determinant +-1; a singular matrix is refused."""
-    n = len(mat)
-    if det_bareiss(mat) == 0:
-        with pytest.raises(PreconditionError, match="nonsingular"):
-            smith_normal_form(mat)
-        return
-    d, v = smith_normal_form(mat)
-    diagonal = [d[i][i] for i in range(n)]
-    assert diagonal == invariant_factors_by_minors(mat)
-    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-    assert det_bareiss(v) in (1, -1)
-    mv = mat_mul(mat, v)
-    assert all(x % f == 0 for row in mv for x, f in zip(row, diagonal))
-    assert det_bareiss([[x // f for x, f in zip(row, diagonal)] for row in mv]) in (1, -1)

@@ -33,7 +33,7 @@ from qforge.padic import (
     legendre,
     rational_diagonalize,
     rationally_equivalent,
-    represent,
+    represent_scaled,
     solve_prescribed_hilbert,
     symbol_support,
 )
@@ -384,13 +384,13 @@ def test_isotropic_vector_agrees_with_local_oracle(case):
        st.integers(1, 6))
 def test_represent_contract(case, num, den):
     diag, gram = case
-    delta = Fraction(num, den)
     if _isotropic_per_oracle(diag + [-num * den]):  # num / den and num den: one square class
-        w = represent(gram, delta)
-        assert _q(gram, w) == delta
+        w, s = represent_scaled(gram, num, den)
+        assert s > 0 and math.gcd(s, *w) == 1
+        assert _q(gram, w) * den == num * s * s
     else:
         with pytest.raises(PreconditionError, match="anisotropic"):
-            represent(gram, delta)
+            represent_scaled(gram, num, den)
 
 
 _SQUAREFREE = st.integers(-40, 40).filter(lambda a: a and squarefree_part(a) == a)
