@@ -29,6 +29,8 @@ json.dump(r["isometry"]["matrix"], open(sys.argv[3], "w"))' "$tmp/k3.json" "$tmp
 "$qforge" classify --lattice "$tmp/k3-gram.json" --matrix "$tmp/k3-matrix.json" \
   | check 'o["classification"]["dominant_root_between"] == json.load(open("'"$tmp/k3.json"'"))["isometry"]["classification"]["dominant_root_between"]'
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 --verify
+# the K3^[2] lattice K3+<-2>: a rank-23 source on the hyperbolic path
+"$qforge" hyperbolic --lattice "catalog:K3+<-2>" --n-bound 1000 --verify | check 'o["verified"] is True'
 # no basis vector qualifies as w, so w is constructed: a long cycle of reduced forms
 timeout 60 "$qforge" hyperbolic --lattice "catalog:diag(1,1,-1,-1,-1)" --n-bound 1000 --verify
 # a certificate with n = 10^12 is rejected at once, exit 0

@@ -37,12 +37,6 @@ def _external() -> dict:
     return entries
 
 
-def _named_entries() -> dict:
-    entries = _bundled()
-    entries.update(_external())
-    return entries
-
-
 _DIAG_RE = re.compile(r"^diag\((.*)\)$")
 _RANK1_RE = re.compile(r"^<(-?\d+)>$")
 
@@ -64,8 +58,7 @@ def _parse_diag_args(body: str) -> list[int]:
     return out
 
 
-def _atom(name: str) -> QuadLattice:
-    entries = _named_entries()
+def _atom(name: str, entries: dict) -> QuadLattice:
     if name in entries:
         return lattice_from_obj(entries[name])
     if name == "E8(-1)":
@@ -88,9 +81,10 @@ def resolve(name: str) -> QuadLattice:
     parts = [p.strip() for p in _split_atoms(name)]
     if not parts:
         raise PreconditionError("empty catalog name")
+    entries = _bundled() | _external()
     atoms, rank = [], 0
     for part in parts:
-        atoms.append(_atom(part))
+        atoms.append(_atom(part, entries))
         rank += atoms[-1].rank
         if rank > MAX_RANK:
             raise PreconditionError(f"the catalog name has rank above {MAX_RANK}")

@@ -168,9 +168,20 @@ def gram_apply(latt: QuadLattice, v) -> tuple[int, ...]:
 
 
 def gram_of(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
-    """B G B^T for the vectors B = rows, formed as B (G B^T)."""
+    """B G B^T for the vectors B = rows, formed as B (G B^T). A diagonal G
+    scales B; any other is multiplied in by mat_mul, which skips zeros, and
+    G B^T is formed as (B G)^T when B has fewer nonzeros per row than G."""
+    if latt.diagonal is None:
+        gram = latt.gram
+        if _nonzeros(rows) * len(gram) < _nonzeros(gram) * len(rows):
+            return mat_mul(rows, transpose(mat_mul(rows, gram)))
+        return mat_mul(rows, mat_mul(gram, transpose(rows)))
     images = [gram_apply(latt, v) for v in rows]  # the columns of G B^T
     return tuple(tuple(sum(map(mul, u, gv)) for gv in images) for u in rows)
+
+
+def _nonzeros(mat) -> int:
+    return sum(len(row) - row.count(0) for row in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +199,28 @@ def _diagonal_pivots(gram, with_basis: bool = True):
     k scaled to integers (None unless with_basis). The pivot is the first
     nonzero diagonal entry among the remaining ones, else e_i + e_j for the
     first nonzero pairing b(e_i, e_j).
+
+    Scaling is lazy: a pivot whose row has a zero in column j only scales
+    row j (and, by symmetry, column j) by D_{k+1} / D_k, so row j and
+    cols[j] stay held at the minor D_m of an earlier step m and are brought
+    to the current D_k by one exact x * D_k // D_m when next touched. Which
+    entries vanish does not depend on the scale, so neither do the pivots.
     """
     n = len(gram)
     a = linalg.thaw(gram)
     cols = [[int(i == j) for j in range(n)] for i in range(n)] if with_basis else None
-    minors: list[int] = []
-    prev = 1
+    minors = [1]  # D_0, D_1, ...
+    held = [0] * n  # row j and cols[j] are held at D_{held[j]}
+
+    def current(j, step):
+        m = held[j]
+        if m != step:
+            d, dm = minors[step], minors[m]
+            a[j][step:] = [x * d // dm for x in a[j][step:]]
+            if cols:
+                cols[j] = [x * d // dm for x in cols[j]]
+            held[j] = step
+
     for step in range(n):
         piv = next((j for j in range(step, n) if a[j][j]), None)
         if piv is None:
@@ -203,30 +230,35 @@ def _diagonal_pivots(gram, with_basis: bool = True):
             if pair is None:
                 raise PreconditionError("form is degenerate")
             i, j = pair
+            current(i, step)
+            current(j, step)
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] += row[j]
             if cols:
                 cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
             piv = i
+        current(piv, step)
         if piv != step:
             a[step], a[piv] = a[piv], a[step]
             for row in a:
                 row[step], row[piv] = row[piv], row[step]
+            held[step], held[piv] = held[piv], held[step]
             if cols:
                 cols[step], cols[piv] = cols[piv], cols[step]
-        p = a[step][step]
+        prev, p = minors[step], a[step][step]
         top = a[step][step + 1:]
         for j in range(step + 1, n):
             f = a[step][j]
-            if f or p != prev:
+            if f:
                 # the symmetric update of row j is also that of column j
+                current(j, step)
                 a[j][step + 1:] = [(p * x - f * y) // prev for x, y in zip(a[j][step + 1:], top)]
                 if cols:
                     cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
+                held[j] = step + 1
         minors.append(p)
-        prev = p
-    return minors, cols
+    return minors[1:], cols
 
 
 def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:

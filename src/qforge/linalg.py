@@ -32,12 +32,26 @@ def transpose(mat) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
+    """a b. A row of a whose k nonzero entries are at most half the row and
+    fewer than the columns of b is the combination of those k rows of b;
+    any other row takes dot products with the columns of b."""
     if a and b and len(a[0]) != len(b):
         raise PreconditionError("matrix product shape mismatch")
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in bt) for row in a
-    )
+    width = len(b[0]) if b else 0
+    bt = None
+    out = []
+    for row in a:
+        k = len(row) - row.count(0)
+        if 2 * k > len(row) or k >= width:
+            bt = bt or list(zip(*b))
+            out.append(tuple(sum(map(mul, row, col)) for col in bt))
+            continue
+        acc = [0] * width
+        for x, r in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, r)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(mat, vec) -> tuple:

@@ -887,3 +887,69 @@ def is_local_square_fraction(x, place) -> bool:
     if p == 2:
         return unit_mod(u, 8, 2) == 1
     return legendre(unit_mod(u, p, p), p) == 1
+
+
+# ---------------------------------------------------------------------------
+# Former eager kernels, kept verbatim as references for the ones that skip
+# work on zero entries
+
+
+def diagonal_pivots_eager(gram, with_basis: bool = True):
+    """The former lattice._diagonal_pivots: every trailing row is rescaled
+    by D_{k+1} / D_k at every step, also where the pivot row has a zero."""
+    from qforge import linalg
+    from qforge.errors import PreconditionError
+
+    n = len(gram)
+    a = linalg.thaw(gram)
+    cols = [[int(i == j) for j in range(n)] for i in range(n)] if with_basis else None
+    minors: list[int] = []
+    prev = 1
+    for step in range(n):
+        piv = next((j for j in range(step, n) if a[j][j]), None)
+        if piv is None:
+            # all diagonal entries vanish; borrow a nonzero pairing
+            pair = next(((i, j) for i in range(step, n) for j in range(step, n)
+                         if i != j and a[i][j]), None)
+            if pair is None:
+                raise PreconditionError("form is degenerate")
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            if cols:
+                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+            piv = i
+        if piv != step:
+            a[step], a[piv] = a[piv], a[step]
+            for row in a:
+                row[step], row[piv] = row[piv], row[step]
+            if cols:
+                cols[step], cols[piv] = cols[piv], cols[step]
+        p = a[step][step]
+        top = a[step][step + 1:]
+        for j in range(step + 1, n):
+            f = a[step][j]
+            if f or p != prev:
+                # the symmetric update of row j is also that of column j
+                a[j][step + 1:] = [(p * x - f * y) // prev for x, y in zip(a[j][step + 1:], top)]
+                if cols:
+                    cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
+        minors.append(p)
+        prev = p
+    return minors, cols
+
+
+def mat_mul_dot(a, b):
+    """The former linalg.mat_mul: a dot product of every row of a with every
+    column of b."""
+    from operator import mul
+
+    from qforge.errors import PreconditionError
+
+    if a and b and len(a[0]) != len(b):
+        raise PreconditionError("matrix product shape mismatch")
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
+    )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge import cli, forge, jsonio, lattice, linalg, padic
+from qforge import catalog, cli, forge, jsonio, lattice, linalg, padic
 from qforge.catalog import resolve
 from qforge.cli import build_parser, main, verify_report
 from qforge.errors import PreconditionError
@@ -755,6 +755,15 @@ def test_catalog_rank_beyond_the_limit_exit_2(capsys):
 def test_catalog_sum_beyond_the_limit():
     with pytest.raises(PreconditionError, match="rank above 1000"):
         resolve("+".join(["<1>"] * 1001))
+
+
+def test_catalog_reads_its_entries_once_per_name(monkeypatch):
+    """A name of four atoms parses the bundled catalog once, not per atom."""
+    reads = []
+    bundled = catalog._bundled
+    monkeypatch.setattr(catalog, "_bundled", lambda: reads.append(1) or bundled())
+    assert resolve("U+U+U+E8(-1)").rank == 14
+    assert len(reads) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracle_utils import (
     all_values_divisible_by,
     box_min_scan,
+    diagonal_pivots_eager,
     iter_search_vectors,
     pairing_pairwise,
     pell_automorph_matrix,
@@ -20,6 +21,7 @@ from qforge.linalg import mat_mul, rational_rank, transpose
 from qforge.lattice import (
     QuadLattice,
     Sublattice,
+    _diagonal_pivots,
     binary_cycle,
     diag_lattice,
     direct_sum,
@@ -425,25 +427,68 @@ def test_symmetric_diagonalize_matches_fraction_reference(case):
     assert signature(from_rows(gram)) == (pos, len(gram) - pos)
 
 
+@st.composite
+def _sparse_symmetric(draw):
+    """Symmetric integer matrices of rank 1 to 12, sparse or dense, with
+    small or large entries; half have a zero diagonal, which takes the
+    borrow branch of the elimination."""
+    n = draw(st.integers(1, 12))
+    percent = draw(st.sampled_from([10, 30, 100]))
+    hollow = draw(st.booleans())
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.integers(-10**6, 10**6)]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + hollow, n):
+            if draw(st.integers(0, 99)) < percent:
+                rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+@given(_sparse_symmetric(), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(resolve("U+U").gram, True)
+@example(resolve("K3").gram, True)
+@example(resolve("K3").gram, False)
+# row 4 sees only zeros in the pivot rows for three steps, row 3 for the
+# last two, then the pair is borrowed: rows held at D_0 = 1 and D_1 = 2
+# must both be brought to D_3 = 30 before they are added
+@example([[2, 0, 0, 2, 0], [0, 3, 0, 0, 0], [0, 0, 5, 0, 0], [2, 0, 0, 2, 1], [0, 0, 0, 1, 0]], True)
+def test_diagonal_pivots_match_the_eager_reference(gram, with_basis):
+    """The lazily scaled elimination gives the same minors and basis as the
+    former one that rescaled every trailing row at every step, and the same
+    error on a degenerate form."""
+    try:
+        want = diagonal_pivots_eager(gram, with_basis)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=str(exc)):
+            _diagonal_pivots(gram, with_basis)
+        return
+    assert _diagonal_pivots(gram, with_basis) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pairing_qvalue_and_gram_match_pairwise(data):
     """Dense and diagonal Grams (the diagonal ones take the scaling path):
-    pairing, qvalue and Sublattice.gram against u^T G v entry by entry."""
+    pairing, qvalue and Sublattice.gram against u^T G v entry by entry. The
+    Gram and the basis are each drawn dense or about half zero, so gram_of
+    forms G B^T both directly and as (B G)^T."""
     n = data.draw(st.integers(1, 7))
     small = st.integers(-9, 9)
+    sparse = st.one_of(st.just(0), small)
+    gram_entry, basis_entry = (data.draw(st.sampled_from([small, sparse])) for _ in range(2))
     gram = [[0] * n for _ in range(n)]
     dense = data.draw(st.booleans())
     for i in range(n):
         for j in range(i, n if dense else i + 1):
-            gram[i][j] = gram[j][i] = data.draw(small)
+            gram[i][j] = gram[j][i] = data.draw(gram_entry)
     latt = from_rows(gram)
     assert (latt.diagonal is not None) == all(
         gram[i][j] == 0 for i in range(n) for j in range(n) if i != j)
     u, v = ([data.draw(small) for _ in range(n)] for _ in range(2))
     assert pairing(latt, u, v) == pairing_pairwise(gram, u, v)
     assert qvalue(latt, u) == pairing_pairwise(gram, u, u)
-    basis = [tuple(data.draw(small) for _ in range(n)) for _ in range(data.draw(st.integers(1, n)))]
+    basis = [tuple(data.draw(basis_entry) for _ in range(n)) for _ in range(data.draw(st.integers(1, n)))]
     assume(rational_rank(basis) == len(basis))
     assert Sublattice(latt, tuple(basis)).gram() == tuple(
         tuple(pairing_pairwise(gram, a, b) for b in basis) for a in basis)

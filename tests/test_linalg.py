@@ -7,12 +7,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import invariant_factors_by_minors
+from oracle_utils import invariant_factors_by_minors, mat_mul_dot
 from qforge.errors import PreconditionError
 from qforge.linalg import (
     det_bareiss,
     identity,
     invert_unimodular,
+    mat_mul,
     rational_rank,
     saturation,
     solve_scaled,
@@ -113,3 +114,26 @@ def test_saturation_index_is_the_product_of_invariant_factors(mat):
         return
     _, index = saturation(mat)
     assert index == math.prod(invariant_factors_by_minors(mat))
+
+
+@st.composite
+def _product_pair(draw):
+    """a (m x k) and b (k x n), m, k, n from 1 to 12, each sparse or dense."""
+    m, k, n = (draw(st.integers(1, 12)) for _ in range(3))
+
+    def mat(rows, cols):
+        percent = draw(st.sampled_from([10, 30, 60, 100]))
+        entry = draw(st.sampled_from([INTS, st.integers(-10**9, 10**9)]))
+        return [[draw(entry) if draw(st.integers(0, 99)) < percent else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    return mat(m, k), mat(k, n)
+
+
+@given(_product_pair())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_the_dot_product_reference(pair):
+    """Rows combined from b at their nonzero entries, or dotted with b's
+    columns when dense, give the product of the former kernel."""
+    a, b = pair
+    assert mat_mul(a, b) == mat_mul_dot(a, b)
