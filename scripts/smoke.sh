@@ -28,6 +28,15 @@ json.dump({"gram": r["sublattice"]["gram"]}, open(sys.argv[2], "w"))
 json.dump(r["isometry"]["matrix"], open(sys.argv[3], "w"))' "$tmp/k3.json" "$tmp/k3-gram.json" "$tmp/k3-matrix.json"
 "$qforge" classify --lattice "$tmp/k3-gram.json" --matrix "$tmp/k3-matrix.json" \
   | check 'o["classification"]["dominant_root_between"] == json.load(open("'"$tmp/k3.json"'"))["isometry"]["classification"]["dominant_root_between"]'
+# --flag=value reads as --flag value: the same report apart from timings
+"$qforge" hyperbolic --lattice catalog:K3 --n-bound=1000 --verify > "$tmp/k3-equals.json"
+"$py" -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:])
+a.pop("timings"); b.pop("timings"); assert a == b' "$tmp/k3.json" "$tmp/k3-equals.json"
+# --help exits 0 and lists all 11 commands
+"$qforge" --help > "$tmp/help.txt"
+"$py" -c 'import sys; text = open(sys.argv[1]).read()
+commands = "hyperbolic parabolic invariants equiv classify saturate extend glue isotropic certify enumerate"
+assert all(f"  {c} " in text for c in commands.split()), text' "$tmp/help.txt"
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 --verify
 # the K3^[2] lattice K3+<-2>: a rank-23 source on the hyperbolic path
 "$qforge" hyperbolic --lattice "catalog:K3+<-2>" --n-bound 1000 --verify | check 'o["verified"] is True'

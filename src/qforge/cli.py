@@ -11,7 +11,10 @@ qforge enumerate --lattice L [--height-bound B] [--budget B]
 
 Every command also takes --out report.json; a flag the command does not
 read (the table _COMMANDS) exits 2. --n-bound defaults to 1, --height-bound
-to 10 and --budget to lattice.ENUM_BUDGET; the last two must be >= 1.
+to 10 and --budget to lattice.ENUM_BUDGET; the last two must be >= 1. A
+flag is given as `--flag value` or `--flag=value`, by its name or a unique
+prefix of it, and the last of a repeated flag wins; --help (or -h) lists
+the commands and flags.
 
 Reports are JSON with every numeric claim accompanied by a re-runnable
 verification command; identical inputs and flags yield byte-identical
@@ -21,12 +24,13 @@ reports apart from the timings block. Exit codes: 0 success,
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
 import json
+import re
 import sys
 import time
+from itertools import chain
+from types import SimpleNamespace
 
 from . import __version__, catalog, forge, glue, isom, jsonio
 from .errors import PreconditionError, QforgeError
@@ -67,7 +71,10 @@ def _load_lattice(spec: str | None) -> QuadLattice:
 
 
 def _lattice_hash(latt: QuadLattice) -> str:
-    blob = json.dumps(encode_matrix(latt.gram), sort_keys=True).encode()
+    gram = latt.gram  # entries below 2^53 encode as themselves
+    if max(map(abs, chain.from_iterable(gram)), default=0) >= jsonio.SAFE_BOUND:
+        gram = encode_matrix(gram)
+    blob = json.dumps(gram, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -77,7 +84,7 @@ CROSS_CHECK_HEIGHT = 60
 
 
 def _decode_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(jsonio.decode_int(x) for x in row) for row in rows)
+    return freeze(jsonio.decode_matrix(rows))
 
 
 def _triple_obj(t) -> dict:
@@ -416,27 +423,31 @@ def _minimum_failures(latt: QuadLattice, claimed: int, witness) -> list[str]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # a ValueError is reported by argparse as an invalid value
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
-# argparse keyword arguments of every flag; --out is on every command
+# (conversion of the value, default, help) of every flag. A flag without a
+# conversion takes no value.
 _FLAG_SPECS = {
-    "--lattice": {"help": "lattice file or catalog:NAME"},
-    "--other": {"help": "second lattice file or catalog:NAME"},
-    "--matrix": {"help": "JSON integer matrix file"},
-    "--basis": {"help": "JSON list of vectors"},
-    "--certificate": {"help": "JSON certificate file"},
-    "--n-bound": {"type": int, "default": 1},
-    "--target-signature": {"help": "r,s"},
-    "--height-bound": {"type": _positive_int, "default": 10},
-    "--budget": {"type": _positive_int, "default": ENUM_BUDGET},
-    "--verify": {"action": "store_true"},
+    "--lattice": (str, None, "lattice file or catalog:NAME"),
+    "--other": (str, None, "second lattice file or catalog:NAME"),
+    "--matrix": (str, None, "JSON integer matrix file"),
+    "--basis": (str, None, "JSON list of vectors"),
+    "--certificate": (str, None, "JSON certificate file"),
+    "--n-bound": (int, 1, "the bound N"),
+    "--target-signature": (str, None, "r,s"),
+    "--height-bound": (_positive_int, 10, "box height, >= 1"),
+    "--budget": (_positive_int, ENUM_BUDGET, "vectors the box may visit, >= 1"),
+    "--verify": (None, False, "re-check the report's claims; exit 4 if one fails"),
+    "--out": (str, None, "write the JSON report here"),
+    "--help": (None, None, "print this listing (also -h)"),
 }
 
-# Each command with the flags it reads; any other flag exits 2.
+# Each command with the flags it reads, besides --out and --help; any other
+# flag exits 2.
 _COMMANDS = {
     "hyperbolic": (cmd_hyperbolic, ("--lattice", "--n-bound", "--verify")),
     "parabolic": (cmd_parabolic, ("--lattice", "--n-bound", "--verify")),
@@ -451,32 +462,88 @@ _COMMANDS = {
     "enumerate": (cmd_enumerate, ("--lattice", "--height-bound", "--budget")),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # bad argv exits 2 with JSON, like any bad input
-        raise PreconditionError(message)
+# a token that reads as a negative number is a value, never a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qforge",
-        description="exact constructions on integer quadratic lattices",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage() -> str:
+    lines = ["usage: qforge COMMAND [--flag VALUE | --flag=VALUE ...]", "", "commands:"]
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(flag, **_FLAG_SPECS[flag])
-        p.add_argument("--out", help="write the JSON report here")
-    return parser
+        lines.append(f"  {name:<11} " + " ".join((*flags, "--out")))
+    lines += ["", "flags (a unique prefix will do):"]
+    for flag, (_, default, text) in _FLAG_SPECS.items():
+        lines.append(f"  {flag:<19} {text}" + (f" (default {default})" if default else ""))
+    return "\n".join(lines)
+
+
+def _option(token: str, names) -> tuple[str | None, str | None]:
+    """(flag, the value after "=" or None) when token names one of `names`
+    exactly or by a unique prefix, or is -h; (None, None) when it is a
+    value; ("", None) when it is an option that names none of them."""
+    if not token.startswith("-") or token == "-":
+        return None, None
+    head, eq, value = token.partition("=")
+    if head.startswith("--") and len(head) > 2:
+        matches = [head] if head in names else [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise PreconditionError(f"ambiguous option: {head} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] == "-h":
+        return "--help", token[2:] or None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None, None
+    return "", None
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The command and its flags' values from argv, read against _COMMANDS
+    and _FLAG_SPECS: `--flag value` or `--flag=value`, a unique prefix of a
+    flag, the last of a repeated flag. --help prints the usage and exits 0;
+    any other fault raises PreconditionError."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    flags = (*_COMMANDS[command][1], "--out") if command else ()
+    values = {flag: _FLAG_SPECS[flag][1] for flag in flags}
+    tokens = argv[1:] if command else argv[:1]
+    options = [_option(token, (*flags, "--help")) for token in tokens]
+    unknown = []
+    i = 0
+    while i < len(tokens):
+        (flag, value), i = options[i], i + 1
+        if not flag:
+            unknown.append(tokens[i - 1])
+            continue
+        convert = _FLAG_SPECS[flag][0]
+        if convert is None:
+            if value is not None:
+                raise PreconditionError(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                print(_usage())
+                raise SystemExit(0)
+            value = True
+        else:
+            if value is None:
+                if i == len(tokens) or options[i][0] is not None:
+                    raise PreconditionError(f"argument {flag}: expected one argument")
+                value, i = tokens[i], i + 1
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise PreconditionError(f"argument {flag}: {exc}") from None
+        values[flag] = value
+    if command is None:
+        raise PreconditionError(f"expected a command, one of {', '.join(_COMMANDS)}")
+    if unknown:
+        raise PreconditionError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # reports print exact integers, however long
     try:
-        args = build_parser().parse_args(argv)
-        report = _COMMANDS[args.command][0](args)  # read per call: the parser is built once
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        report = _COMMANDS[args.command][0](args)
         verify = getattr(args, "verify", False)
         if verify:
             failures = verify_report(report)

@@ -138,12 +138,13 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     def sign_ok(value) -> bool:
         return value != 0 and (value < 0) == want_negative
 
-    def valuation_one(w) -> bool:
-        value = qvalue(latt, w)
+    def valuation_one(value) -> bool:
         return value % p == 0 and value % (p * p) != 0
 
     units = identity(latt.rank)
-    w = next((e for e in units if sign_ok(qvalue(latt, e)) and valuation_one(e)), None)
+    # q(e_i) is the Gram's diagonal entry
+    w = next((units[i] for i, row in enumerate(latt.gram)
+              if sign_ok(row[i]) and valuation_one(row[i])), None)
     if w is None:
         if p == 2 or minors[-1] % p == 0:  # minors[-1] = det(comp)
             raise PreconditionError("no basis vector qualifies, and p is 2 or divides det")
@@ -152,7 +153,8 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
             raise PreconditionError(f"the form is anisotropic mod {p}")
         # G x ≢ 0 and q(x ± p e_j) ≡ q(x) ± 2p (G x)_j (mod p^2): a sign gives valuation 1
         j = next(j for j, c in enumerate(mat_vec(latt.gram, x)) if c % p)
-        moved = [w for w in (_add(x, units[j], p), _add(x, units[j], -p)) if valuation_one(w)]
+        moved = [w for w in (_add(x, units[j], p), _add(x, units[j], -p))
+                 if valuation_one(qvalue(latt, w))]
         w = next((w for w in moved if sign_ok(qvalue(latt, w))), moved[0])
         # w + p^2 k s keeps q(w) mod p^2, and takes the sign of q(s) for large k
         idx = next(i for i, d in enumerate(signs) if sign_ok(d))
@@ -164,9 +166,10 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
             k = max(1, 2 * k)
         w = _add(w, s, p * p * k)
         w = tuple(c // math.gcd(*w) for c in w)  # the content is prime to p: w ≢ 0 mod p
-    if not (sign_ok(qvalue(latt, w)) and valuation_one(w)):
+    value = qvalue(latt, w)
+    if not (sign_ok(value) and valuation_one(value)):
         raise InternalInconsistencyError(f"constructed w = {w} does not qualify")
-    return w, qvalue(latt, w) // p
+    return w, value // p
 
 
 def _add(x, y, c: int) -> Vector:

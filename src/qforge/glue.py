@@ -51,6 +51,7 @@ from .linalg import (
     lll_gram,
     mat_mul,
     mat_vec,
+    rational_rank,
     saturation,
     solve_scaled,
     transpose,
@@ -725,14 +726,14 @@ def _embedding_index(m, den: int) -> int:
     into L = Z^n, m integral and den > 0, not necessarily in lowest terms:
     H ∩ L is {x : m x = 0 mod den}, so with f_i the invariant factors of m,
     d = prod den / gcd(den, f_i) = den^k / [Z^k : rows(m) + den Z^k]. The
-    Hermite form of m has rank k exactly when the embedding is injective,
-    and that index is the diagonal product of the Hermite form of
-    [H_m; den I_k]."""
+    embedding is injective exactly when m has rank k, and that index is the
+    diagonal product of the Hermite form of [m mod den; den I_k], since
+    den Z^k lies in the lattice."""
     k = len(m[0])
-    h, rank = hermite_rows(m)
-    if rank != k:
+    if rational_rank(m) != k:
         raise InternalInconsistencyError("embedding is not injective")
-    h, _ = hermite_rows([*h, *([den * (i == j) for j in range(k)] for i in range(k))])
+    h, _ = hermite_rows([*([x % den for x in row] for row in m),
+                         *([den * (i == j) for j in range(k)] for i in range(k))])
     return den ** k // math.prod(h[i][i] for i in range(k))
 
 

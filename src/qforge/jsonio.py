@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import PreconditionError
 from .lattice import QuadLattice, from_rows
@@ -76,8 +77,11 @@ def decode_fraction_matrix(rows) -> tuple[list[list[int]], int]:
 
 
 def decode_matrix(rows):
+    """The integer matrix that JSON rows spell; rows of plain ints as they are."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise PreconditionError("expected a list of integer rows")
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return rows
     return [[decode_int(x) for x in row] for row in rows]
 
 
@@ -133,6 +137,9 @@ def _layout(obj, newline: str) -> str:
     if isinstance(obj, dict) and obj:
         items = (f"{json.dumps(k)}: {_layout(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in obj):
-        return "[" + inner + ("," + inner).join(_layout(x, inner) for x in obj) + newline + "]"
+    if isinstance(obj, (list, tuple)):
+        if {int}.issuperset(map(type, obj)):  # json.dumps's text for a row of ints
+            return "[" + ", ".join(map(str, obj)) + "]"
+        if any(isinstance(x, (dict, list, tuple)) for x in obj):
+            return "[" + inner + ("," + inner).join(_layout(x, inner) for x in obj) + newline + "]"
     return json.dumps(obj)

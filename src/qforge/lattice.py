@@ -31,13 +31,10 @@ class QuadLattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise PreconditionError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise PreconditionError("gram matrix must be symmetric")
+        if any(len(row) != n for row in self.gram):
+            raise PreconditionError("gram matrix must be square")
+        if list(zip(*self.gram)) != list(map(tuple, self.gram)):
+            raise PreconditionError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -169,15 +166,20 @@ def gram_apply(latt: QuadLattice, v) -> tuple[int, ...]:
 
 def gram_of(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
     """B G B^T for the vectors B = rows, formed as B (G B^T). A diagonal G
-    scales B; any other is multiplied in by mat_mul, which skips zeros, and
-    G B^T is formed as (B G)^T when B has fewer nonzeros per row than G."""
+    scales B, and the upper triangle is mirrored; any other G is multiplied
+    in by mat_mul, which skips zeros, and G B^T is formed as (B G)^T when B
+    has fewer nonzeros per row than G."""
     if latt.diagonal is None:
         gram = latt.gram
         if _nonzeros(rows) * len(gram) < _nonzeros(gram) * len(rows):
             return mat_mul(rows, transpose(mat_mul(rows, gram)))
         return mat_mul(rows, mat_mul(gram, transpose(rows)))
     images = [gram_apply(latt, v) for v in rows]  # the columns of G B^T
-    return tuple(tuple(sum(map(mul, u, gv)) for gv in images) for u in rows)
+    out = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            out[i][j] = out[j][i] = sum(map(mul, u, images[j]))
+    return linalg.freeze(out)
 
 
 def _nonzeros(mat) -> int:

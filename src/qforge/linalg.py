@@ -10,7 +10,7 @@ import math
 from operator import mul
 
 from .errors import PreconditionError
-from .intmath import round_div, xgcd
+from .intmath import round_div
 
 Matrix = tuple[tuple, ...]
 
@@ -166,37 +166,40 @@ def hermite_rows(mat) -> tuple[Matrix, int]:
 
     Returns (H, rank): zero rows dropped, pivots positive, entries above a
     pivot reduced into [0, pivot). Row operations only, so the row lattice
-    is preserved exactly. Column by column, each row above the current pivot
-    slot is folded into it by a 2x2 unimodular xgcd step, and the rows
-    holding earlier pivots are reduced modulo the new one at once (Cohen,
-    GTM 138, alg. 2.4.5, with rows for columns), which keeps the entries from
-    blowing up.
+    is preserved exactly. Column by column, among the rows that hold no
+    pivot yet, the row with the least nonzero |entry| takes the others to
+    their least remainders by a nearest-quotient multiple, until one row is
+    left; made positive, it is the column's pivot, and the rows holding
+    earlier pivots are reduced modulo it at once (Cohen, GTM 138, alg. 2.4.5,
+    with rows for columns), which keeps the entries from blowing up.
     """
-    a = thaw(mat)
-    n = len(a[0]) if a else 0
-    k = len(a)  # rows k.. hold the pivots found so far, the latest one in row k
-    for col in range(n):
-        if k == 0:
+    rest = [list(row) for row in mat if any(row)]
+    done: list[list[int]] = []
+    for col in range(len(mat[0]) if mat else 0):
+        if not rest:
             break
-        k -= 1
-        for j in range(k - 1, -1, -1):
-            if a[j][col]:
-                u, v, g = xgcd(a[k][col], a[j][col])
-                r, s = a[k][col] // g, a[j][col] // g
-                a[k], a[j] = ([u * x + v * y for x, y in zip(a[k], a[j])],
-                              [r * y - s * x for x, y in zip(a[k], a[j])])
-        b = a[k][col]
-        if b < 0:
-            a[k] = [-x for x in a[k]]
-            b = -b
-        if b == 0:
-            k += 1
+        live = [row for row in rest if row[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[col]))
+            b, tail = piv[col], piv[col:]
+            for row in live:
+                if row is not piv:
+                    q = (2 * row[col] + b) // (2 * b)  # |row[col] - q b| <= |b| / 2
+                    row[col:] = [x - q * y for x, y in zip(row[col:], tail)]
+            live = [row for row in live if row[col]]
+        if not live:
             continue
-        for j in range(k + 1, len(a)):
-            q = a[j][col] // b
+        piv = live[0]
+        if piv[col] < 0:
+            piv[col:] = [-x for x in piv[col:]]
+        b, tail = piv[col], piv[col:]
+        for row in done:
+            q = row[col] // b
             if q:
-                a[j] = [x - q * y for x, y in zip(a[j], a[k])]
-    h = freeze(reversed(a[k:]))
+                row[col:] = [x - q * y for x, y in zip(row[col:], tail)]
+        done.append(piv)
+        rest = [row for row in rest if row is not piv]
+    h = freeze(done)
     return h, len(h)
 
 
@@ -262,15 +265,14 @@ def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
         return tuple(sum(c[i] * h[i][j] for i in range(k + 1)) for j in range(n))
 
     def red(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) > abs(d[l + 1]):
-            q = round_div(lam[k][l], d[l + 1])
-            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-            a[k] = [x - q * y for x, y in zip(a[k], a[l])]
-            for row in a:
-                row[k] -= q * row[l]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
+        q = round_div(lam[k][l], d[l + 1])
+        h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+        a[k] = [x - q * y for x, y in zip(a[k], a[l])]
+        for row in a:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
 
     def swap(k: int) -> None:
         h[k], h[k - 1] = h[k - 1], h[k]
@@ -295,16 +297,25 @@ def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
         if k > k_max:
             k_max = k
             for j in range(k + 1):
-                u = a[k][j]
+                # u is carried at the scale d[m]: while the products vanish,
+                # each step only multiplies it by d[i + 1] / d[i]
+                u, m = a[k][j], 0
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    t = lam[k][i] * lam[j][i]
+                    if t:
+                        if m < i:
+                            u = u * d[i] // d[m]
+                        u, m = (d[i + 1] * u - t) // d[i], i + 1
+                if m < j:
+                    u = u * d[j] // d[m]
                 if j < k:
                     lam[k][j] = u
                 elif u == 0:
                     return h, a, radical(k)
                 else:
                     d[k + 1] = u
-        red(k, k - 1)
+        if 2 * abs(lam[k][k - 1]) > abs(d[k]):
+            red(k, k - 1)
         if 4 * abs(d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < 3 * d[k] ** 2:
             swap(k)
             if d[k] == 0:
@@ -312,7 +323,8 @@ def lll_gram(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                red(k, l)
+                if 2 * abs(lam[k][l]) > abs(d[l + 1]):
+                    red(k, l)
             k += 1
     return h, a, None
 

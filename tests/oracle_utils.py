@@ -7,9 +7,15 @@ a scan of the smaller leg.
 """
 from __future__ import annotations
 
+import argparse
+import functools
 import itertools
 import math
 from fractions import Fraction
+
+from qforge.cli import _COMMANDS
+from qforge.errors import PreconditionError
+from qforge.lattice import ENUM_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -953,3 +959,216 @@ def mat_mul_dot(a, b):
     return tuple(
         tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
+
+
+# ---------------------------------------------------------------------------
+# Former kernels, kept verbatim as references: the Hermite form by 2x2 xgcd
+# steps, LLL with its Gram-Schmidt step rescaled at every index, and the
+# product of a diagonal Gram formed in full
+
+
+def hermite_rows_xgcd(mat) -> tuple[Matrix, int]:
+    """Canonical row Hermite form of an integer matrix.
+
+    Returns (H, rank): zero rows dropped, pivots positive, entries above a
+    pivot reduced into [0, pivot). Row operations only, so the row lattice
+    is preserved exactly. Column by column, each row above the current pivot
+    slot is folded into it by a 2x2 unimodular xgcd step, and the rows
+    holding earlier pivots are reduced modulo the new one at once (Cohen,
+    GTM 138, alg. 2.4.5, with rows for columns), which keeps the entries from
+    blowing up.
+    """
+    from qforge.intmath import xgcd
+    from qforge.linalg import freeze, thaw
+
+    a = thaw(mat)
+    n = len(a[0]) if a else 0
+    k = len(a)  # rows k.. hold the pivots found so far, the latest one in row k
+    for col in range(n):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if a[j][col]:
+                u, v, g = xgcd(a[k][col], a[j][col])
+                r, s = a[k][col] // g, a[j][col] // g
+                a[k], a[j] = ([u * x + v * y for x, y in zip(a[k], a[j])],
+                              [r * y - s * x for x, y in zip(a[k], a[j])])
+        b = a[k][col]
+        if b < 0:
+            a[k] = [-x for x in a[k]]
+            b = -b
+        if b == 0:
+            k += 1
+            continue
+        for j in range(k + 1, len(a)):
+            q = a[j][col] // b
+            if q:
+                a[j] = [x - q * y for x, y in zip(a[j], a[k])]
+    h = freeze(reversed(a[k:]))
+    return h, len(h)
+
+
+def lll_gram_eager(gram) -> tuple[list[list[int]], list[list[int]], tuple | None]:
+    """Integral LLL (Cohen, GTM 138, alg. 2.6.7) on an integer Gram matrix,
+    with the Lovasz test on absolute values so that indefinite forms reduce
+    too (Simon, Math. Comp. 2005): swap when
+    4 |d_{k-2} d_k + l^2| < 3 d_{k-1}^2. Each swap shrinks the positive
+    integer prod |d_i|, so the loop ends. Returns (H, H G H^T, x): H is
+    unimodular with the new basis as rows, and x is None, or an isotropic
+    vector (in the input coordinates, not made primitive) when a leading
+    minor of the current basis vanishes; the reduction stops there.
+
+    A degenerate Gram always stops that way, since its last leading minor
+    is its determinant. So x None proves G non-degenerate; the converse
+    fails: a non-degenerate indefinite G can meet a vanishing minor too.
+    """
+    from qforge.intmath import round_div
+    from qforge.linalg import left_kernel
+
+    n = len(gram)
+    a = [list(row) for row in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)  # d[i + 1]: leading i+1 minor; d[0] = 1
+
+    def radical(k: int) -> tuple[int, ...]:
+        """An isotropic vector in the span of h[0..k] when its Gram is degenerate."""
+        c = left_kernel([row[:k + 1] for row in a[:k + 1]])[0]
+        return tuple(sum(c[i] * h[i][j] for i in range(k + 1)) for j in range(n))
+
+    def red(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > abs(d[l + 1]):
+            q = round_div(lam[k][l], d[l + 1])
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            a[k] = [x - q * y for x, y in zip(a[k], a[l])]
+            for row in a:
+                row[k] -= q * row[l]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        h[k], h[k - 1] = h[k - 1], h[k]
+        a[k], a[k - 1] = a[k - 1], a[k]
+        for row in a:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if a[0][0] == 0:
+        return h, a, radical(0)
+    d[1] = a[0][0]
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = a[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    return h, a, radical(k)
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * abs(d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < 3 * d[k] ** 2:
+            swap(k)
+            if d[k] == 0:
+                return h, a, radical(k - 1)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return h, a, None
+
+
+def gram_of_full(latt: QuadLattice, rows) -> tuple[tuple[int, ...], ...]:
+    """B G B^T for the vectors B = rows, formed as B (G B^T). A diagonal G
+    scales B; any other is multiplied in by mat_mul, which skips zeros, and
+    G B^T is formed as (B G)^T when B has fewer nonzeros per row than G."""
+    from operator import mul
+
+    from qforge.lattice import _nonzeros, gram_apply
+    from qforge.linalg import mat_mul, transpose
+
+    if latt.diagonal is None:
+        gram = latt.gram
+        if _nonzeros(rows) * len(gram) < _nonzeros(gram) * len(rows):
+            return mat_mul(rows, transpose(mat_mul(rows, gram)))
+        return mat_mul(rows, mat_mul(gram, transpose(rows)))
+    images = [gram_apply(latt, v) for v in rows]  # the columns of G B^T
+    return tuple(tuple(sum(map(mul, u, gv)) for gv in images) for u in rows)
+
+
+
+def embedding_index_unreduced(m, den: int) -> int:
+    """The former glue._embedding_index: the Hermite form of m, then that of
+    [H_m; den I_k] with no reduction modulo den."""
+    from qforge.errors import InternalInconsistencyError
+    from qforge.linalg import hermite_rows
+
+    k = len(m[0])
+    h, rank = hermite_rows(m)
+    if rank != k:
+        raise InternalInconsistencyError("embedding is not injective")
+    h, _ = hermite_rows([*h, *([den * (i == j) for j in range(k)] for i in range(k))])
+    return den ** k // math.prod(h[i][i] for i in range(k))
+
+
+# ---------------------------------------------------------------------------
+# The former argparse command line, kept verbatim as the reference for
+# cli._parse_args. Its flag table is the former cli._FLAG_SPECS, its
+# commands and flags are read from cli._COMMANDS.
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # a ValueError is reported by argparse as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# argparse keyword arguments of every flag; --out is on every command
+_FLAG_SPECS = {
+    "--lattice": {"help": "lattice file or catalog:NAME"},
+    "--other": {"help": "second lattice file or catalog:NAME"},
+    "--matrix": {"help": "JSON integer matrix file"},
+    "--basis": {"help": "JSON list of vectors"},
+    "--certificate": {"help": "JSON certificate file"},
+    "--n-bound": {"type": int, "default": 1},
+    "--target-signature": {"help": "r,s"},
+    "--height-bound": {"type": _positive_int, "default": 10},
+    "--budget": {"type": _positive_int, "default": ENUM_BUDGET},
+    "--verify": {"action": "store_true"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad argv exits 2 with JSON, like any bad input
+        raise PreconditionError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="qforge",
+        description="exact constructions on integer quadratic lattices",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_SPECS[flag])
+        p.add_argument("--out", help="write the JSON report here")
+    return parser

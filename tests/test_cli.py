@@ -7,13 +7,14 @@ import random
 import subprocess
 import sys
 
+import oracle_utils
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge import catalog, cli, forge, jsonio, lattice, linalg, padic
 from qforge.catalog import resolve
-from qforge.cli import build_parser, main, verify_report
+from qforge.cli import _parse_args, main, verify_report
 from qforge.errors import PreconditionError
 from qforge.jsonio import dump_json, lattice_to_obj, load_lattice_file
 from qforge.lattice import from_rows, orthogonal_complement, span
@@ -179,7 +180,7 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     for command in READS:
         for flag, value in FLAG_VALUES.items():
             try:
-                build_parser().parse_args([command, flag, *value])
+                _parse_args([command, flag, *value])
             except PreconditionError:
                 rc, obj = run_cli(capsys, [command, flag, *value])
                 message = obj["error"]["message"]
@@ -190,6 +191,61 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     assert len(READS) * len(FLAG_VALUES) == 121 and len(accepted) == 34
     rc, obj = run_cli(capsys, ["invariants", "--lattice", "catalog:U", "--verify"])
     assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
+_ALL_FLAGS = sorted(set(FLAG_VALUES))
+# Every prefix of three characters or more of a flag, apart from the prefixes
+# of --help, which exit 0 with a usage text. "--o" is ambiguous in
+# equiv (--other, --out); the other prefixes name one flag of a command.
+_PREFIXES = sorted({f[:k] for f in _ALL_FLAGS for k in range(3, len(f) + 1)}
+                   - {"--help"[:k] for k in range(3, 7)})
+# Values: numbers, negative numbers, flag-like words and words with a
+# space. "--" and "-h" are left out: the argparse of Python 3.10, 3.11 and
+# 3.12 read them differently.
+_ARGV_VALUES = ("3", "0", "-5", "-1.5", "x", "catalog:U", "3,3", "", "a b", "-x y",
+                "--lattice", "--n", "--x", "-q", "-", "+4", "007")
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from([*READS, *READS, "bogus", "hyper", "-q", "x"]))]
+    # three flags in four are (prefixes of) flags the command reads
+    own = [p for p in _PREFIXES
+           if any(f.startswith(p) for f in (*READS.get(argv[0], ()), "--out"))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("pair", "pair", "pair", "equals", "equals", "flag",
+                                     "stray")))
+        flag = draw(st.sampled_from(own if own and draw(st.integers(0, 3)) else _PREFIXES))
+        value = draw(st.sampled_from(_ARGV_VALUES))
+        argv += {"pair": [flag, value], "equals": [f"{flag}={value}"], "flag": [flag],
+                 "stray": [value]}[kind]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=1500, deadline=None)
+def test_command_line_matches_the_argparse_reference(argv):
+    """Where the former argparse parser accepts argv, _parse_args gives the
+    same values; where it rejects argv, _parse_args raises PreconditionError."""
+    try:
+        want = vars(oracle_utils.build_parser().parse_args(argv))
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            _parse_args(argv)
+    else:
+        assert vars(_parse_args(argv)) == want
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["--he"], ["enumerate", "--help"], ["hyperbolic", "--h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert all(f"  {command} " in text for command in READS), text
+    for argv in (["--help=x"], ["-hx"], ["enumerate", "--he"], []):
+        rc, obj = run_cli(capsys, argv)
+        assert rc == 2 and obj["error"]["type"] == "PreconditionError"
 
 
 def test_hyperbolic_report(capsys):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    embedding_index_unreduced,
     glue_vectors,
     invariant_factors_by_minors,
     nikulin_glue_scan,
@@ -321,6 +322,28 @@ def test_embedding_index_matches_invariant_factors(case):
         return
     factors = invariant_factors_by_minors(m)
     assert _embedding_index(m, den) == math.prod(den // math.gcd(den, f) for f in factors)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_embedding_index_matches_the_unreduced_reference(data):
+    """Dense n x k matrices with entries up to 10^6 over den up to 10^4: the
+    Hermite form of [m mod den; den I] gives the index of the former
+    unreduced one, and both refuse a matrix of lower column rank."""
+    k = data.draw(st.integers(1, 5))
+    n = k + data.draw(st.integers(0, 4))
+    m = [[data.draw(st.integers(-10**6, 10**6)) for _ in range(k)] for _ in range(n)]
+    if k > 1 and data.draw(st.integers(0, 9)) == 0:
+        c = data.draw(st.integers(-3, 3))
+        m = [row[:-1] + [c * row[0]] for row in m]
+    den = data.draw(st.integers(1, 10**4))
+    try:
+        want = embedding_index_unreduced(m, den)
+    except InternalInconsistencyError:
+        with pytest.raises(InternalInconsistencyError, match="not injective"):
+            _embedding_index(m, den)
+    else:
+        assert _embedding_index(m, den) == want
 
 
 @given(_rational_embedding(), st.integers(1, 12))

@@ -9,6 +9,7 @@ from oracle_utils import (
     all_values_divisible_by,
     box_min_scan,
     diagonal_pivots_eager,
+    gram_of_full,
     iter_search_vectors,
     pairing_pairwise,
     pell_automorph_matrix,
@@ -27,6 +28,7 @@ from qforge.lattice import (
     direct_sum,
     enumerate_values,
     from_rows,
+    gram_of,
     min_nonzero_abs,
     orthogonal_complement,
     pairing,
@@ -492,3 +494,15 @@ def test_pairing_qvalue_and_gram_match_pairwise(data):
     assume(rational_rank(basis) == len(basis))
     assert Sublattice(latt, tuple(basis)).gram() == tuple(
         tuple(pairing_pairwise(gram, a, b) for b in basis) for a in basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gram_of_diagonal_matches_the_full_reference(data):
+    """On a diagonal Gram, the upper triangle mirrored is the product the
+    former kernel formed in full, for any rows, dependent or zero ones too."""
+    n = data.draw(st.integers(1, 10))
+    latt = diag_lattice(*(data.draw(st.integers(-10**6, 10**6)) for _ in range(n)))
+    entry = data.draw(st.sampled_from([st.integers(-3, 3), st.integers(-10**6, 10**6)]))
+    rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(data.draw(st.integers(0, 8)))]
+    assert gram_of(latt, rows) == gram_of_full(latt, rows)

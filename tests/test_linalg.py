@@ -7,12 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import invariant_factors_by_minors, mat_mul_dot
+from oracle_utils import hermite_rows_xgcd, invariant_factors_by_minors, lll_gram_eager, mat_mul_dot
 from qforge.errors import PreconditionError
 from qforge.linalg import (
     det_bareiss,
+    hermite_rows,
     identity,
     invert_unimodular,
+    lll_gram,
     mat_mul,
     rational_rank,
     saturation,
@@ -137,3 +139,60 @@ def test_mat_mul_matches_the_dot_product_reference(pair):
     columns when dense, give the product of the former kernel."""
     a, b = pair
     assert mat_mul(a, b) == mat_mul_dot(a, b)
+
+
+@st.composite
+def _hermite_input(draw):
+    """Up to 12 x 14, dense or sparse, entries up to 10^6 or a product
+    through a smaller inner dimension, with zero and repeated rows."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 14))
+    percent = draw(st.sampled_from([20, 50, 100]))
+    entry = draw(st.sampled_from([INTS, st.integers(-10**6, 10**6)]))
+    rows = [[draw(entry) if draw(st.integers(0, 99)) < percent else 0 for _ in range(n)]
+            for _ in range(m)]
+    if draw(st.booleans()):
+        rows = mat_mul(rows, [[draw(INTS) for _ in range(n)] for _ in range(n)])
+        rows = [list(row) for row in mat_mul(rows[:draw(st.integers(0, m))] or [[0] * n],
+                                             [[draw(INTS) for _ in range(n)] for _ in range(n)])]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from([[0] * n, *rows]))
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    return rows
+
+
+@given(_hermite_input())
+@settings(max_examples=300, deadline=None)
+def test_hermite_rows_matches_the_xgcd_reference(mat):
+    """The Hermite form by least remainders is the one the former 2x2 xgcd
+    kernel gives: the form is unique, so H and the rank agree."""
+    assert hermite_rows(mat) == hermite_rows_xgcd(mat)
+
+
+@st.composite
+def _lll_input(draw):
+    """Symmetric Grams of rank 1-7: B^T D B with D definite or indefinite
+    and B of full or lower rank (degenerate), or small raw entries, which
+    often meet a vanishing leading minor."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("definite", "indefinite", "degenerate", "raw")))
+    if kind == "raw":
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+        return gram
+    k = n - draw(st.integers(1, n)) if kind == "degenerate" and n > 1 else n
+    b = [[draw(st.integers(-20, 20)) for _ in range(n)] for _ in range(k)]
+    sign = draw(st.sampled_from((1, -1)))
+    diag = [draw(st.integers(1, 5)) * (sign if kind != "indefinite" else draw(st.sampled_from((1, -1))))
+            for _ in range(k)]
+    return [[sum(d * row[i] * row[j] for d, row in zip(diag, b)) for j in range(n)]
+            for i in range(n)]
+
+
+@given(_lll_input())
+@settings(max_examples=300, deadline=None)
+def test_lll_gram_matches_the_eager_reference(gram):
+    """Rescaling the Gram-Schmidt step only where a product is nonzero gives
+    the same (H, H G H^T, x) as rescaling at every index."""
+    assert lll_gram(gram) == lll_gram_eager(gram)

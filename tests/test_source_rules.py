@@ -146,6 +146,22 @@ def test_parabolic_run_loads_no_sympy():
     assert proc.stdout.split() == ["0", "[]"], proc.stdout
 
 
+def test_hyperbolic_run_loads_no_argparse():
+    """A hyperbolic --verify run reads its command line from the command
+    table, so argparse, and the gettext and locale it loads, stay out."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import qforge.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = qforge.cli.main(['hyperbolic', '--lattice', 'catalog:K3',\n"
+        "                          '--n-bound', '10', '--verify'])\n"
+        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"], proc.stdout
+
+
 # Functions of the parabolic and hyperbolic hot paths that work in integers:
 # a rational vector is an integer vector with a denominator named beside it.
 FRACTION_FREE = {
