@@ -1,7 +1,8 @@
 """Named Gram matrices and the catalog name grammar.
 
-Atoms: U, E8, E8(-1), K3 (= U+U+U+E8(-1)+E8(-1)), <k> for a rank-1
-lattice, and diag(a1,...,an) with a^k repetition shorthand. Atoms may be
+Atoms: the entries U, E8 and A2, NAME(-1) for -1 times an entry NAME (a
+literal entry of that name wins), K3 (= U+U+U+E8(-1)+E8(-1)), <k> for a
+rank-1 lattice, and diag(a1,...,an) with a^k repetition shorthand. Atoms may be
 joined with "+" for direct sums, e.g. "U+U+<2>"; a name builds a lattice
 of rank at most MAX_RANK. The QFORGE_CATALOG environment variable points
 at a JSON file whose entries extend or override the bundled ones.
@@ -61,11 +62,12 @@ def _parse_diag_args(body: str) -> list[int]:
 def _atom(name: str, entries: dict) -> QuadLattice:
     if name in entries:
         return lattice_from_obj(entries[name])
-    if name == "E8(-1)":
-        return rescale(lattice_from_obj(entries["E8"]), -1, label="E8(-1)")
+    base = name.removesuffix("(-1)")
+    if base != name and base in entries:
+        return rescale(lattice_from_obj(entries[base]), -1, label=name)
     if name == "K3":
-        u = lattice_from_obj(entries["U"])
-        e8m = rescale(lattice_from_obj(entries["E8"]), -1)
+        u = _atom("U", entries)
+        e8m = _atom("E8(-1)", entries)
         return direct_sum(u, u, u, e8m, e8m, label="K3")
     m = _RANK1_RE.match(name)
     if m:
@@ -94,7 +96,7 @@ def resolve(name: str) -> QuadLattice:
 
 
 def _split_atoms(name: str) -> list[str]:
-    # "+" separates atoms except inside diag(...) parentheses or E8(-1)
+    # "+" separates atoms except inside parentheses: diag(...) or NAME(-1)
     parts = []
     depth = 0
     cur = []

@@ -95,6 +95,16 @@ def _triple_obj(t) -> dict:
     }
 
 
+def _extension_obj(ext) -> dict:
+    return {
+        "b": [encode_int(ext.b0), encode_int(ext.b1), encode_int(ext.b2)],
+        "target_signature": list(ext.target_signature),
+        "augmented_triple": _triple_obj(ext.augmented_triple),
+        "standard_triple": _triple_obj(ext.standard_triple),
+        "triples_equal": ext.augmented_triple == ext.standard_triple,
+    }
+
+
 def _certificate_obj(cert: SmallnessCertificate) -> dict:
     return {
         "p": cert.p,
@@ -205,15 +215,7 @@ def cmd_parabolic(args) -> dict:
             "rank": latt.rank,
             "n_bound": args.n_bound,
         },
-        "extension": {
-            "b": [encode_int(rep.extension.b0), encode_int(rep.extension.b1),
-                  encode_int(rep.extension.b2)],
-            "target_signature": list(rep.extension.target_signature),
-            "augmented_triple": _triple_obj(rep.extension.augmented_triple),
-            "standard_triple": _triple_obj(rep.extension.standard_triple),
-            "triples_equal": rep.extension.augmented_triple
-            == rep.extension.standard_triple,
-        },
+        "extension": _extension_obj(rep.extension),
         # the pipeline has no invariant-only outcome; the key stays for report readers
         "certificate_level": False,
     }
@@ -285,14 +287,7 @@ def cmd_saturate(args) -> dict:
 def cmd_extend(args) -> dict:
     latt = _load_lattice(args.lattice)
     target = _parse_signature(args.target_signature)
-    ext = glue.extend_to_standard(latt, target)
-    return {
-        "b": [encode_int(ext.b0), encode_int(ext.b1), encode_int(ext.b2)],
-        "target_signature": list(target),
-        "augmented_triple": _triple_obj(ext.augmented_triple),
-        "standard_triple": _triple_obj(ext.standard_triple),
-        "triples_equal": ext.augmented_triple == ext.standard_triple,
-    }
+    return _extension_obj(glue.extend_to_standard(latt, target))
 
 
 def cmd_glue(args) -> dict:

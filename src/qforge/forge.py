@@ -22,7 +22,6 @@ from .lattice import (
     Vector,
     binary_cycle,
     gram_divisible_by,
-    is_indefinite,
     orthogonal_complement,
     pairing,
     qvalue,
@@ -132,8 +131,7 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
     # diagonal entry k is minors[k] / prevs[k], and cols[k] / prevs[k] its basis vector
     minors, cols = latt.pivots
     prevs = [1, *minors[:-1]]
-    signs = [m * d for m, d in zip(minors, prevs)]
-    want_negative = any(d < 0 for d in signs)
+    want_negative = not all(latt.positive)
 
     def sign_ok(value) -> bool:
         return value != 0 and (value < 0) == want_negative
@@ -157,7 +155,7 @@ def find_w_odd_valuation(comp: Sublattice, p: int) -> tuple[Vector, int]:
                  if valuation_one(qvalue(latt, w))]
         w = next((w for w in moved if sign_ok(qvalue(latt, w))), moved[0])
         # w + p^2 k s keeps q(w) mod p^2, and takes the sign of q(s) for large k
-        idx = next(i for i, d in enumerate(signs) if sign_ok(d))
+        idx = next(i for i, pos in enumerate(latt.positive) if pos != want_negative)
         prev = prevs[idx]
         den = math.lcm(*(prev // math.gcd(c, prev) for c in cols[idx]))
         s = [c * den // prev for c in cols[idx]]
@@ -228,7 +226,7 @@ def find_rank2_avoiding(
     """
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
-    if not is_indefinite(latt):  # raises PreconditionError on a degenerate form
+    if 0 in signature(latt):  # raises PreconditionError on a degenerate form
         raise PreconditionError("ambient lattice must be indefinite")
     if n_bound < 0:
         raise PreconditionError("bound must be >= 0")

@@ -191,10 +191,10 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[tuple[int, ...], ...], int
         raise PreconditionError("forms are not rationally equivalent")
     u = _nondegenerate_flag(QuadLattice(g1))
     h = mat_mul(u, mat_mul(g1, transpose(u)))
-    images = _flag_images(QuadLattice(g2), h, represent_up_to=2)
+    images = _flag_images(QuadLattice(g2), h)
     if len(images) < len(h):
         ambient = direct_sum(QuadLattice(g2), QuadLattice(((0, 1), (1, 0))))
-        images = _cancel_plane(ambient, _flag_images(ambient, h, represent_up_to=None))
+        images = _cancel_plane(ambient, _flag_images(ambient, h))
     # T u_k = images_k for the rows u_k of U, so T = M U^-T with M's columns
     # the images; with their common denominator d, dT = (dM) U^-T is integral
     d = math.lcm(*(s for _, s in images))
@@ -205,16 +205,16 @@ def explicit_rational_isometry(g1, g2) -> tuple[tuple[tuple[int, ...], ...], int
     return dt, d
 
 
-def _flag_images(ambient: QuadLattice, h, represent_up_to: int | None):
+def _flag_images(ambient: QuadLattice, h):
     """The images (x, s) in ambient, x / s in lowest terms, of the flag with
-    Gram h; they stop short before the first complement of rank above
-    represent_up_to that is anisotropic (None: no limit). One _Flag carries
+    Gram h; they stop short before the first complement of rank above 2
+    that is anisotropic, which never comes in G2 + U. One _Flag carries
     the earlier images' pairings from step to step."""
     images = []
     n = ambient.rank
     flag = _Flag(dens=[], pivots=[], lower=[], kernel=identity(n), euclid=identity(n))
     for k, row in enumerate(h):
-        image = _next_image(ambient, flag, row[:k], row[k], represent_up_to)
+        image = _next_image(ambient, flag, row[:k], row[k])
         if image is None:
             break
         images.append(image)
@@ -406,12 +406,11 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value,
-                represent_up_to: int | None) -> tuple[list[int], int] | None:
+def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value) -> tuple[list[int], int] | None:
     """(x, s) with b(x / s, image_j) = pairs_j for the flag's images and
     q(x / s) = value, the Gram of the images plus x / s non-degenerate;
     s > 0 and gcd(x, s) = 1. None when the complement K is anisotropic and
-    of rank above represent_up_to.
+    of rank above 2: only the last two steps represent.
 
     x = x0 + z: x0 solves the pairings over the least denominator
     (_flag_solve), and z lies in K, whose reduced integral basis the flag
@@ -449,7 +448,7 @@ def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value,
         num = value * den * den - qvalue(ambient, x0)
         x0, num = _eichler_reduce(ambient, kernel, e, x0, num, t)
         return lowest_terms([2 * t * x + num * ei for x, ei in zip(x0, e)], 2 * t * den)
-    if represent_up_to is not None and len(kernel) > represent_up_to:
+    if len(kernel) > 2:
         return None
     # x0 = p + r with r in K_Q; keep p, and put a representation y in place of r
     coords, det = solve_scaled(gram_k, [[pairing(ambient, row, x0)] for row in kernel])
@@ -688,8 +687,6 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    source: QuadLattice
-    ambient: QuadLattice  # standard integral lattice
     extension: ExtensionResult
     # source basis -> ambient coords: the rational matrix embedding / embedding_den
     embedding: tuple[tuple[int, ...], ...]
@@ -776,13 +773,13 @@ def _trim_to_signature(
     sub: Sublattice, want_neg: int
 ) -> Sublattice:
     """Primitive sublattice of signature (1, want_neg) picked from the
-    integer columns D_k b_k of a congruent diagonalization (diagonal entry k
-    has the sign of D_{k+1} D_k) and re-saturated, which depends only on
-    the lines of the chosen columns."""
-    minors, cols = sub.as_lattice().pivots
-    positive = [(m > 0) == (d > 0) for m, d in zip(minors, [1, *minors[:-1]])]
-    pos_idx = [k for k, pos in enumerate(positive) if pos]
-    neg_idx = [k for k, pos in enumerate(positive) if not pos]
+    integer columns D_k b_k of a congruent diagonalization (QuadLattice.pivots,
+    with the signs QuadLattice.positive) and re-saturated, which depends
+    only on the lines of the chosen columns."""
+    latt = sub.as_lattice()
+    _, cols = latt.pivots
+    pos_idx = [k for k, pos in enumerate(latt.positive) if pos]
+    neg_idx = [k for k, pos in enumerate(latt.positive) if not pos]
     if not pos_idx or len(neg_idx) < want_neg:
         raise InternalInconsistencyError(
             "intersection misses the required signature"
@@ -837,9 +834,8 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     if saturation_index(trimmed) != 1:
         raise InternalInconsistencyError("result is not primitive")
     return EmbeddingReport(
-        source=source, ambient=ambient, extension=ext,
-        embedding=embedding, embedding_den=den, index_d=d, prime=p, lambda_in_source=trimmed,
-        sat_index=sat_idx,
+        extension=ext, embedding=embedding, embedding_den=den, index_d=d, prime=p,
+        lambda_in_source=trimmed, sat_index=sat_idx,
     )
 
 

@@ -139,8 +139,8 @@ def _positive_cone_flag(g: Isometry) -> bool:
     """Whether g keeps the cone of a positive vector w: b(g w, w) > 0. w is
     the first positive basis vector of the congruent diagonalization,
     scaled to integers; the sign of b(g w, w) does not depend on w's scale."""
-    minors, cols = g.lattice.pivots
-    w = next(c for c, m, d in zip(cols, minors, [1, *minors[:-1]]) if (m > 0) == (d > 0))
+    _, cols = g.lattice.pivots
+    w = next(c for c, pos in zip(cols, g.lattice.positive) if pos)
     return pairing(g.lattice, g.apply(w), w) > 0
 
 

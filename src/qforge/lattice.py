@@ -45,11 +45,19 @@ class QuadLattice:
 
     @functools.cached_property
     def pivots(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(minors, cols) of _diagonal_pivots, with the basis, formed once
-        per lattice. Every step is a unimodular congruence, so minors[-1]
-        is det G; PreconditionError when G is degenerate."""
+        """(minors, cols) of the congruent diagonalization _diagonal_pivots,
+        formed once per lattice: the one place the package eliminates a
+        Gram. Every step is a unimodular congruence, so minors[-1] is
+        det G; PreconditionError when G is degenerate."""
         minors, cols = _diagonal_pivots(self.gram)
         return tuple(minors), linalg.freeze(cols)
+
+    @property
+    def positive(self) -> tuple[bool, ...]:
+        """Whether diagonal entry k of the pivots, D_{k+1} / D_k with
+        D_0 = 1, is positive: it has the sign of D_{k+1} D_k."""
+        minors, _ = self.pivots
+        return tuple((m > 0) == (d > 0) for m, d in zip(minors, (1, *minors[:-1])))
 
     @functools.cached_property
     def diagonal(self) -> tuple[int, ...] | None:
@@ -187,18 +195,18 @@ def _nonzeros(mat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Signature via exact rational diagonalization
+# Congruent diagonalization and the signature
 
 
-def _diagonal_pivots(gram, with_basis: bool = True):
+def _diagonal_pivots(gram):
     """Congruent diagonalization of an integer symmetric gram, in integers
     (Bareiss: the Schur complement left by each pivot is kept scaled by
     the previous leading minor, so every division is exact).
 
     Returns (minors, cols): minors[k] is the leading (k+1)-minor D_{k+1}
     of gram in the final basis, so diagonal entry k is D_{k+1} / D_k with
-    D_0 = 1, of the sign of D_{k+1} D_k; cols[k] = D_k b_k is basis vector
-    k scaled to integers (None unless with_basis). The pivot is the first
+    D_0 = 1 (QuadLattice.positive reads its sign); cols[k] = D_k b_k is
+    basis vector k scaled to integers. The pivot is the first
     nonzero diagonal entry among the remaining ones, else e_i + e_j for the
     first nonzero pairing b(e_i, e_j).
 
@@ -210,7 +218,7 @@ def _diagonal_pivots(gram, with_basis: bool = True):
     """
     n = len(gram)
     a = linalg.thaw(gram)
-    cols = [[int(i == j) for j in range(n)] for i in range(n)] if with_basis else None
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
     minors = [1]  # D_0, D_1, ...
     held = [0] * n  # row j and cols[j] are held at D_{held[j]}
 
@@ -219,8 +227,7 @@ def _diagonal_pivots(gram, with_basis: bool = True):
         if m != step:
             d, dm = minors[step], minors[m]
             a[j][step:] = [x * d // dm for x in a[j][step:]]
-            if cols:
-                cols[j] = [x * d // dm for x in cols[j]]
+            cols[j] = [x * d // dm for x in cols[j]]
             held[j] = step
 
     for step in range(n):
@@ -237,8 +244,7 @@ def _diagonal_pivots(gram, with_basis: bool = True):
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] += row[j]
-            if cols:
-                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+            cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
             piv = i
         current(piv, step)
         if piv != step:
@@ -246,8 +252,7 @@ def _diagonal_pivots(gram, with_basis: bool = True):
             for row in a:
                 row[step], row[piv] = row[piv], row[step]
             held[step], held[piv] = held[piv], held[step]
-            if cols:
-                cols[step], cols[piv] = cols[piv], cols[step]
+            cols[step], cols[piv] = cols[piv], cols[step]
         prev, p = minors[step], a[step][step]
         top = a[step][step + 1:]
         for j in range(step + 1, n):
@@ -256,44 +261,31 @@ def _diagonal_pivots(gram, with_basis: bool = True):
                 # the symmetric update of row j is also that of column j
                 current(j, step)
                 a[j][step + 1:] = [(p * x - f * y) // prev for x, y in zip(a[j][step + 1:], top)]
-                if cols:
-                    cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
+                cols[j] = [(p * x - f * y) // prev for x, y in zip(cols[j], cols[step])]
                 held[j] = step + 1
         minors.append(p)
     return minors[1:], cols
 
 
 def rational_diagonalize(gram) -> tuple[list[Fraction], tuple]:
-    """Congruent diagonalization over Q of an integer symmetric gram.
+    """Congruent diagonalization over Q of an integer symmetric gram, read
+    off the pivots of QuadLattice(gram).
 
     Returns (diag_entries, basis) with basis^T G basis == diag(entries)
     exactly.
     """
-    minors, cols = _diagonal_pivots(gram)
-    prevs = [1] + minors[:-1]
-    diag = [Fraction(m, d) for m, d in zip(minors, prevs)]
+    minors, cols = from_rows(gram).pivots
+    prevs = (1, *minors[:-1])
+    diag = list(map(Fraction, minors, prevs))
     basis = [[Fraction(c[i], d) for c, d in zip(cols, prevs)] for i in range(len(gram))]
     return diag, linalg.freeze(basis)
 
 
-def rational_diagonal(gram) -> list[Fraction]:
-    """The diagonal of rational_diagonalize(gram), D_{k+1} / D_k, read off
-    the minors alone: no basis is built."""
-    minors, _ = _diagonal_pivots(gram, with_basis=False)
-    return [Fraction(m, d) for m, d in zip(minors, [1] + minors[:-1])]
-
-
 def signature(latt: QuadLattice) -> tuple[int, int]:
-    """(positive count, negative count) of any rational diagonalization:
-    diagonal entry k has the sign of D_{k+1} D_k."""
-    minors, _ = _diagonal_pivots(latt.gram, with_basis=False)
-    pos = sum(1 for m, d in zip(minors, [1] + minors[:-1]) if (m > 0) == (d > 0))
-    return pos, len(minors) - pos
-
-
-def is_indefinite(latt: QuadLattice) -> bool:
-    pos, neg = signature(latt)
-    return pos > 0 and neg > 0
+    """(positive count, negative count) of the lattice's congruent
+    diagonalization (QuadLattice.pivots)."""
+    pos = sum(latt.positive)
+    return pos, latt.rank - pos
 
 
 # ---------------------------------------------------------------------------

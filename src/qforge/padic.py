@@ -27,7 +27,7 @@ from .intmath import (
     squarefree_part,
     valuation,
 )
-from .lattice import QuadLattice, rational_diagonal, rational_diagonalize
+from .lattice import QuadLattice, from_rows, rational_diagonalize
 from .linalg import (
     bilinear,
     det_bareiss,
@@ -134,13 +134,15 @@ class InvariantTriple:
 
 
 def _diag_of(form) -> tuple[list[int], set[int]]:
-    """A rational diagonal of form (QuadLattice, Gram matrix, or a diagonal
+    """A rational diagonal of form (a QuadLattice, read off its cached
+    pivots; a Gram matrix, off those of QuadLattice(gram); or a diagonal
     list of rationals), each entry as its _class_int, and 2 with the primes
     of every entry. The numerator and the denominator are factored apart:
     their product may be out of reach where each is not."""
-    if isinstance(form, QuadLattice):
-        form = form.gram
-    diag = rational_diagonal(form) if form and isinstance(form[0], (list, tuple)) else form
+    diag = form
+    if isinstance(form, QuadLattice) or form and isinstance(form[0], (list, tuple)):
+        minors, _ = (form if isinstance(form, QuadLattice) else from_rows(form)).pivots
+        diag = list(map(Fraction, minors, (1, *minors[:-1])))  # D_{k+1} / D_k
     if any(d == 0 for d in diag):
         raise PreconditionError("form is degenerate")
     primes = {2}

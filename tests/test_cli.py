@@ -597,9 +597,9 @@ def test_hyperbolic_saturates_the_span_once(monkeypatch, capsys):
 
 
 def test_parabolic_diagonals_build_no_basis(monkeypatch, capsys):
-    """invariant_triple and extend_to_standard read only the diagonal of a
-    congruent diagonalization: on a K3 parabolic run no call beneath them
-    builds its basis (rational_diagonalize)."""
+    """invariant_triple and extend_to_standard read the diagonal off the
+    cached pivots of a lattice: on a K3 parabolic run no call beneath them
+    builds a rational basis (rational_diagonalize)."""
     bases = _record_callers(monkeypatch, lattice, "rational_diagonalize")
     triples = _record_callers(monkeypatch, padic, "invariant_triple")
     argv = ["parabolic", "--lattice", "catalog:K3", "--n-bound", "2", "--verify"]
@@ -608,6 +608,21 @@ def test_parabolic_diagonals_build_no_basis(monkeypatch, capsys):
     barred = {("qforge.padic", "invariant_triple"), ("qforge.glue", "extend_to_standard")}
     assert any(("qforge.glue", "extend_to_standard") in callers for _, callers in triples)
     assert [callers for _, callers in bases if barred & set(callers)] == []
+
+
+@pytest.mark.parametrize("command, n_bound", [("parabolic", 2), ("hyperbolic", 10)])
+def test_each_gram_is_eliminated_at_most_twice(monkeypatch, capsys, command, n_bound):
+    """QuadLattice.pivots is the one caller of the elimination and caches it
+    on the lattice, so a K3 --verify op eliminates each Gram at most twice:
+    once where the construction makes its lattice, once where --verify
+    rebuilds it from the report."""
+    pivots = _record_callers(monkeypatch, lattice, "_diagonal_pivots")
+    argv = [command, "--lattice", "catalog:K3", "--n-bound", str(n_bound), "--verify"]
+    rc, obj = run_cli(capsys, argv)
+    assert rc == 0 and obj["verified"] is True
+    grams = [linalg.freeze(gram) for gram, _ in pivots]
+    assert grams and max(map(grams.count, grams)) <= 2
+    assert {callers[0] for _, callers in pivots} == {("qforge.lattice", "pivots")}
 
 
 @pytest.fixture(scope="module")
@@ -813,6 +828,25 @@ def test_catalog_sum_beyond_the_limit():
         resolve("+".join(["<1>"] * 1001))
 
 
+def test_catalog_negates_any_entry(tmp_path, monkeypatch):
+    """NAME(-1) is -1 times the bundled or QFORGE_CATALOG entry NAME, and a
+    literal entry of that name wins; E8(-1) keeps its label and Gram."""
+    e8 = resolve("E8")
+    e8m = resolve("E8(-1)")
+    assert e8m.label == "E8(-1)"
+    assert e8m.gram == tuple(tuple(-x for x in row) for row in e8.gram)
+    a2m = resolve("A2(-1)")
+    assert (a2m.label, a2m.gram) == ("A2(-1)", ((-2, 1), (1, -2)))
+    extra = tmp_path / "cat.json"
+    extra.write_text(json.dumps({"mine": {"label": "mine", "gram": [[6]]},
+                                 "U(-1)": {"label": "odd", "gram": [[1]]}}))
+    monkeypatch.setenv("QFORGE_CATALOG", str(extra))
+    assert resolve("mine(-1)").gram == ((-6,),)
+    assert (resolve("U(-1)").label, resolve("U(-1)").gram) == ("odd", ((1,),))
+    with pytest.raises(PreconditionError, match="unknown catalog name"):
+        resolve("K3(-1)")
+
+
 def test_catalog_reads_its_entries_once_per_name(monkeypatch):
     """A name of four atoms parses the bundled catalog once, not per atom."""
     reads = []
@@ -830,6 +864,8 @@ def test_catalog_reads_its_entries_once_per_name(monkeypatch):
 @pytest.mark.parametrize("name, n_bound, signature", [
     ("K3", 2, [1, 8]),
     ("U+U+U+E8(-1)", 3, [1, 4]),
+    ("K3+A2(-1)", 10, [1, 9]),  # the OG10 lattice
+    ("K3+A2(-1)", 1000, [1, 9]),
 ])
 def test_parabolic_non_diagonal_sources_explicit(capsys, name, n_bound, signature):
     rc, obj = run_cli(capsys, ["parabolic", "--lattice", f"catalog:{name}",
@@ -838,6 +874,12 @@ def test_parabolic_non_diagonal_sources_explicit(capsys, name, n_bound, signatur
     assert obj["certificate_level"] is False
     assert obj["sublattice"]["signature"] == signature
     assert obj["isometry"]["classification"]["tag"] == "parabolic"
+
+
+def test_hyperbolic_on_an_a2_source(capsys):
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", "catalog:U+U+U+A2(-1)",
+                               "--n-bound", "1000", "--verify"])
+    assert rc == 0 and obj["verified"] is True
 
 
 @pytest.mark.parametrize("name, n_bound, digest", [

@@ -519,7 +519,7 @@ def test_embed_pipeline_trivial_index():
     assert rep.embedding_den == 1
     emb = rep.embedding
     # columns embed the source isometrically into the standard lattice
-    amb = rep.ambient
+    amb = standard_lattice(3, 14)
     assert mat_mul(transpose(emb), mat_mul(amb.gram, emb)) == source.gram
 
 
@@ -535,7 +535,7 @@ def test_embed_pipeline_k3_explicit():
     rep = embed_pipeline(source, 2)
     assert rep.extension.augmented_triple == rep.extension.standard_triple
     emb, den = rep.embedding, rep.embedding_den
-    m = mat_mul(transpose(emb), mat_mul(rep.ambient.gram, emb))
+    m = mat_mul(transpose(emb), mat_mul(standard_lattice(3, 22).gram, emb))
     assert m == freeze([[den * den * x for x in row] for row in source.gram])
     assert _embedding_index(emb, den) == rep.index_d
     assert rep.prime > rep.index_d**2 * 2
