@@ -23,6 +23,8 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
 # the OG10 lattice K3+A2(-1): a rank-24 source, A2(-1) read as -1 times the entry A2
 "$qforge" parabolic --lattice "catalog:K3+A2(-1)" --n-bound 10 --verify | check 'o["verified"] is True'
+# the K3^[2] lattice K3+<-2>: the extension's image stays off the positive vector (it exited 4)
+"$qforge" parabolic --lattice "catalog:K3+<-2>" --n-bound 10 --verify | check 'o["verified"] is True'
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify > "$tmp/k3.json"
 # the report's own check line: classify --lattice <sublattice.gram> --matrix <isometry.matrix>
 "$py" -c 'import json, sys; r = json.load(open(sys.argv[1]))

@@ -1,11 +1,19 @@
 """Rational extension to a standard form, unimodular gluing, and the
 high-rank embedding pipeline.
 
-The pipeline: extend H rationally to a standard diagonal +-1 form three
-ranks up, embed a P-scaled lattice primitively into the standard integral
-lattice, intersect with the image of H, and saturate. The scaled lattice
-keeps every integral value divisible by P, so the saturation represents
-no nonzero number below P / d^2 where d is the embedding index.
+The pipeline: find three entries b_i with H + <b0, b1, b2> rationally
+equivalent to the standard +-1 form I(3, b2), and embed it there
+coordinates first: each b_i on negative coordinates of its own as a sum
+of at most four squares, each +-1 summand of H on a free coordinate, and
+only the rest of H through an explicit rational isometry witness into
+the complement of those images. Then embed a P-scaled lattice of
+signature (1, s) primitively into I(3, b2), its positive vector on the
+positive coordinates, intersect with the image of H, and saturate. The
+extension's image lies on negative coordinates only, so it is orthogonal
+to that positive vector and the intersection keeps one positive
+direction. The scaled lattice keeps every integral value divisible by P,
+so the saturation represents no nonzero number below P / d^2 where d is
+the embedding index.
 """
 from __future__ import annotations
 
@@ -16,6 +24,7 @@ from operator import mul
 from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import (
     bezout,
+    four_squares,
     is_prime,
     lowest_terms,
     prime_support,
@@ -697,25 +706,69 @@ class EmbeddingReport:
     sat_index: int
 
 
-def _is_standard_diagonal(latt: QuadLattice) -> bool:
-    n = latt.rank
-    return all(
-        (abs(latt.gram[i][j]) == 1 if i == j else latt.gram[i][j] == 0)
-        for i in range(n)
-        for j in range(n)
-    )
+def _coordinates_first(source: QuadLattice, ext: ExtensionResult, ambient: QuadLattice):
+    """(M, den): the source basis into the +-1 diagonal ambient as the
+    columns of the integer matrix M over den, with the source plus the
+    extension <b0, b1, b2> mapped isometrically.
 
+    The witness is asked only for what coordinates cannot hold. Each b_i
+    goes first onto coordinates of its sign taken from the end, its
+    |b_i| a sum of at most four squares (intmath.four_squares); then each
+    basis vector spanning a +-1 summand (its Gram row +-1 on the diagonal,
+    0 elsewhere) takes the first free coordinate of its sign. The rest R
+    of the source is rationally equivalent to the complement C of all
+    those images (Witt cancellation), so explicit_rational_isometry(R, C)
+    places it there. C is spanned by the coordinates left free and, in
+    the coordinates of each b_i, the LLL-reduced complement of its roots:
+    when every |b_i| = 1, C is the diagonal form on the free coordinates.
+    The extension's images lie on coordinates of their own sign only, so
+    they stay orthogonal to every coordinate of the other sign."""
+    n = ambient.rank
+    free = {1: [], -1: []}  # the free coordinates of each sign, ascending
+    for j in range(n):
+        free[ambient.gram[j][j]].append(j)
 
-def _standard_inclusion(latt: QuadLattice, ambient_pos: int, ambient_rank: int):
-    """Signature-sorted coordinate inclusion for a +-1 diagonal lattice, an
-    integer matrix (over the denominator 1)."""
-    pos_slots = iter(range(ambient_pos))
-    neg_slots = iter(range(ambient_pos, ambient_rank))
-    cols = []
-    for i in range(latt.rank):
-        slot = next(pos_slots) if latt.gram[i][i] > 0 else next(neg_slots)
-        cols.append(tuple(int(r == slot) for r in range(ambient_rank)))
-    return transpose(cols)
+    def spread(coords, values):  # the ambient vector with these values at these coordinates
+        row = [0] * n
+        for j, c in zip(coords, values):
+            row[j] = c
+        return row
+
+    extension, blocks = [], []  # the images of b0, b1, b2; their coordinates and roots
+    for b in (ext.b0, ext.b1, ext.b2):
+        roots = four_squares(abs(b))
+        slots = free[1 if b > 0 else -1]
+        if len(roots) > len(slots):
+            raise InternalInconsistencyError(f"no room for the extension entry {b}")
+        blocks.append((slots[-len(roots):], roots))
+        del slots[-len(roots):]
+        extension.append(spread(*blocks[-1]))
+    units, rest = {}, []  # units: source index -> its coordinate
+    for i, row in enumerate(source.gram):
+        slots = free[row[i]] if abs(row[i]) == 1 else None
+        if slots and all(x == 0 for j, x in enumerate(row) if j != i):
+            units[i] = slots.pop(0)
+        else:
+            rest.append(i)
+    den, placed = 1, []
+    if rest:
+        comp = [spread([j], [1]) for j in sorted(free[1] + free[-1])]
+        for coords, roots in blocks:
+            if len(roots) > 1:
+                kernel = left_kernel([[c] for c in roots])
+                h, _, _ = lll_gram(mat_mul(kernel, transpose(kernel)))
+                comp += [spread(coords, z) for z in mat_mul(h, kernel)]
+        m, den = explicit_rational_isometry(
+            [[source.gram[i][j] for j in rest] for i in rest], gram_of(ambient, comp))
+        placed = mat_mul(transpose(m), comp)  # the images of R's basis, over den
+    placed = iter(placed)
+    cols = [spread([units[i]], [den]) if i in units else next(placed)
+            for i in range(source.rank)]
+    full = direct_sum(source, diag_lattice(ext.b0, ext.b1, ext.b2)).gram
+    if gram_of(ambient, cols + [[den * x for x in row] for row in extension]) != freeze(
+            [[den * den * x for x in row] for row in full]):
+        raise InternalInconsistencyError("the embedding fails the exact congruence")
+    return transpose(cols), den
 
 
 def _embedding_index(m, den: int) -> int:
@@ -792,6 +845,17 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     """Primitive sublattice of signature (1, rank/2 - 3) of `source`
     representing no nonzero number of absolute value < n_bound: its Gram
     is 0 mod a prime P > d^2 N, so every nonzero value is a multiple of P.
+
+    The source H, with its extension <b0, b1, b2> (all negative for the
+    target (3, b2)), goes into I(3, b2) by _coordinates_first: the b_i on
+    negative coordinates from the end, the +-1 summands of H on free
+    coordinates, the rest through the witness; d is the index of H in its
+    integral part. The P-scaled lattice Lambda of signature (1, s), s =
+    b2 / 2, sits on two-squares blocks with its positive vector u on the
+    first two positive coordinates, so u is orthogonal to the extension's
+    image N, and K = Lambda ∩ N-perp, the part of Lambda in the image of H,
+    contains u and a negative definite part of rank >= s - 3. K is
+    saturated in H and trimmed to signature (1, s - 3).
     """
     b2 = source.rank
     r, s = signature(source)
@@ -806,14 +870,7 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     ambient = standard_lattice(*target)
     ext = extend_to_standard(source, target)
 
-    if _is_standard_diagonal(source):
-        embedding, den = _standard_inclusion(source, 3, b2 + 3), 1
-    else:
-        t_mat, den = explicit_rational_isometry(
-            direct_sum(source, diag_lattice(ext.b0, ext.b1, ext.b2)).gram,
-            ambient.gram,
-        )
-        embedding = tuple(tuple(row[:b2]) for row in t_mat)
+    embedding, den = _coordinates_first(source, ext, ambient)
     d = _embedding_index(embedding, den)
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2

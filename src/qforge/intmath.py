@@ -382,10 +382,67 @@ def two_squares(p: int) -> tuple[int, int]:
     if p % 4 != 1 or not is_prime(p):
         raise PreconditionError(f"{p} is not a sum of two coprime squares")
     root = math.isqrt(p)
-    a, b = p, sqrt_mod(p - 1, p)
+    a, b = p, _sqrt_mod_prime(p - 1, p)
     while b > root:
         a, b = b, a % b
     c = math.isqrt(p - b * b)
     if b * b + c * c != p:
         raise InternalInconsistencyError(f"Hermite–Serret misses {p}")
     return min(b, c), max(b, c)
+
+
+def four_squares(n: int) -> list[int]:
+    """At most four positive integers, descending, whose squares sum to
+    n >= 0, found without factoring n: the same list on every call.
+
+    n = 4^k m with 4 not dividing m, and each root is 2^k times one for m:
+    three squares when the scan of _three_squares finds them (it may
+    unless m = 7 (mod 8), by Gauss–Legendre), otherwise y^2 plus three
+    squares for the largest y whose remainder the scan splits.
+    Rabin–Shallit, "Randomized algorithms in number theory", CPAM 39
+    (1986), with the candidates taken in a fixed order instead of at
+    random."""
+    if n < 0:
+        raise PreconditionError(f"{n} is negative")
+    if n == 0:
+        return []
+    k = ((n & -n).bit_length() - 1) // 2
+    m = n >> 2 * k
+    roots = _three_squares(m)
+    if roots is None:
+        roots = next((r + [y] for y in range(math.isqrt(m), 0, -1)
+                      if (r := _three_squares(m - y * y)) is not None), None)
+    if roots is None:
+        raise InternalInconsistencyError(f"no sum of four squares found for {n}")
+    return sorted((r << k for r in roots if r), reverse=True)
+
+
+def _three_squares(n: int) -> list[int] | None:
+    """Roots, zeros included, of at most three squares summing to n >= 0,
+    or None. n = 4^k m with 4 not dividing m, and each root is 2^k times
+    one for m: a square m is one root; for m not 7 (mod 8), x runs down
+    from isqrt(m) with the parity leaving r = m - x^2 = 1 (mod 4) or
+    2 (mod 8) until r or r / 2 is a square or a prime (then 1 (mod 4), split
+    by two_squares), with 2(a^2 + b^2) = (a + b)^2 + (a - b)^2."""
+    if n == 0:
+        return []
+    k = ((n & -n).bit_length() - 1) // 2
+    m = n >> 2 * k
+    root = math.isqrt(m)
+    if root * root == m:
+        return [root << k]
+    if m % 8 == 7:
+        return None
+    parity = 0 if m % 4 == 1 else 1  # x even for m = 1 (mod 4), odd for m = 2, 3
+    for x in range(root - (root - parity) % 2, -1, -2):
+        r = m - x * x
+        half = r if r & 1 else r >> 1
+        h = math.isqrt(half)
+        if h * h == half:
+            a, b = 0, h
+        elif is_prime(half):
+            a, b = two_squares(half)
+        else:
+            continue
+        return [c << k for c in ([x, a, b] if r & 1 else [x, b + a, b - a])]
+    return None

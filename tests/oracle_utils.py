@@ -8,9 +8,11 @@ a scan of the smaller leg.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 from qforge.cli import _COMMANDS
@@ -560,9 +562,11 @@ def symmetric_diagonalize_fractions(gram):
     return diag, tuple(tuple(row) for row in basis)
 
 
-def nondegenerate_flag_fractions(gram) -> list[list[int]]:
+def nondegenerate_flag_fractions(gram, least: bool = True) -> list[list[int]]:
     """Rows of the greedy unimodular flag of glue._nondegenerate_flag, with
-    each projection and its q-value carried as Fractions."""
+    each projection and its q-value carried as Fractions; with least False,
+    the next row is the first remaining one with q != 0 instead of the one
+    of least |q|."""
     n = len(gram)
 
     def pair(x, y):
@@ -574,7 +578,7 @@ def nondegenerate_flag_fractions(gram) -> list[list[int]]:
     while pool:
         live = [i for i in pool if pool[i][2]]
         if live:
-            row, o, qo = pool.pop(min(live, key=lambda i: (abs(pool[i][2]), i)))
+            row, o, qo = pool.pop(min(live, key=lambda i: (abs(pool[i][2]), i) if least else i))
         else:
             i = min(pool)
             for j, sign in ((j, sign) for j in sorted(pool) if j != i for sign in (1, -1)):
@@ -1172,3 +1176,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAG_SPECS[flag])
         p.add_argument("--out", help="write the JSON report here")
     return parser
+
+
+# ---------------------------------------------------------------------------
+# A time limit for a block of a test
+
+
+class StillRunning(Exception):
+    """A block ran past its time limit. Not an OSError (as TimeoutError is),
+    so the command line's handler of unreadable files does not take it."""
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail the block with StillRunning once it has run `seconds`."""
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,5 @@
-import contextlib
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +12,7 @@ from oracle_utils import (
     invariant_factors_by_minors,
     nikulin_glue_scan,
     nondegenerate_flag_fractions,
+    within,
 )
 from qforge.catalog import resolve
 from qforge.errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
@@ -91,21 +90,6 @@ def test_extend_all_targets_random():
             assert ext.augmented_triple == ext.standard_triple, (latt.gram, target)
 
 
-@contextlib.contextmanager
-def _within(seconds: float):
-    """Fail the block with TimeoutError once it has run `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("seed", [0, 5, 9])
 def test_extend_entries_of_a_thousand(seed):
     # the discriminant of these forms is a product of large primes; its square
@@ -118,7 +102,7 @@ def test_extend_entries_of_a_thousand(seed):
             rows[i][j] = rows[j][i] = rng.randint(-1000, 1000)
     latt = from_rows(rows)
     r, s = signature(latt)
-    with _within(2):
+    with within(2):
         ext = extend_to_standard(latt, (r + 3, s))
     assert ext.augmented_triple == ext.standard_triple
 
@@ -228,7 +212,7 @@ def test_explicit_isometry_scrambled_images_stay_small(seed):
     gram = resolve("U+U+U+E8(-1)").gram
     g1 = _scrambled(gram, rng)
     g2 = _scrambled(gram, rng)
-    with _within(2):
+    with within(2):
         m, d = _witness(g1, g2)
     # the entries of T = M / d in lowest terms
     t = [Fraction(x, d) for row in m for x in row]
@@ -543,6 +527,74 @@ def test_embed_pipeline_k3_explicit():
     assert signature(final.as_lattice()) == (1, 8)
     assert saturation_index(final) == 1
     assert all(x % rep.prime == 0 for row in final.gram() for x in row)
+
+
+@st.composite
+def _negative_definite_gram(draw):
+    """A negative definite symmetric Gram of rank 1 to 3, entries in +-10:
+    each pairing is drawn below the geometric mean of its two diagonal
+    entries, so that every 2 x 2 minor is positive."""
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    rows = [[-d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bound = math.isqrt(diag[i] * diag[j] - 1)
+            rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
+    assume(det_bareiss(rows) != 0)
+    latt = from_rows(rows)
+    assume(signature(latt) == (0, n))
+    return latt
+
+
+@given(_negative_definite_gram())
+@settings(max_examples=40, deadline=None)
+@example(diag_lattice(-8))  # both exited 4 when the witness placed the extension
+@example(diag_lattice(-4, -6))
+def test_embed_pipeline_beside_a_definite_summand(extra):
+    """On U+U+U+E8(-1) plus a negative definite summand the pipeline ends in
+    a result or a PreconditionError, never in an InternalInconsistencyError:
+    the extension's image stays orthogonal to the scaled lattice's positive
+    vector, so the intersection keeps its signature."""
+    source = direct_sum(resolve("U+U+U+E8(-1)"), extra)
+    try:
+        rep = embed_pipeline(source, 10)
+    except PreconditionError:
+        return
+    final = rep.lambda_in_source
+    assert signature(final.as_lattice()) == (1, source.rank // 2 - 3)
+    assert all(x % rep.prime == 0 for row in final.gram() for x in row)
+    assert saturation_index(final) == 1
+
+
+@pytest.mark.parametrize("name, n_bound, witness_rank", [
+    ("diag(1,1,1,-1^11)", 3, None), ("U+U+U+diag(-1^8)", 3, 6),
+    ("K3", 2, 22), ("U+U+U+E8(-1)", 3, 14),
+])
+def test_embed_pipeline_witnesses_only_the_rest(monkeypatch, name, n_bound, witness_rank):
+    """The extension goes onto the last negative coordinates and each +-1
+    summand onto a coordinate of its own, so the witness sees only the rest
+    of the source (none of an all-unit source), and the unit summands'
+    columns are coordinate vectors over the embedding's denominator."""
+    ranks = []
+    witness = explicit_rational_isometry
+
+    def recorded(g1, g2):
+        ranks.append(len(g1))
+        return witness(g1, g2)
+
+    monkeypatch.setattr("qforge.glue.explicit_rational_isometry", recorded)
+    source = resolve(name)
+    rep = embed_pipeline(source, n_bound)
+    assert ranks == ([] if witness_rank is None else [witness_rank])
+    cols = transpose(rep.embedding)
+    units = [i for i, row in enumerate(source.gram)
+             if abs(row[i]) == 1 and sum(map(abs, row)) == 1]
+    for i in units:
+        assert sorted(map(abs, cols[i])) == [0] * (len(cols[i]) - 1) + [rep.embedding_den]
+    amb = standard_lattice(3, source.rank)
+    assert mat_mul(cols, mat_mul(amb.gram, transpose(cols))) == freeze(
+        [[rep.embedding_den ** 2 * x for x in row] for row in source.gram])
 
 
 def test_standard_lattice_shape():

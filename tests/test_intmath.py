@@ -11,6 +11,7 @@ from oracle_utils import two_squares_scan
 from qforge.errors import PreconditionError
 from qforge.intmath import (
     factorize,
+    four_squares,
     is_prime,
     ldescent,
     next_prime,
@@ -111,3 +112,25 @@ def test_two_squares_rejects_non_primes_and_3_mod_4(n):
     with pytest.raises(PreconditionError, match="not a sum of two coprime squares"):
         two_squares(n)
 
+
+@given(st.integers(0, 10**40))
+@settings(max_examples=300, deadline=None)
+@example(0)
+@example(7 * 4**20)
+@example(214)  # no x leaves 214 - x^2 a square or (twice) a prime: four squares
+def test_four_squares(n):
+    roots = four_squares(n)
+    assert len(roots) <= 4 and all(r > 0 for r in roots)
+    assert sum(r * r for r in roots) == n
+    assert roots == sorted(roots, reverse=True) == four_squares(n)
+
+
+def test_four_squares_never_factors(monkeypatch):
+    import qforge.intmath as intmath
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n})")
+
+    monkeypatch.setattr(intmath, "factorize", refuse)
+    for n in (1, 2, 3, 6, 7, 14, 10**40 - 1, 2**127 - 1):
+        assert sum(r * r for r in four_squares(n)) == n

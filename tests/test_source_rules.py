@@ -168,7 +168,7 @@ FRACTION_FREE = {
     "forge.py": {"find_w_odd_valuation"},
     "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
                 "_next_image", "_eichler_reduce", "_cancel_plane", "_embedding_index",
-                "_intersect_with_image", "_trim_to_signature", "_standard_inclusion"},
+                "_intersect_with_image", "_trim_to_signature", "_coordinates_first"},
     "isom.py": {"_positive_cone_flag"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
     "linalg.py": {"saturation"},
