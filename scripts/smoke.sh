@@ -25,6 +25,8 @@ timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --ve
 "$qforge" parabolic --lattice "catalog:K3+A2(-1)" --n-bound 10 --verify | check 'o["verified"] is True'
 # the K3^[2] lattice K3+<-2>: the extension's image stays off the positive vector (it exited 4)
 "$qforge" parabolic --lattice "catalog:K3+<-2>" --n-bound 10 --verify | check 'o["verified"] is True'
+# a definite witness block: the images are made in G2 + U and moved back into G2
+"$qforge" parabolic --lattice "catalog:diag(1,1,1,-2^11)" --n-bound 1000 --verify | check 'o["verified"] is True'
 "$qforge" hyperbolic --lattice catalog:K3 --n-bound 1000 --verify > "$tmp/k3.json"
 # the report's own check line: classify --lattice <sublattice.gram> --matrix <isometry.matrix>
 "$py" -c 'import json, sys; r = json.load(open(sys.argv[1]))

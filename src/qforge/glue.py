@@ -77,15 +77,14 @@ from .padic import (
     invariant_triple,
     is_local_square,
     isotropic_or_obstruction,
+    isotropic_vector,
     rationally_equivalent,
-    represent_scaled,
     solve_prescribed_hilbert,
 )
 
 
-def standard_lattice(pos: int, neg: int, label: str | None = None) -> QuadLattice:
-    return diag_lattice(*([1] * pos + [-1] * neg),
-                        label=label or f"st({pos},{neg})")
+def standard_lattice(pos: int, neg: int) -> QuadLattice:
+    return diag_lattice(*([1] * pos + [-1] * neg))
 
 
 @dataclass(frozen=True)
@@ -427,7 +426,8 @@ def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value) -> tuple[list[i
     making b(x0 + z0, e) the least positive value of its class mod b(K, e),
     so that lambda has a small denominator, and the image is then made
     small (_eichler_reduce). Otherwise x0's projection to K is replaced by
-    a representation (padic.represent_scaled). Rational vectors are integer
+    a representation y / s of the value num / den left for K, (y, s) an
+    isotropic vector of den G_K + <-num>. Rational vectors are integer
     vectors over a denominator named with them.
     """
     x0, den = _flag_solve(flag, pairs)
@@ -464,7 +464,10 @@ def _next_image(ambient: QuadLattice, flag: _Flag, pairs, value) -> tuple[list[i
     r = mat_vec(kernel_t, [c for c, in coords])
     p = [det * x - ri for x, ri in zip(x0, r)]  # p / (det den)
     pden = det * den
-    y, s = represent_scaled(gram_k, value * pden * pden - qvalue(ambient, p), pden * pden)
+    # q(y / s) = num / pden^2; s != 0 as K is anisotropic
+    num = value * pden * pden - qvalue(ambient, p)
+    *y, s = isotropic_vector([[pden * pden * g for g in row] + [0] for row in gram_k]
+                             + [[0] * len(kernel) + [-num]])
     return lowest_terms([s * pi + pden * yi for pi, yi in zip(p, mat_vec(kernel_t, y))],
                          pden * s)
 
@@ -522,8 +525,7 @@ def _size(x0, num, e, t) -> int:
 # Scaled lattices and Nikulin-style gluing
 
 
-def build_scaled_lattice(p: int, sig: tuple[int, int],
-                         label: str | None = None) -> QuadLattice:
+def build_scaled_lattice(p: int, sig: tuple[int, int]) -> QuadLattice:
     """P times the odd unimodular diagonal lattice of signature (1, s):
     represents no nonzero number of absolute value < P, discriminant group
     (Z/P)^(s+1) without 2-torsion for odd P."""
@@ -533,7 +535,7 @@ def build_scaled_lattice(p: int, sig: tuple[int, int],
     if pos != 1:
         raise PreconditionError("scaled lattices are built with signature (1, s)")
     base = diag_lattice(*([1] + [-1] * neg))
-    return rescale(base, p, label=label or f"{p}*st(1,{neg})")
+    return rescale(base, p)
 
 
 @dataclass(frozen=True)
@@ -658,8 +660,7 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
     gram_o = gram_of(total, h)
     if any(x % (scale * scale) for row in gram_o for x in row):
         raise InternalInconsistencyError("overlattice is not integral")
-    over = QuadLattice(freeze([[x // (scale * scale) for x in row] for row in gram_o]),
-                       label="glued overlattice")
+    over = QuadLattice(freeze([[x // (scale * scale) for x in row] for row in gram_o]))
 
     if abs(det_bareiss(over.gram)) != 1:
         raise InternalInconsistencyError("overlattice is not unimodular")
@@ -816,10 +817,7 @@ def _intersect_with_image(
     """{h in H : (m / den) h lies in the embedded scaled lattice}."""
     # integer relations among the columns of (m | -den * lam basis)
     cols = list(transpose(m)) + [[-den * x for x in vec] for vec in lam_sub.basis]
-    kernel = left_kernel(cols)
-    h_rows = [row[:h_rank] for row in kernel]
-    h_basis, _ = hermite_rows(h_rows)
-    return span(source, h_basis)
+    return span(source, [row[:h_rank] for row in left_kernel(cols)])
 
 
 def _trim_to_signature(

@@ -104,7 +104,10 @@ def rescale(latt: QuadLattice, c: int, label: str | None = None) -> QuadLattice:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """Span of linearly independent vectors inside an ambient lattice."""
+    """Span of linearly independent vectors inside an ambient lattice. The
+    basis is taken as independent, not checked: every caller makes it so,
+    and a basis read from outside goes through linalg.saturation, which
+    rejects dependent rows."""
 
     ambient: QuadLattice
     basis: tuple[Vector, ...]
@@ -113,8 +116,6 @@ class Sublattice:
         for v in self.basis:
             if len(v) != self.ambient.rank:
                 raise PreconditionError("basis vector length != ambient rank")
-        if self.basis and linalg.rational_rank(self.basis) != len(self.basis):
-            raise PreconditionError("basis vectors are linearly dependent")
 
     @property
     def rank(self) -> int:

@@ -1,5 +1,5 @@
 """Hilbert symbols, the complete rational-equivalence invariant, and
-isotropic vectors and representations over Q built from them.
+isotropic vectors over Q built from them.
 
 A place is a prime number or INF (the real place). The invariant triple
 (signature, discriminant square class, set of places with local signature
@@ -16,11 +16,9 @@ from operator import mul
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import (
-    bezout,
     factorize,
     is_prime,
     ldescent,
-    lowest_terms,
     prime_support,
     primes_from,
     product_square_class,
@@ -33,7 +31,6 @@ from .linalg import (
     det_bareiss,
     left_kernel,
     lll_gram,
-    mat_vec,
 )
 
 INF = float("inf")
@@ -269,7 +266,7 @@ def solve_prescribed_hilbert(
 
 
 # ---------------------------------------------------------------------------
-# Isotropic vectors and representations: Hasse-Minkowski made explicit
+# Isotropic vectors: Hasse-Minkowski made explicit
 
 
 def _locally_isotropic(diag, place: Place) -> bool:
@@ -548,32 +545,3 @@ def _zero_of_reduced(g) -> list | Place:
         ratio = diag[i] / a  # a rational square r^2, and diag_i (z / r)^2 = a z^2
         y[i] = z * Fraction(math.isqrt(ratio.denominator), math.isqrt(ratio.numerator))
     return [sum(row[k] * y[k] for k in chosen) for row in basis]
-
-
-def represent_scaled(gram, num: int, den: int) -> tuple[list[int], int]:
-    """(W, s) with s > 0, gcd(W, s) = 1 and q(W / s) = num / den != 0, for
-    a non-degenerate integer G and den > 0.
-
-    When G is isotropic, with e isotropic and u an integer combination
-    rescaled to b(u, e) = 1, W / s = u + ((num / den - q(u)) / 2) e.
-    Otherwise (W, s) is an isotropic vector of den G + <-num>; s != 0
-    since G is anisotropic. PreconditionError when G does not represent
-    num / den over Q.
-    """
-    n = len(gram)
-    e = isotropic_or_obstruction(gram)
-    if not isinstance(e, tuple):
-        # q(x) = (num / den) s^2 is the zero (x, s) of den G + <-num>
-        *x, s = isotropic_vector([[den * g for g in row] + [0] for row in gram]
-                                 + [[0] * n + [-num]])
-        return lowest_terms(x, s)
-    ge = mat_vec(gram, e)
-    c, acc = bezout(ge)  # b(c, e) = acc, so u = c / acc has b(u, e) = 1
-    if acc == 0:
-        raise PreconditionError("the form is degenerate")
-    # W / s = u + ((num / den - q(u)) / 2) e over the common denominator
-    # 2 den acc^2, with den acc^2 (num / den - q(u)) = num acc^2 - den q(c)
-    gap = num * acc * acc - den * bilinear(gram, c, c)
-    return lowest_terms([2 * den * acc * ci + gap * ei for ci, ei in zip(c, e)],
-                         2 * den * acc * acc)
-

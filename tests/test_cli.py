@@ -66,6 +66,19 @@ def test_saturate_command(tmp_path, capsys):
     assert obj["basis"] == [[1, 0], [0, 1]]
 
 
+def test_saturate_rejects_a_dependent_basis(tmp_path, capsys):
+    """A basis read from outside is checked for independence where it is
+    saturated: the rank of the Hermite form of its columns."""
+    basis = tmp_path / "b.json"
+    basis.write_text(json.dumps([[1, 0], [2, 0]]))
+    rc, obj = run_cli(
+        capsys,
+        ["saturate", "--lattice", "catalog:diag(1,1)", "--basis", str(basis)],
+    )
+    assert rc == 2
+    assert obj["error"] == {"type": "PreconditionError", "message": "rows are linearly dependent"}
+
+
 def test_extend_command(capsys):
     rc, obj = run_cli(
         capsys,
@@ -898,6 +911,22 @@ def test_parabolic_extension_stays_off_the_positive_vector(capsys, name):
                                    "--n-bound", "10", "--verify"])
     assert rc == 0 and obj["verified"] is True
     assert obj["sublattice"]["signature"] == [1, obj["input"]["rank"] // 2 - 3]
+
+
+@pytest.mark.parametrize("n_bound", [10, 1000])
+@pytest.mark.parametrize("name", ["diag(1,1,1,-2^11)", "diag(3,5,7,-1^11)"])
+def test_parabolic_definite_rest_cancels_the_plane(monkeypatch, capsys, name, n_bound):
+    """The witness block of these sources is definite, so its first
+    complement is anisotropic of rank above 2: the witness makes its images
+    in G2 + U, where every complement is isotropic and none represents a
+    value, and moves them back into G2 once (glue._cancel_plane)."""
+    planes = _record_callers(monkeypatch, glue, "_cancel_plane")
+    zeros = _record_callers(monkeypatch, padic, "isotropic_vector")
+    rc, obj = run_cli(capsys, ["parabolic", "--lattice", f"catalog:{name}",
+                               "--n-bound", str(n_bound), "--verify"])
+    assert rc == 0 and obj["verified"] is True
+    assert len(planes) == 1
+    assert [callers[0] for _, callers in zeros if callers[0][1] == "_next_image"] == []
 
 
 @pytest.mark.parametrize("n_bound", [2, 10])

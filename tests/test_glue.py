@@ -14,6 +14,7 @@ from oracle_utils import (
     nondegenerate_flag_fractions,
     within,
 )
+from qforge import glue, padic
 from qforge.catalog import resolve
 from qforge.errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from qforge.glue import (
@@ -595,6 +596,33 @@ def test_embed_pipeline_witnesses_only_the_rest(monkeypatch, name, n_bound, witn
     amb = standard_lattice(3, source.rank)
     assert mat_mul(cols, mat_mul(amb.gram, transpose(cols))) == freeze(
         [[rep.embedding_den ** 2 * x for x in row] for row in source.gram])
+
+
+def test_witness_asks_each_complement_once(monkeypatch):
+    """On K3's witness block (the rest R of the source and the complement C
+    that _coordinates_first hands to the witness), no Gram goes to
+    isotropic_or_obstruction twice: the last step represents its value on
+    the complement it has just found anisotropic without asking again."""
+    blocks = []
+
+    def recorded(g1, g2):
+        blocks.append((g1, g2))
+        return explicit_rational_isometry(g1, g2)
+
+    monkeypatch.setattr(glue, "explicit_rational_isometry", recorded)
+    embed_pipeline(resolve("K3"), 2)
+    grams = []
+    original = padic.isotropic_or_obstruction
+
+    def recording(gram):
+        grams.append(freeze(gram))
+        return original(gram)
+
+    for module in (glue, padic):
+        monkeypatch.setattr(module, "isotropic_or_obstruction", recording)
+    _witness(*blocks[0])
+    assert len(blocks) == 1 and grams
+    assert len(set(grams)) == len(grams)
 
 
 def test_standard_lattice_shape():

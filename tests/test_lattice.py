@@ -356,11 +356,6 @@ def test_dimension_mismatch_errors():
         from_rows([[0, 1], [2, 0]])  # not symmetric
 
 
-def test_span_rejects_dependent_basis():
-    with pytest.raises(PreconditionError, match="basis vectors are linearly dependent"):
-        span(diag_lattice(1, 1), [(1, 0), (2, 0)])
-
-
 @st.composite
 def _independent_basis(draw):
     """k independent rows in Z^n, n <= 8, entries within +-10^6: raw draws,

@@ -33,7 +33,6 @@ from qforge.padic import (
     legendre,
     rational_diagonalize,
     rationally_equivalent,
-    represent_scaled,
     solve_prescribed_hilbert,
     symbol_support,
 )
@@ -322,7 +321,7 @@ def test_is_local_square():
 
 
 # ---------------------------------------------------------------------------
-# Isotropic vectors and representations
+# Isotropic vectors
 
 
 def _q(gram, x):
@@ -377,20 +376,6 @@ def test_isotropic_vector_agrees_with_local_oracle(case):
         assert not isotropic_over_q_oracle(diag)
     else:
         assert isotropic_over_q_oracle(diag) and _q(gram, x) == 0
-
-
-@settings(max_examples=250, deadline=None)
-@given(_scrambled_diagonal(st.integers(1, 4)), st.integers(-30, 30).filter(bool),
-       st.integers(1, 6))
-def test_represent_contract(case, num, den):
-    diag, gram = case
-    if _isotropic_per_oracle(diag + [-num * den]):  # num / den and num den: one square class
-        w, s = represent_scaled(gram, num, den)
-        assert s > 0 and math.gcd(s, *w) == 1
-        assert _q(gram, w) * den == num * s * s
-    else:
-        with pytest.raises(PreconditionError, match="anisotropic"):
-            represent_scaled(gram, num, den)
 
 
 _SQUAREFREE = st.integers(-40, 40).filter(lambda a: a and squarefree_part(a) == a)

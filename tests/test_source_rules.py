@@ -172,7 +172,6 @@ FRACTION_FREE = {
     "isom.py": {"_positive_cone_flag"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
     "linalg.py": {"saturation"},
-    "padic.py": {"represent_scaled"},
 }
 
 
