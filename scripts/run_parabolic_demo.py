@@ -22,7 +22,7 @@ def main():
     print(f"  basis    : {final.basis}")
     print(f"  gram     : {final.gram()}")
     print(f"  oracle   : Gram ≡ 0 mod {rep.prime}, so every nonzero |value| >= {rep.prime}")
-    iso, cls = find_parabolic(final.as_lattice())
+    iso, cls = find_parabolic(final.as_lattice(), rep.v, rep.a)
     print(f"isometry   : {iso.matrix}")
     print(f"  class    : {cls.tag.value}, fixes isotropic {cls.fixed_isotropic}")
     print(f"elapsed    : {time.monotonic() - t0:.2f}s")

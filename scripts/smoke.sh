@@ -21,6 +21,12 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 "$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify
 "$qforge" parabolic --lattice "catalog:U+U+U+E8(-1)" --n-bound 3 --verify
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
+# the final sublattice is built around a known isotropic plane, so no isotropic vector is
+# searched for on a Gram that grows with N (both ran past 30 s when one was)
+timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000000000000000000000 \
+  --verify | check 'o["verified"] is True'
+timeout 60 "$qforge" parabolic --lattice "catalog:K3+<-30>" --n-bound 10 --verify \
+  | check 'o["verified"] is True'
 # the OG10 lattice K3+A2(-1): a rank-24 source, A2(-1) read as -1 times the entry A2
 "$qforge" parabolic --lattice "catalog:K3+A2(-1)" --n-bound 10 --verify | check 'o["verified"] is True'
 # the K3^[2] lattice K3+<-2>: the extension's image stays off the positive vector (it exited 4)

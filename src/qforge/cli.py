@@ -58,7 +58,7 @@ from .lattice import (
     span,
 )
 from .linalg import freeze, rational_rank, saturation
-from .padic import invariant_triple, rationally_equivalent
+from .padic import invariant_triple, isotropic_vector, rationally_equivalent
 from .forge import SmallnessCertificate, check_certificate
 
 
@@ -233,7 +233,7 @@ def cmd_parabolic(args) -> dict:
     }
     out["oracle"] = {"gram_divisible_by": rep.prime}
     final = rep.lambda_in_source.as_lattice()
-    iso, cls = isom.find_parabolic(final)
+    iso, cls = isom.find_parabolic(final, rep.v, rep.a)
     out["isometry"] = {
         "matrix": encode_matrix(iso.matrix),
         "classification": _classification_obj(cls),
@@ -305,7 +305,7 @@ def cmd_glue(args) -> dict:
 
 def cmd_isotropic(args) -> dict:
     latt = _load_lattice(args.lattice)
-    vec = forge.find_isotropic(latt)
+    vec = isotropic_vector(latt.gram)
     return {"vector": encode_vector(vec)}
 
 

@@ -94,19 +94,13 @@ def check_certificate(cert: SmallnessCertificate, n_bound: int) -> tuple[bool, s
 # Isotropic vectors
 
 
-def find_isotropic(latt: QuadLattice) -> Vector:
-    """A primitive isotropic vector, constructed (padic.isotropic_vector):
-    the first basis vector with q = 0 when there is one. PreconditionError
-    when the form is anisotropic over Q."""
-    return isotropic_vector(latt.gram)
-
-
 def find_isotropic_pair(latt: QuadLattice) -> tuple[Vector, Vector]:
     """Two primitive isotropic vectors with nonzero pairing: v from
-    find_isotropic and, with c = (G v)_i the first nonzero entry of G v,
-    v' = 2c e_i - q(e_i) v divided by its content (q(v') = 0, b(v, v') = 2c^2
-    before the division)."""
-    v = find_isotropic(latt)
+    padic.isotropic_vector (the first basis vector with q = 0 when there is
+    one) and, with c = (G v)_i the first nonzero entry of G v, v' = 2c e_i -
+    q(e_i) v divided by its content (q(v') = 0, b(v, v') = 2c^2 before the
+    division)."""
+    v = isotropic_vector(latt.gram)
     i, c = next(((i, c) for i, c in enumerate(mat_vec(latt.gram, v)) if c), (0, 0))
     if c == 0:
         raise PreconditionError("the isotropic vector lies in the radical")

@@ -7,13 +7,13 @@ coordinates first: each b_i on negative coordinates of its own as a sum
 of at most four squares, each +-1 summand of H on a free coordinate, and
 only the rest of H through an explicit rational isometry witness into
 the complement of those images. Then embed a P-scaled lattice of
-signature (1, s) primitively into I(3, b2), its positive vector on the
-positive coordinates, intersect with the image of H, and saturate. The
-extension's image lies on negative coordinates only, so it is orthogonal
-to that positive vector and the intersection keeps one positive
-direction. The scaled lattice keeps every integral value divisible by P,
-so the saturation represents no nonzero number below P / d^2 where d is
-the embedding index.
+signature (1, s) primitively into I(3, b2), its first two vectors u and
+n_0 on coordinates the extension's image misses, so that u +- n_0 are
+isotropic vectors of the image of H over Q; the final sublattice is
+built around that plane, not searched for an isotropic vector. The
+scaled lattice keeps every integral value divisible by P, so the
+saturation represents no nonzero number below P / d^2 where d is the
+embedding index.
 """
 from __future__ import annotations
 
@@ -705,6 +705,9 @@ class EmbeddingReport:
     prime: int
     lambda_in_source: Sublattice
     sat_index: int
+    # in lambda_in_source's basis: v isotropic, a orthogonal to v with q(a) < 0
+    v: tuple[int, ...]
+    a: tuple[int, ...]
 
 
 def _coordinates_first(source: QuadLattice, ext: ExtensionResult, ambient: QuadLattice):
@@ -811,32 +814,39 @@ def _two_squares_embedding(p: int, count_neg: int, ambient: QuadLattice) -> Subl
     return sub
 
 
-def _intersect_with_image(
-    m, den: int, h_rank: int, lam_sub: Sublattice, source: QuadLattice
-) -> Sublattice:
-    """{h in H : (m / den) h lies in the embedded scaled lattice}."""
-    # integer relations among the columns of (m | -den * lam basis)
-    cols = list(transpose(m)) + [[-den * x for x in vec] for vec in lam_sub.basis]
-    return span(source, [row[:h_rank] for row in left_kernel(cols)])
+def _parabolic_sublattice(source: QuadLattice, relations, rank: int, p: int):
+    """(K, v, a): K of signature (1, rank - 1), saturated in H, built
+    around the isotropic plane of u +- n_0, from the relations (h | c) with
+    (m / den) h = sum c_j lam_j, h in H and c in Lambda's coordinates
+    (u, n_0, n_1, ...). The relations with c proportional to (1, +-1, 0,
+    ...) give isotropic v, v' of H with b(v, v') != 0, and those with c_0 =
+    c_1 = 0 the negative definite rest, orthogonal to both. K saturates v,
+    v' and the first rank - 2 vectors of the LLL-reduced rest; a is the
+    first of those, with q(a) < 0. v and a are in K's basis. No step is a
+    search."""
+    hs = [row[:source.rank] for row in relations]
+    cs = [row[source.rank:] for row in relations]
 
+    def where(conditions):  # the h-parts of the relations whose c meets the conditions
+        return mat_mul(left_kernel([conditions(c) for c in cs]), hs)
 
-def _trim_to_signature(
-    sub: Sublattice, want_neg: int
-) -> Sublattice:
-    """Primitive sublattice of signature (1, want_neg) picked from the
-    integer columns D_k b_k of a congruent diagonalization (QuadLattice.pivots,
-    with the signs QuadLattice.positive) and re-saturated, which depends
-    only on the lines of the chosen columns."""
-    latt = sub.as_lattice()
-    _, cols = latt.pivots
-    pos_idx = [k for k, pos in enumerate(latt.positive) if pos]
-    neg_idx = [k for k, pos in enumerate(latt.positive) if not pos]
-    if not pos_idx or len(neg_idx) < want_neg:
-        raise InternalInconsistencyError(
-            "intersection misses the required signature"
-        )
-    chosen = [pos_idx[0]] + neg_idx[:want_neg]
-    return saturate(span(sub.ambient, [sub.to_ambient(cols[k]) for k in chosen]))
+    lines = [where(lambda c: [c[0] - c[1], *c[2:]]), where(lambda c: [c[0] + c[1], *c[2:]])]
+    rest = where(lambda c: c[:2])
+    if [len(line) for line in lines] != [1, 1] or len(rest) < rank - 2:
+        raise InternalInconsistencyError("u +- n_0 or the rest of Lambda miss the image of H")
+    h, _, _ = lll_gram([[-x for x in row] for row in gram_of(source, rest)])
+    reduced = mat_mul(h, rest)[:rank - 2]
+    k = saturate(span(source, [lines[0][0], lines[1][0], *reduced]))
+
+    def coords(x):  # x's primitive multiple in K's basis: the relation y B + t x = 0 has t = +-1
+        (*y, t), = left_kernel([*k.basis, x])
+        return tuple(-t * c // math.gcd(*y) for c in y)
+
+    v, a = coords(lines[0][0]), coords(reduced[0])
+    latt = k.as_lattice()
+    if signature(latt) != (1, rank - 1) or qvalue(latt, v) or not gram_divisible_by(latt.gram, p):
+        raise InternalInconsistencyError("K is not of signature (1, rank - 1), 0 mod P, around v")
+    return k, v, a
 
 
 def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
@@ -849,11 +859,11 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     negative coordinates from the end, the +-1 summands of H on free
     coordinates, the rest through the witness; d is the index of H in its
     integral part. The P-scaled lattice Lambda of signature (1, s), s =
-    b2 / 2, sits on two-squares blocks with its positive vector u on the
-    first two positive coordinates, so u is orthogonal to the extension's
-    image N, and K = Lambda ∩ N-perp, the part of Lambda in the image of H,
-    contains u and a negative definite part of rank >= s - 3. K is
-    saturated in H and trimmed to signature (1, s - 3).
+    b2 / 2, sits on two-squares blocks: u on the first two positive
+    coordinates, n_0 on the first two negative ones. The extension's image
+    N takes at most 12 negative coordinates from the end, so for b2 >= 14
+    u +- n_0 are isotropic vectors of N-perp, the image of H over Q, and
+    K is built around them (_parabolic_sublattice) from one left kernel.
     """
     b2 = source.rank
     r, s = signature(source)
@@ -873,24 +883,16 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     p = _next_glue_prime(d * d * n_bound)
     s_lam = b2 // 2
     lam_sub = _two_squares_embedding(p, s_lam, ambient)
-    raw = _intersect_with_image(embedding, den, b2, lam_sub, source)
-    sat_basis, sat_idx = saturation(raw.basis)
+    # the relations (h | c) of (m / den) h = sum c_j lam_j: the h in H landing in Lambda
+    relations = left_kernel(list(transpose(embedding))
+                            + [[-den * x for x in vec] for vec in lam_sub.basis])
+    _, sat_idx = saturation([row[:b2] for row in relations])
     if sat_idx > d:
         raise InternalInconsistencyError("saturation index exceeds the embedding index")
-    sat = span(source, sat_basis)
-    want_neg = s_lam - 3
-    trimmed = _trim_to_signature(sat, want_neg)
-    if signature(trimmed.as_lattice()) != (1, want_neg):
-        raise InternalInconsistencyError("trimmed lattice has wrong signature")
-    if not gram_divisible_by(trimmed.gram(), p):
-        raise InternalInconsistencyError(
-            "Gram of the saturation is not divisible by the scaling prime"
-        )
-    if saturation_index(trimmed) != 1:
-        raise InternalInconsistencyError("result is not primitive")
+    k, v, a = _parabolic_sublattice(source, relations, s_lam - 2, p)
     return EmbeddingReport(
         extension=ext, embedding=embedding, embedding_den=den, index_d=d, prime=p,
-        lambda_in_source=trimmed, sat_index=sat_idx,
+        lambda_in_source=k, sat_index=sat_idx, v=v, a=a,
     )
 
 

@@ -14,16 +14,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .forge import find_isotropic
 from .lattice import (
     QuadLattice,
     Vector,
     gram_of,
-    orthogonal_complement,
     pairing,
     qvalue,
     signature,
-    span,
 )
 from .linalg import (
     char_poly,
@@ -257,19 +254,9 @@ def _proportional(v, a) -> bool:
     )
 
 
-def find_parabolic(latt: QuadLattice) -> tuple[Isometry, IsomClass]:
-    """Verified parabolic isometry, with its classification: isotropic v,
-    then the transvection along the first basis vector a of v⊥ with
-    q(a) != 0."""
-    pos, neg = signature(latt)
-    if pos != 1 or neg < 2:
-        raise PreconditionError("need signature (1, n) with n >= 2")
-    v = find_isotropic(latt)
-    comp = orthogonal_complement(span(latt, [v]))
-    # v⊥/v is negative definite, so every basis vector of v⊥ outside Qv has q != 0
-    a = next((a for a in comp.basis if qvalue(latt, a) != 0), None)
-    if a is None:
-        raise InternalInconsistencyError("v⊥ has no anisotropic basis vector")
+def find_parabolic(latt: QuadLattice, v: Vector, a: Vector) -> tuple[Isometry, IsomClass]:
+    """The transvection attached to the isotropic v and a ⊥ v with q(a) != 0
+    (eichler_transvection), verified parabolic, with its classification."""
     iso = eichler_transvection(latt, v, a)
     cls = classify(iso)
     if cls.tag is not Tag.PARABOLIC:

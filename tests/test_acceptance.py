@@ -239,7 +239,7 @@ def test_c09_embedding_desk_run():
     assert rep.prime > rep.index_d**2 * 3
     # independent spot enumeration: the rank-5 box of height 8 has 17^5 - 1 vectors
     assert all(v == 0 or abs(v) >= 3 for v in enumerate_values(final.as_lattice(), 8))
-    iso, cls = find_parabolic(final.as_lattice())
+    iso, cls = find_parabolic(final.as_lattice(), rep.v, rep.a)
     assert cls.tag is Tag.PARABOLIC and classify(iso) == cls
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -11,7 +11,6 @@ from qforge.errors import PreconditionError
 from qforge.forge import (
     SmallnessCertificate,
     check_certificate,
-    find_isotropic,
     find_isotropic_pair,
     find_rank2_avoiding,
     find_w_odd_valuation,
@@ -31,27 +30,6 @@ from qforge.lattice import (
 
 U = from_rows([[0, 1], [1, 0]], label="U")
 UU2 = direct_sum(U, U, diag_lattice(2), label="U+U+<2>")
-
-
-def test_find_isotropic_examples():
-    assert find_isotropic(U) == (1, 0)
-    assert find_isotropic(diag_lattice(1, -1)) == (1, 1)
-    assert find_isotropic(diag_lattice(1, 1, -1, -1, -1)) == (1, 0, 1, 0, 0)
-
-
-def test_find_isotropic_output_contract():
-    import math
-
-    for latt in (U, diag_lattice(2, -3, 5, -7, 11)):
-        v = find_isotropic(latt)
-        assert qvalue(latt, v) == 0
-        assert math.gcd(*v) == 1
-
-
-def test_find_isotropic_not_found():
-    # 5 x^2 - 15 y^2 = 0 needs x^2 = 3 y^2: anisotropic, decided with no budget
-    with pytest.raises(PreconditionError, match="anisotropic"):
-        find_isotropic(diag_lattice(5, -15))
 
 
 def test_find_isotropic_pair_u():

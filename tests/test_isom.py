@@ -203,19 +203,14 @@ def test_hyperbolic_powers_and_inverse():
 
 
 def test_find_parabolic_worked():
-    iso, cls = find_parabolic(U_MINUS2)
+    iso, cls = find_parabolic(U_MINUS2, (1, 0, 0), (0, 0, 1))
     assert cls.tag is Tag.PARABOLIC
     assert iso.matrix == ((1, 1, -2), (0, 1, 0), (0, -1, 1))
 
 
 def test_find_parabolic_rank2_fails():
-    with pytest.raises(Exception):
-        find_parabolic(from_rows([[0, 1], [1, 0]]))
-
-
-def test_find_parabolic_anisotropic_rank2():
-    with pytest.raises(Exception):
-        find_parabolic(diag_lattice(5, -15))
+    with pytest.raises(PreconditionError, match="rank >= 3"):
+        find_parabolic(from_rows([[0, 1], [1, 0]]), (1, 0), (0, 1))
 
 
 def test_find_hyperbolic():

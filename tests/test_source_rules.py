@@ -168,7 +168,7 @@ FRACTION_FREE = {
     "forge.py": {"find_w_odd_valuation"},
     "glue.py": {"_nondegenerate_flag", "_flag_images", "_flag_extend", "_flag_solve",
                 "_next_image", "_eichler_reduce", "_cancel_plane", "_embedding_index",
-                "_intersect_with_image", "_trim_to_signature", "_coordinates_first"},
+                "_parabolic_sublattice", "_coordinates_first"},
     "isom.py": {"_positive_cone_flag"},
     "lattice.py": {"_diagonal_pivots", "saturate"},
     "linalg.py": {"saturation"},
@@ -190,7 +190,7 @@ def _names(node) -> set:
 def test_witness_and_saturation_stay_fraction_free():
     """No Fraction on the hot path of explicit_rational_isometry (the
     functions making the flag and the images, and moving them back from
-    G2 + U), of the embedding's index, intersection and trimming, of the
+    G2 + U), of the embedding's index and final sublattice, of the
     congruent diagonalization, of the cone flag, of the saturation or of
     the rank-2 construction's w of p-valuation 1; the saturation neither
     takes a Smith form nor inverts a matrix."""
