@@ -27,9 +27,30 @@ from qforge.lattice import (
     signature,
     span,
 )
+from qforge.padic import isotropic_vector
 
 U = from_rows([[0, 1], [1, 0]], label="U")
 UU2 = direct_sum(U, U, diag_lattice(2), label="U+U+<2>")
+
+
+def test_find_isotropic_examples():
+    # the isotropic vector find_isotropic_pair starts from
+    assert isotropic_vector(U.gram) == (1, 0)
+    assert isotropic_vector(diag_lattice(1, -1).gram) == (1, 1)
+    assert isotropic_vector(diag_lattice(1, 1, -1, -1, -1).gram) == (1, 0, 1, 0, 0)
+
+
+def test_find_isotropic_output_contract():
+    for latt in (U, diag_lattice(2, -3, 5, -7, 11)):
+        v = isotropic_vector(latt.gram)
+        assert qvalue(latt, v) == 0
+        assert math.gcd(*v) == 1
+
+
+def test_find_isotropic_not_found():
+    # 5 x^2 - 15 y^2 = 0 needs x^2 = 3 y^2: anisotropic, decided with no budget
+    with pytest.raises(PreconditionError, match="anisotropic"):
+        isotropic_vector(diag_lattice(5, -15).gram)
 
 
 def test_find_isotropic_pair_u():

@@ -417,13 +417,6 @@ def test_common_value_far_from_zero():
 def test_isotropic_vector_worked_examples():
     assert isotropic_vector(U.gram) == (1, 0)
     assert isotropic_vector(diag_lattice(1, -1).gram) == (1, 1)
-    assert isotropic_vector(diag_lattice(1, 1, -1, -1, -1).gram) == (1, 0, 1, 0, 0)
-    gram = diag_lattice(2, -3, 5, -7, 11).gram
-    x = isotropic_vector(gram)
-    assert _q(gram, x) == 0 and math.gcd(*x) == 1
-    # 5 x^2 - 15 y^2 = 0 needs x^2 = 3 y^2: anisotropic, decided with no budget
-    with pytest.raises(PreconditionError, match="anisotropic"):
-        isotropic_vector(diag_lattice(5, -15).gram)
     # x^2 + y^2 = 3 z^2 has no solution mod 4
     with pytest.raises(PreconditionError, match="anisotropic at 2"):
         isotropic_vector(diag_lattice(1, 1, -3).gram)
