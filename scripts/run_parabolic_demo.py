@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Desk-scale parabolic run: embed a scaled lattice into the standard
-unimodular lattice through the rank+3 rational extension, intersect with
-the source, saturate, and build a unipotent isometry on the result."""
+"""Desk-scale parabolic run: embed the source into the standard
+unimodular lattice through the rank+3 rational extension, place a scaled
+lattice beside it, build the final sublattice around the isotropic plane
+of u +- n_0, and a unipotent isometry on it."""
 import time
 
 from qforge.glue import embed_pipeline

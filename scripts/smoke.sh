@@ -18,7 +18,8 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 
 "$py" scripts/run_parabolic_demo.py
 "$py" scripts/run_hyperbolic_demo.py
-"$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify
+"$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify \
+  | check 'o["verified"] is True and "saturation_index_of_intersection" not in o["sublattice"]'
 "$qforge" parabolic --lattice "catalog:U+U+U+E8(-1)" --n-bound 3 --verify
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
 # the final sublattice is built around a known isotropic plane, so no isotropic vector is
@@ -57,6 +58,13 @@ timeout 60 "$qforge" hyperbolic --lattice "catalog:diag(1,1,-1,-1,-1)" --n-bound
 # a certificate with n = 10^12 is rejected at once, exit 0
 echo '{"p": 5, "alpha": [30, -10], "beta": [6, -2], "n": [1000000000000, 0]}' > "$tmp/huge-n.json"
 timeout 10 "$qforge" certify --certificate "$tmp/huge-n.json" --n-bound 4 | check 'o["valid"] is False'
+# beta1 x^2 + beta2 y^2 = x^2 - y^2 is isotropic mod 5: rejected, exit 0
+echo '{"p": 5, "alpha": [5, -5], "beta": [1, -1], "n": [0, 0]}' > "$tmp/isotropic.json"
+"$qforge" certify --certificate "$tmp/isotropic.json" --n-bound 4 | check 'o["valid"] is False'
+# an empty catalog name exits 2
+rc=0; "$qforge" invariants --lattice catalog: > "$tmp/empty-name.json" || rc=$?
+test "$rc" -eq 2
+check 'o["error"]["type"] == "PreconditionError"' < "$tmp/empty-name.json"
 # a flag the command does not read exits 2
 rc=0; "$qforge" invariants --lattice catalog:U --verify || rc=$?
 test "$rc" -eq 2

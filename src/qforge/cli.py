@@ -24,11 +24,13 @@ reports apart from the timings block. Exit codes: 0 success,
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import sys
 import time
+from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
 
@@ -52,6 +54,7 @@ from .lattice import (
     binary_cycle,
     enumerate_values,
     gram_divisible_by,
+    gram_of,
     min_nonzero_abs,
     qvalue,
     signature,
@@ -70,6 +73,7 @@ def _load_lattice(spec: str | None) -> QuadLattice:
     return load_lattice_file(spec)
 
 
+@functools.lru_cache(maxsize=1)  # the report names it, and --verify checks it
 def _lattice_hash(latt: QuadLattice) -> str:
     gram = latt.gram  # entries below 2^53 encode as themselves
     if max(map(abs, chain.from_iterable(gram)), default=0) >= jsonio.SAFE_BOUND:
@@ -157,7 +161,7 @@ def _classification_obj(cls) -> dict:
 
 
 def cmd_hyperbolic(args) -> dict:
-    latt = _load_lattice(args.lattice)
+    latt = args.source = _load_lattice(args.lattice)  # main verifies the report against it
     t0 = time.monotonic()
     result = forge.find_rank2_avoiding(latt, args.n_bound)
     sub_latt = result.lattice.as_lattice()
@@ -202,7 +206,7 @@ def cmd_hyperbolic(args) -> dict:
 
 
 def cmd_parabolic(args) -> dict:
-    latt = _load_lattice(args.lattice)
+    latt = args.source = _load_lattice(args.lattice)  # main verifies the report against it
     t0 = time.monotonic()
     rep = glue.embed_pipeline(latt, args.n_bound)
     out: dict = {
@@ -229,7 +233,6 @@ def cmd_parabolic(args) -> dict:
         "basis": [encode_vector(v) for v in rep.lambda_in_source.basis],
         "gram": encode_matrix(rep.lambda_in_source.gram()),
         "signature": list(signature(rep.lambda_in_source.as_lattice())),
-        "saturation_index_of_intersection": encode_int(rep.sat_index),
     }
     out["oracle"] = {"gram_divisible_by": rep.prime}
     final = rep.lambda_in_source.as_lattice()
@@ -335,18 +338,26 @@ def _parse_signature(text: str | None) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Report verification (--verify re-checks claims from report content alone)
+# Report verification (--verify re-checks claims from the report and the input Gram)
 
 
-def verify_report(report: dict) -> list[str]:
-    """Re-check matrix congruences, certificates and oracle claims recorded
-    in a report; returns a list of failures (empty = verified)."""
+def verify_report(report: dict, source: QuadLattice) -> list[str]:
+    """Re-check the matrix congruences, certificates and oracle claims of a
+    report against its input lattice `source` (the Gram G that input.hash
+    names); returns a list of failures (empty = verified)."""
+    if _lattice_hash(source) != report["input"]["hash"]:
+        return ["the input Gram does not match input.hash"]
     failures: list[str] = []
     sub = report.get("sublattice")
     if sub and "gram" in sub:
         gram = _decode_matrix(sub["gram"])
         latt = QuadLattice(gram)
         n_bound = report["input"]["n_bound"]
+        basis = _decode_matrix(sub["basis"])
+        if gram_of(source, basis) != gram:
+            failures.append("basis * G * basis^T differs from the reported Gram")
+        elif rational_rank(basis) < len(basis) or saturation(basis)[1] != 1:
+            failures.append("the sublattice basis is not primitive")
         if "certificate" in sub:
             cert = _certificate_from_obj(sub["certificate"])
             if not check_certificate(cert, n_bound)[0]:
@@ -355,8 +366,11 @@ def verify_report(report: dict) -> list[str]:
             claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])
             if rational_rank(pair) < 2:
                 failures.append("v1 and w are linearly dependent")
-            elif saturation(pair)[1] != claimed_index:
-                failures.append("saturation index of span(v1, w) misstated")
+            else:
+                if gram_of(source, pair) != ((cert.alpha1, 0), (0, cert.alpha2)):
+                    failures.append("(q(v1), q(w), b(v1, w)) is not (alpha1, alpha2, 0)")
+                if saturation(pair)[1] != claimed_index:
+                    failures.append("saturation index of span(v1, w) misstated")
             oracle = report["oracle"]
             if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):
                 failures.append("Gram is not 0 mod p")
@@ -393,8 +407,14 @@ def verify_report(report: dict) -> list[str]:
                 if tag != iso_obj["classification"]["tag"]:
                     failures.append("classification tag mismatch")
     ext = report.get("extension")
-    if ext and not ext.get("triples_equal", True):
-        failures.append("extension triples differ")
+    if ext:
+        b = [jsonio.decode_int(x) for x in ext["b"]]
+        r, t = ext["target_signature"]
+        minors, _ = source.pivots  # G's rational diagonal is D_{k+1} / D_k, formed once
+        if 0 in b or (r, t) != (3, source.rank) or invariant_triple(
+                [*map(Fraction, minors, (1, *minors[:-1])), *b]) != invariant_triple(
+                [1] * r + [-1] * t):
+            failures.append("G plus diag(b) is not rationally the standard form of the target")
     return failures
 
 
@@ -541,7 +561,7 @@ def main(argv=None) -> int:
         report = _COMMANDS[args.command][0](args)
         verify = getattr(args, "verify", False)
         if verify:
-            failures = verify_report(report)
+            failures = verify_report(report, args.source)
             report["verified"] = not failures
             if failures:
                 report["verification_failures"] = failures

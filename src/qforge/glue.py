@@ -522,20 +522,7 @@ def _size(x0, num, e, t) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scaled lattices and Nikulin-style gluing
-
-
-def build_scaled_lattice(p: int, sig: tuple[int, int]) -> QuadLattice:
-    """P times the odd unimodular diagonal lattice of signature (1, s):
-    represents no nonzero number of absolute value < P, discriminant group
-    (Z/P)^(s+1) without 2-torsion for odd P."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    pos, neg = sig
-    if pos != 1:
-        raise PreconditionError("scaled lattices are built with signature (1, s)")
-    base = diag_lattice(*([1] + [-1] * neg))
-    return rescale(base, p)
+# Nikulin-style gluing
 
 
 @dataclass(frozen=True)
@@ -704,7 +691,6 @@ class EmbeddingReport:
     index_d: int
     prime: int
     lambda_in_source: Sublattice
-    sat_index: int
     # in lambda_in_source's basis: v isotropic, a orthogonal to v with q(a) < 0
     v: tuple[int, ...]
     a: tuple[int, ...]
@@ -807,7 +793,7 @@ def _two_squares_embedding(p: int, count_neg: int, ambient: QuadLattice) -> Subl
         w[pos_rank + 2 * j + 1] = b
         rows.append(tuple(w))
     sub = span(ambient, rows)
-    if sub.gram() != build_scaled_lattice(p, (1, count_neg)).gram:
+    if sub.gram() != rescale(standard_lattice(1, count_neg), p).gram:
         raise InternalInconsistencyError("scaled block embedding has wrong Gram")
     if saturation_index(sub) != 1:
         raise InternalInconsistencyError("scaled block embedding is not primitive")
@@ -886,13 +872,10 @@ def embed_pipeline(source: QuadLattice, n_bound: int) -> EmbeddingReport:
     # the relations (h | c) of (m / den) h = sum c_j lam_j: the h in H landing in Lambda
     relations = left_kernel(list(transpose(embedding))
                             + [[-den * x for x in vec] for vec in lam_sub.basis])
-    _, sat_idx = saturation([row[:b2] for row in relations])
-    if sat_idx > d:
-        raise InternalInconsistencyError("saturation index exceeds the embedding index")
     k, v, a = _parabolic_sublattice(source, relations, s_lam - 2, p)
     return EmbeddingReport(
         extension=ext, embedding=embedding, embedding_den=den, index_d=d, prime=p,
-        lambda_in_source=k, sat_index=sat_idx, v=v, a=a,
+        lambda_in_source=k, v=v, a=a,
     )
 
 

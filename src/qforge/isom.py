@@ -17,6 +17,7 @@ from .errors import InternalInconsistencyError, PreconditionError
 from .lattice import (
     QuadLattice,
     Vector,
+    gram_apply,
     gram_of,
     pairing,
     qvalue,
@@ -220,28 +221,26 @@ def eichler_transvection(
         raise PreconditionError("a must pair to zero with v")
     if _proportional(v, a):
         raise PreconditionError("a must not be proportional to v")
-    if qvalue(latt, a) == 0:
+    qa = qvalue(latt, a)
+    if qa == 0:
         raise PreconditionError(
             "q(a) = 0 gives a shear with a rank-2 Jordan cell; pick another a"
         )
-    if qvalue(latt, a) % 2 != 0:
-        a = tuple(2 * x for x in a)
-    qa_half = qvalue(latt, a) // 2
-    cols = []
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        bxa = pairing(latt, e, a)
-        bxv = pairing(latt, e, v)
-        img = tuple(
-            e[r] + bxa * v[r] - bxv * a[r] - qa_half * bxv * v[r] for r in range(n)
-        )
-        cols.append(img)
-    matrix = tuple(zip(*cols))
+    if qa % 2 != 0:
+        a, qa = tuple(2 * x for x in a), 4 * qa
+    # column i is the image of e_i, and b(e_i, x) = (G x)_i
+    ga, gv = gram_apply(latt, a), gram_apply(latt, v)
+    shift = [x + qa // 2 * y for x, y in zip(a, v)]  # a + q(a)/2 v
+    matrix = tuple(
+        tuple(int(r == i) + ga[i] * v[r] - gv[i] * shift[r] for i in range(n))
+        for r in range(n)
+    )
     iso = Isometry(latt, matrix)
     b = mat_sub(matrix, identity(n))
-    if is_zero(mat_mul(b, b)):
+    b2 = mat_mul(b, b)
+    if is_zero(b2):
         raise PreconditionError("transvection collapsed to a small Jordan cell")
-    if not is_zero(mat_mul(mat_mul(b, b), b)):
+    if not is_zero(mat_mul(b2, b)):
         raise InternalInconsistencyError("(g - I)^3 != 0 for a transvection")
     if iso.apply(v) != tuple(v):
         raise InternalInconsistencyError("transvection does not fix v")

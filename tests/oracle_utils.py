@@ -277,6 +277,13 @@ def brute_char_poly(mat):
 # Sums of two squares by scanning the smaller leg, O(sqrt(p))
 
 
+def binary_zero_mod_p(beta1: int, beta2: int, p: int) -> tuple[int, int] | None:
+    """A nonzero (x, y) mod p with beta1 x^2 + beta2 y^2 = 0 mod p, by
+    enumerating all p^2 pairs; None when there is none."""
+    return next(((x, y) for x in range(p) for y in range(p)
+                 if (x or y) and (beta1 * x * x + beta2 * y * y) % p == 0), None)
+
+
 def two_squares_scan(p: int) -> tuple[int, int] | None:
     """(a, b), a <= b, with a^2 + b^2 == p and the least such a, else None."""
     for a in range(1, math.isqrt(p // 2) + 1):

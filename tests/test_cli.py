@@ -484,7 +484,7 @@ def test_verify_report_catches_tampering(capsys):
     )
     assert rc == 0
     obj["isometry"]["matrix"][0][0] += 1
-    assert verify_report(obj)
+    assert verify_report(obj, resolve("U+U+<2>"))
 
 
 def test_verify_report_rechecks_saturation_index(capsys):
@@ -493,9 +493,9 @@ def test_verify_report_rechecks_saturation_index(capsys):
         ["hyperbolic", "--lattice", "catalog:U+U+<2>", "--n-bound", "4"],
     )
     assert rc == 0 and obj["sublattice"]["saturation_index_of_span"] == 1
-    assert verify_report(obj) == []
+    assert verify_report(obj, resolve("U+U+<2>")) == []
     obj["sublattice"]["saturation_index_of_span"] = 2
-    assert verify_report(obj) == ["saturation index of span(v1, w) misstated"]
+    assert verify_report(obj, resolve("U+U+<2>")) == ["saturation index of span(v1, w) misstated"]
 
 
 @pytest.mark.parametrize("w", ["v1", "zero"])
@@ -520,8 +520,8 @@ def test_verify_rejects_dependent_v1_and_w(monkeypatch, capsys, w):
 
 def test_verify_rejects_a_gram_of_rank_three(monkeypatch, capsys):
     """A report whose sublattice Gram gains a third row and column (still
-    0 mod p): the cycle walk and the isometry fail on it, the binary box is
-    not run, and the run exits 4."""
+    0 mod p): it is not basis * G * basis^T, the cycle walk and the isometry
+    fail on it, the binary box is not run, and the run exits 4."""
     run, flags = cli._COMMANDS["hyperbolic"]
 
     def tampered(args):
@@ -536,6 +536,7 @@ def test_verify_rejects_a_gram_of_rank_three(monkeypatch, capsys):
                                "--verify"])
     assert rc == 4 and obj["verified"] is False
     assert obj["verification_failures"] == [
+        "basis * G * basis^T differs from the reported Gram",
         "sublattice form is not anisotropic indefinite binary",
         "isometry does not verify: matrix rank != lattice rank",
     ]
@@ -640,17 +641,24 @@ def test_each_gram_is_eliminated_at_most_twice(monkeypatch, capsys, command, n_b
 
 @pytest.fixture(scope="module")
 def reports():
-    """One hyperbolic and two explicit parabolic reports, without --verify;
+    """Two hyperbolic and three explicit parabolic reports, without --verify;
     "parabolic" embeds with d = 1, "parabolic U" with d = 2 and P = 13."""
     out = {}
     for name, lattice, n_bound in (("hyperbolic", "catalog:U+U+<2>", "4"),
+                                   ("hyperbolic K3", "catalog:K3", "13"),
                                    ("parabolic", "catalog:diag(1,1,1,-1^11)", "3"),
-                                   ("parabolic U", "catalog:U+U+U+diag(-1^8)", "3")):
+                                   ("parabolic U", "catalog:U+U+U+diag(-1^8)", "3"),
+                                   ("parabolic K3", "catalog:K3", "2")):
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             assert main([name.split()[0], "--lattice", lattice, "--n-bound", n_bound]) == 0
         out[name] = json.loads(text.getvalue())
     return out
+
+
+def _source(report):
+    """The input lattice a report was made from."""
+    return resolve(report["input"]["lattice"].removeprefix("catalog:"))
 
 
 def _shift_minimum(delta):
@@ -700,9 +708,49 @@ _ORACLE_TAMPERS = {
 def test_verify_report_rechecks_oracle_claims(reports, name):
     mode, tamper, failure = _ORACLE_TAMPERS[name]
     report = copy.deepcopy(reports[mode])
-    assert verify_report(report) == []
+    assert verify_report(report, _source(report)) == []
     tamper(report)
-    assert failure in verify_report(report)
+    assert failure in verify_report(report, _source(report))
+
+
+def _bump_basis(report):
+    report["sublattice"]["basis"][0][0] += 1
+
+
+def _bump_v1(report):
+    report["sublattice"]["v1"][0] += 1
+
+
+def _negate_b0(report):
+    report["extension"]["b"][0] *= -1
+
+
+_INPUT_TAMPERS = {
+    "hyperbolic basis entry": ("hyperbolic K3", _bump_basis,
+                               "basis * G * basis^T differs from the reported Gram"),
+    "v1 entry": ("hyperbolic K3", _bump_v1, "(q(v1), q(w), b(v1, w)) is not (alpha1, alpha2, 0)"),
+    "parabolic basis entry": ("parabolic K3", _bump_basis,
+                              "basis * G * basis^T differs from the reported Gram"),
+    "negated b0": ("parabolic K3", _negate_b0,
+                   "G plus diag(b) is not rationally the standard form of the target"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_TAMPERS))
+def test_verify_report_rechecks_claims_on_the_input_gram(reports, name):
+    """The sublattice basis, v1 and w, and the extension b are checked
+    against the input Gram G, not only against the report's own Gram."""
+    mode, tamper, failure = _INPUT_TAMPERS[name]
+    report = copy.deepcopy(reports[mode])
+    assert verify_report(report, _source(report)) == []
+    tamper(report)
+    assert failure in verify_report(report, _source(report))
+
+
+@pytest.mark.parametrize("mode", ["hyperbolic K3", "parabolic K3"])
+def test_verify_report_rejects_another_input(reports, mode):
+    other = resolve("K3+<-2>")
+    assert verify_report(reports[mode], other) == ["the input Gram does not match input.hash"]
 
 
 def test_verify_report_box_cross_check_fires(reports):
@@ -710,7 +758,7 @@ def test_verify_report_box_cross_check_fires(reports):
     height-60 box cross-check too: the box holds the true minimum's witness."""
     report = copy.deepcopy(reports["hyperbolic"])
     _shift_minimum(1)(report)
-    failures = verify_report(report)
+    failures = verify_report(report, _source(report))
     assert "oracle minimum overstated" in failures
     assert f"a value below the claimed minimum at height {cli.CROSS_CHECK_HEIGHT}" in failures
 
@@ -836,6 +884,24 @@ def test_catalog_rank_beyond_the_limit_exit_2(capsys):
     assert rc == 2 and obj["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--lattice", "catalog:diag(1,x)"],
+    ["invariants", "--lattice", "catalog:diag(2^0)"],
+    ["invariants", "--lattice", "catalog:"],
+    ["extend", "--lattice", "catalog:K3", "--target-signature", "3"],
+    ["certify", "--certificate", "NO_BETA", "--n-bound", "4"],
+    ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "-1"],
+    ["parabolic", "--lattice", "catalog:K3", "--n-bound", "0"],
+], ids=["non-integer diag entry", "diag entry repeated 0 times", "empty catalog name",
+        "signature without s", "certificate without beta", "negative hyperbolic bound",
+        "zero parabolic bound"])
+def test_malformed_input_is_a_precondition_error(tmp_path, capsys, argv):
+    certificate = tmp_path / "no-beta.json"
+    certificate.write_text(json.dumps({"p": 5, "alpha": [30, -10], "n": [0, 0]}))
+    rc, obj = run_cli(capsys, [str(certificate) if a == "NO_BETA" else a for a in argv])
+    assert rc == 2 and obj["error"]["type"] == "PreconditionError"
+
+
 def test_catalog_sum_beyond_the_limit():
     with pytest.raises(PreconditionError, match="rank above 1000"):
         resolve("+".join(["<1>"] * 1001))
@@ -950,16 +1016,16 @@ def test_hyperbolic_on_an_a2_source(capsys):
 
 
 @pytest.mark.parametrize("name, n_bound, digest", [
-    ("K3", 2, "0d15bc5dd73ebc2e2ac8252d793ca2a4723dd10ebf67061a88a44a5ba41feaf1"),
-    ("U+U+U+E8(-1)", 3, "a917c57daac62006bed469992e017fa91f2a327522a9941cc0c5919dd3a7e23e"),
-    ("diag(1,1,1,-1^11)", 3, "4c1b28bcbfca78b7dbda7aa55443acdf02f35064d365fcc62cc9c9ea4c518aa5"),
+    ("K3", 2, "9e5da07410cf32afd9f46bfd0022461d6706309e9e8c8a259ff6a588dd426b5c"),
+    ("U+U+U+E8(-1)", 3, "082a802747846461f287cf21018255f79203dcc4170b43b95fc4b11c144f8ef5"),
+    ("diag(1,1,1,-1^11)", 3, "637162c383fb87be8f51ac6bdfc8bd31b0b036bfb6d85038bda70e27935e0306"),
 ], ids=["K3", "U+U+U+E8(-1)", "diag(1,1,1,-1^11)"])
 def test_parabolic_report_pinned(capsys, name, n_bound, digest):
     """The whole verified report apart from `timings`, as sorted-key JSON,
-    hashes to the value taken when the final sublattice began to be built
-    around the isotropic plane of u +- n_0 (the all-unit source keeps the
-    digest it had before): a change to the witness or the pipeline that
-    keeps the reports keeps these digests."""
+    hashes to the value taken when the sublattice block lost its
+    intersection index (the reports built around the isotropic plane of
+    u +- n_0 with that one key removed): a change to the witness or the
+    pipeline that keeps the reports keeps these digests."""
     rc, obj = run_cli(capsys, ["parabolic", "--lattice", f"catalog:{name}",
                                "--n-bound", str(n_bound), "--verify"])
     assert rc == 0 and obj["verified"] is True

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import all_values_divisible_by
+from oracle_utils import all_values_divisible_by, binary_zero_mod_p
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError
 from qforge.forge import (
@@ -146,6 +146,30 @@ def test_certificate_isotropic_rejected():
     ok, reason = check_certificate(cert, 1)
     assert not ok
     assert "isotropic" in reason or "zero" in reason
+
+
+ODD_PRIMES_TO_97 = [p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), isotropic=st.booleans())
+def test_certificate_verdict_matches_the_mod_p_enumeration(data, isotropic):
+    """For an odd prime p <= 97 and beta1, beta2 prime to p, check_certificate
+    accepts exactly when a search over all (x, y) mod p finds no nonzero zero
+    of beta1 x^2 + beta2 y^2. beta2 = -beta1 c mod p with c a square mod p
+    (isotropic) or a non-square (anisotropic), so both kinds are drawn."""
+    p = data.draw(st.sampled_from(ODD_PRIMES_TO_97))
+    squares = {x * x % p for x in range(1, p)}
+    c = data.draw(st.sampled_from(sorted(squares if isotropic else set(range(1, p)) - squares)))
+    beta1 = data.draw(st.integers(-10**6, 10**6).filter(lambda b: b % p))
+    beta2 = -beta1 * c % p + p * data.draw(st.integers(-1000, 1000))
+    n1, n2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    cert = SmallnessCertificate(p=p, alpha1=beta1 * p ** (2 * n1 + 1),
+                                alpha2=beta2 * p ** (2 * n2 + 1),
+                                beta1=beta1, beta2=beta2, n1=n1, n2=n2)
+    zero = binary_zero_mod_p(beta1, beta2, p)
+    assert (zero is not None) == isotropic
+    assert check_certificate(cert, p - 1)[0] == (zero is None)
 
 
 def test_certificate_malformed_rejected():

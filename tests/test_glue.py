@@ -22,7 +22,6 @@ from qforge.glue import (
     _embedding_index,
     _nondegenerate_flag,
     _target_options,
-    build_scaled_lattice,
     embed_pipeline,
     explicit_rational_isometry,
     extend_to_standard,
@@ -35,7 +34,6 @@ from qforge.lattice import (
     direct_sum,
     enumerate_values,
     from_rows,
-    min_nonzero_abs,
     rescale,
     saturation_index,
     signature,
@@ -272,17 +270,6 @@ def test_nondegenerate_flag_matches_fraction_reference(gram):
     assert _nondegenerate_flag(QuadLattice(gram)) == nondegenerate_flag_fractions(gram)
 
 
-def test_build_scaled_lattice():
-    latt = build_scaled_lattice(5, (1, 1))
-    assert latt.gram == ((5, 0), (0, -5))
-    best, _ = min_nonzero_abs(latt, 30)
-    assert best == 5
-    assert build_scaled_lattice(3, (1, 0)).gram == ((3,),)
-    big = build_scaled_lattice(7, (1, 7))
-    values = [row[i] % 7 for i, row in enumerate(big.gram)]
-    assert all(v == 0 for v in values)
-
-
 @st.composite
 def _rational_embedding(draw):
     """(m, den): an n x k integer matrix m over den, for n >= k."""
@@ -488,7 +475,6 @@ def test_embed_pipeline_desk_run():
     rep = embed_pipeline(source, 3)
     assert rep.index_d == 1
     assert rep.prime == 5
-    assert rep.sat_index <= rep.index_d
     final = rep.lambda_in_source
     assert signature(final.as_lattice()) == (1, 4)
     assert saturation_index(final) == 1
