@@ -25,6 +25,7 @@ reports apart from the timings block. Exit codes: 0 success,
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import re
@@ -64,6 +65,8 @@ from .linalg import freeze, rational_rank, saturation
 from .padic import invariant_triple, isotropic_vector, rationally_equivalent
 from .forge import SmallnessCertificate, check_certificate
 
+gc.freeze()  # what importing qforge builds lives until exit: no collection re-walks it
+
 
 def _load_lattice(spec: str | None) -> QuadLattice:
     if spec is None:
@@ -78,8 +81,7 @@ def _lattice_hash(latt: QuadLattice) -> str:
     gram = latt.gram  # entries below 2^53 encode as themselves
     if max(map(abs, chain.from_iterable(gram)), default=0) >= jsonio.SAFE_BOUND:
         gram = encode_matrix(gram)
-    blob = json.dumps(gram, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(gram, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # Height of the one box enumeration left on the hyperbolic path: the --verify
@@ -363,13 +365,12 @@ def verify_report(report: dict, source: QuadLattice) -> list[str]:
             if not check_certificate(cert, n_bound)[0]:
                 failures.append("certificate does not verify")
             pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
-            claimed_index = jsonio.decode_int(sub["saturation_index_of_span"])
             if rational_rank(pair) < 2:
                 failures.append("v1 and w are linearly dependent")
             else:
                 if gram_of(source, pair) != ((cert.alpha1, 0), (0, cert.alpha2)):
                     failures.append("(q(v1), q(w), b(v1, w)) is not (alpha1, alpha2, 0)")
-                if saturation(pair)[1] != claimed_index:
+                if saturation(pair)[1] != jsonio.decode_int(sub["saturation_index_of_span"]):
                     failures.append("saturation index of span(v1, w) misstated")
             oracle = report["oracle"]
             if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):
