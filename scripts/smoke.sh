@@ -20,6 +20,11 @@ check() {  # check EXPR: assert EXPR on the JSON object o read from stdin
 "$py" scripts/run_hyperbolic_demo.py
 "$qforge" parabolic --lattice catalog:K3 --n-bound 2 --verify \
   | check 'o["verified"] is True and "saturation_index_of_intersection" not in o["sublattice"]'
+# python -O strips assert statements: both constructions verify without them
+"$py" -O -m qforge.cli parabolic --lattice catalog:K3 --n-bound 2 --verify \
+  | check 'o["verified"] is True'
+"$py" -O -m qforge.cli hyperbolic --lattice catalog:K3 --n-bound 1000 --verify \
+  | check 'o["verified"] is True'
 "$qforge" parabolic --lattice "catalog:U+U+U+E8(-1)" --n-bound 3 --verify
 timeout 60 "$qforge" parabolic --lattice catalog:K3 --n-bound 1000000000000 --verify
 # the final sublattice is built around a known isotropic plane, so no isotropic vector is

@@ -346,76 +346,81 @@ def _parse_signature(text: str | None) -> tuple[int, int]:
 def verify_report(report: dict, source: QuadLattice) -> list[str]:
     """Re-check the matrix congruences, certificates and oracle claims of a
     report against its input lattice `source` (the Gram G that input.hash
-    names); returns a list of failures (empty = verified)."""
+    names); returns a list of failures (empty = verified). An entry no
+    qforge run writes, such as a ragged vector or a degenerate Gram where a
+    signature is read, is listed as a failure, not raised."""
     if _lattice_hash(source) != report["input"]["hash"]:
         return ["the input Gram does not match input.hash"]
     failures: list[str] = []
-    sub = report.get("sublattice")
-    if sub and "gram" in sub:
-        gram = _decode_matrix(sub["gram"])
-        latt = QuadLattice(gram)
-        n_bound = report["input"]["n_bound"]
-        basis = _decode_matrix(sub["basis"])
-        if gram_of(source, basis) != gram:
-            failures.append("basis * G * basis^T differs from the reported Gram")
-        elif rational_rank(basis) < len(basis) or saturation(basis)[1] != 1:
-            failures.append("the sublattice basis is not primitive")
-        if "certificate" in sub:
-            cert = _certificate_from_obj(sub["certificate"])
-            if not check_certificate(cert, n_bound)[0]:
-                failures.append("certificate does not verify")
-            pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
-            if rational_rank(pair) < 2:
-                failures.append("v1 and w are linearly dependent")
-            else:
-                if gram_of(source, pair) != ((cert.alpha1, 0), (0, cert.alpha2)):
-                    failures.append("(q(v1), q(w), b(v1, w)) is not (alpha1, alpha2, 0)")
-                if saturation(pair)[1] != jsonio.decode_int(sub["saturation_index_of_span"]):
-                    failures.append("saturation index of span(v1, w) misstated")
-            oracle = report["oracle"]
-            if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):
-                failures.append("Gram is not 0 mod p")
-            claimed = jsonio.decode_int(oracle["min_nonzero_abs"])
-            witness = tuple(jsonio.decode_int(x) for x in oracle["min_witness"])
-            failures += _minimum_failures(latt, claimed, witness)
-            if latt.rank == 2:
-                smallest, _ = min_nonzero_abs(latt, CROSS_CHECK_HEIGHT)
-                if smallest is not None and smallest < claimed:
-                    failures.append(
-                        f"a value below the claimed minimum at height {CROSS_CHECK_HEIGHT}")
-        emb = report.get("embedding")
-        if emb:
-            prime = jsonio.decode_int(emb["prime"])
-            d = jsonio.decode_int(emb["index_d"])
-            if not is_prime(prime) or prime <= d * d * n_bound:
-                failures.append("P is not a prime above d^2 N")
-            if glue._embedding_index(*jsonio.decode_fraction_matrix(emb["matrix"])) != d:
-                failures.append("index d does not match the embedding matrix")
-            want = [1, report["input"]["rank"] // 2 - 3]
-            if list(signature(latt)) != want or sub["signature"] != want:
-                failures.append("sublattice signature is not (1, rank/2 - 3)")
-            claimed = jsonio.decode_int(report["oracle"]["gram_divisible_by"])
-            if claimed != prime or not gram_divisible_by(gram, prime):
-                failures.append("Gram is not 0 mod P")
-        iso_obj = report.get("isometry")
-        if iso_obj:
-            try:
-                iso = isom.Isometry(latt, _decode_matrix(iso_obj["matrix"]))
-                tag = isom.classify(iso).tag.value
-            except QforgeError as exc:
-                failures.append(f"isometry does not verify: {exc}")
-            else:
-                if tag != iso_obj["classification"]["tag"]:
-                    failures.append("classification tag mismatch")
-    ext = report.get("extension")
-    if ext:
-        b = [jsonio.decode_int(x) for x in ext["b"]]
-        r, t = ext["target_signature"]
-        minors, _ = source.pivots  # G's rational diagonal is D_{k+1} / D_k, formed once
-        if 0 in b or (r, t) != (3, source.rank) or invariant_triple(
-                [*map(Fraction, minors, (1, *minors[:-1])), *b]) != invariant_triple(
-                [1] * r + [-1] * t):
-            failures.append("G plus diag(b) is not rationally the standard form of the target")
+    try:
+        sub = report.get("sublattice")
+        if sub and "gram" in sub:
+            gram = _decode_matrix(sub["gram"])
+            latt = QuadLattice(gram)
+            n_bound = report["input"]["n_bound"]
+            basis = _decode_matrix(sub["basis"])
+            if gram_of(source, basis) != gram:
+                failures.append("basis * G * basis^T differs from the reported Gram")
+            elif rational_rank(basis) < len(basis) or saturation(basis)[1] != 1:
+                failures.append("the sublattice basis is not primitive")
+            if "certificate" in sub:
+                cert = _certificate_from_obj(sub["certificate"])
+                if not check_certificate(cert, n_bound)[0]:
+                    failures.append("certificate does not verify")
+                pair = [tuple(jsonio.decode_int(x) for x in sub[k]) for k in ("v1", "w")]
+                if rational_rank(pair) < 2:
+                    failures.append("v1 and w are linearly dependent")
+                else:
+                    if gram_of(source, pair) != ((cert.alpha1, 0), (0, cert.alpha2)):
+                        failures.append("(q(v1), q(w), b(v1, w)) is not (alpha1, alpha2, 0)")
+                    if saturation(pair)[1] != jsonio.decode_int(sub["saturation_index_of_span"]):
+                        failures.append("saturation index of span(v1, w) misstated")
+                oracle = report["oracle"]
+                if not (gram_divisible_by(gram, cert.p) and oracle["all_values_divisible_by_p"]):
+                    failures.append("Gram is not 0 mod p")
+                claimed = jsonio.decode_int(oracle["min_nonzero_abs"])
+                witness = tuple(jsonio.decode_int(x) for x in oracle["min_witness"])
+                failures += _minimum_failures(latt, claimed, witness)
+                if latt.rank == 2:
+                    smallest, _ = min_nonzero_abs(latt, CROSS_CHECK_HEIGHT)
+                    if smallest is not None and smallest < claimed:
+                        failures.append(
+                            f"a value below the claimed minimum at height {CROSS_CHECK_HEIGHT}")
+            emb = report.get("embedding")
+            if emb:
+                prime = jsonio.decode_int(emb["prime"])
+                d = jsonio.decode_int(emb["index_d"])
+                if not is_prime(prime) or prime <= d * d * n_bound:
+                    failures.append("P is not a prime above d^2 N")
+                if glue._embedding_index(*jsonio.decode_fraction_matrix(emb["matrix"])) != d:
+                    failures.append("index d does not match the embedding matrix")
+                want = [1, report["input"]["rank"] // 2 - 3]
+                if list(signature(latt)) != want or sub["signature"] != want:
+                    failures.append("sublattice signature is not (1, rank/2 - 3)")
+                claimed = jsonio.decode_int(report["oracle"]["gram_divisible_by"])
+                if claimed != prime or not gram_divisible_by(gram, prime):
+                    failures.append("Gram is not 0 mod P")
+            iso_obj = report.get("isometry")
+            if iso_obj:
+                try:
+                    iso = isom.Isometry(latt, _decode_matrix(iso_obj["matrix"]))
+                    tag = isom.classify(iso).tag.value
+                except QforgeError as exc:
+                    failures.append(f"isometry does not verify: {exc}")
+                else:
+                    if tag != iso_obj["classification"]["tag"]:
+                        failures.append("classification tag mismatch")
+        ext = report.get("extension")
+        if ext:
+            b = [jsonio.decode_int(x) for x in ext["b"]]
+            r, t = ext["target_signature"]
+            minors, _ = source.pivots  # G's rational diagonal is D_{k+1} / D_k, formed once
+            if 0 in b or (r, t) != (3, source.rank) or invariant_triple(
+                    [*map(Fraction, minors, (1, *minors[:-1])), *b]) != invariant_triple(
+                    [1] * r + [-1] * t):
+                failures.append("G plus diag(b) is not rationally the standard form of the target")
+    except PreconditionError as exc:
+        failures.append(f"the report is malformed: {exc}")
     return failures
 
 

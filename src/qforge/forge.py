@@ -12,7 +12,7 @@ guaranteed by a theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .intmath import is_prime, primes_from, sqrt_mod
@@ -32,8 +32,8 @@ from .linalg import bilinear, freeze, identity, lll_gram, mat_mul, mat_vec, satu
 from .padic import isotropic_vector, legendre
 
 
-@dataclass(frozen=True)
-class SmallnessCertificate:
+class SmallnessCertificate(
+        namedtuple("SmallnessCertificate", "p alpha1 alpha2 beta1 beta2 n1 n2")):
     """Witness that a diagonal rank-2 lattice only takes values divisible by p.
 
     alpha_i = beta_i * p**(2*n_i + 1) are the diagonal Gram entries; the
@@ -42,26 +42,19 @@ class SmallnessCertificate:
     absolute value >= p.
     """
 
-    p: int
-    alpha1: int
-    alpha2: int
-    beta1: int
-    beta2: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rank2Result:
-    lattice: Sublattice  # saturated, rank 2, signature (1, 1)
-    v1: Vector
-    w: Vector
-    saturation_index: int  # [lattice : span(v1, w)]
-    certificate: SmallnessCertificate
-    # from the walk around the sublattice's rho-cycle (lattice.binary_cycle)
-    minimum: int  # exact min |q| over nonzero vectors, >= max(N, 1)
-    witness: Vector  # attains it, in the coordinates of the sublattice basis
-    automorph: tuple[Vector, Vector]  # of infinite order, in the same coordinates
+class Rank2Result(namedtuple("Rank2Result", "lattice v1 w saturation_index certificate "
+                                            "minimum witness automorph")):
+    """lattice, a Sublattice: saturated, rank 2, signature (1, 1);
+    saturation_index = [lattice : span(v1, w)]; the SmallnessCertificate.
+    From the walk around the sublattice's rho-cycle (lattice.binary_cycle):
+    minimum, the exact min |q| over nonzero vectors, >= max(N, 1); witness,
+    which attains it, and automorph, of infinite order, both in the
+    coordinates of the sublattice basis."""
+
+    __slots__ = ()
 
 
 def check_certificate(cert: SmallnessCertificate, n_bound: int) -> tuple[bool, str]:

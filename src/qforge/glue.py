@@ -18,7 +18,7 @@ embedding index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import InternalInconsistencyError, PreconditionError
@@ -67,7 +67,6 @@ from .linalg import (
 )
 from .padic import (
     INF,
-    InvariantTriple,
     _diag_of,
     _least_admitted,
     _square_classes,
@@ -87,16 +86,12 @@ def standard_lattice(pos: int, neg: int) -> QuadLattice:
     return diag_lattice(*([1] * pos + [-1] * neg))
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Three extra diagonal entries making H rationally standard."""
+class ExtensionResult(namedtuple("ExtensionResult", "b0 b1 b2 target_signature "
+                                                    "augmented_triple standard_triple")):
+    """Three extra diagonal entries making H rationally standard, with the
+    InvariantTriples of H + <b0, b1, b2> and of the standard form."""
 
-    b0: int
-    b1: int
-    b2: int
-    target_signature: tuple[int, int]
-    augmented_triple: InvariantTriple
-    standard_triple: InvariantTriple
+    __slots__ = ()
 
 
 def _target_options(r: int, s: int) -> list[tuple[int, int]]:
@@ -231,20 +226,20 @@ def _flag_images(ambient: QuadLattice, h):
     return images
 
 
-@dataclass
 class _Flag:
     """The integer pairings of the images made so far, f_i / den_i = G2
     image_i in lowest terms, kept as a unimodular basis [v | Z] of the
     ambient: pivots v_j with f_i . v_j = 0 for i < j, so that lower[i][j] =
     f_i . v_j (j <= i) is lower triangular with a positive diagonal, and the
-    complement Z = {z : f_i . z = 0 for all i} as LLL-reduced rows with
-    their Euclidean Gram. Hermite and kernels: Cohen, GTM 138, sec. 2.4."""
+    complement Z = {z : f_i . z = 0 for all i} as LLL-reduced rows (kernel)
+    with their Euclidean Gram (euclid). Hermite and kernels: Cohen, GTM 138,
+    sec. 2.4."""
 
-    dens: list
-    pivots: list
-    lower: list
-    kernel: tuple
-    euclid: tuple
+    __slots__ = ("dens", "pivots", "lower", "kernel", "euclid")
+
+    def __init__(self, dens: list, pivots: list, lower: list, kernel: tuple, euclid: tuple):
+        self.dens, self.pivots, self.lower, self.kernel, self.euclid = (
+            dens, pivots, lower, kernel, euclid)
 
 
 def _flag_extend(flag: _Flag, f, den: int) -> None:
@@ -525,18 +520,15 @@ def _size(x0, num, e, t) -> int:
 # Nikulin-style gluing
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(namedtuple("GlueData", "lam lam_prime overlattice anti_isometry "
+                                      "lam_embedding lam_prime_embedding")):
     """Unimodular overlattice of lam ⊕ lam_prime along a graph of an
-    anti-isometry of discriminant groups."""
+    anti-isometry of discriminant groups, all three QuadLattices. The
+    anti-isometry acts on dual generators, e_i / P -> u_i * e'_j / P, as a
+    tuple of (i, u_i, j); each embedding holds its lattice's basis in
+    overlattice coordinates."""
 
-    lam: QuadLattice
-    lam_prime: QuadLattice
-    overlattice: QuadLattice
-    # anti-isometry on dual generators (e_i / P -> u_i * e'_j / P)
-    anti_isometry: tuple[tuple[int, int, int], ...]  # (i, unit, j)
-    lam_embedding: tuple[tuple[int, ...], ...]  # lam basis in overlattice coords
-    lam_prime_embedding: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _parse_scaled_diagonal(latt: QuadLattice) -> tuple[int | None, list[int]]:
@@ -682,18 +674,13 @@ def _assemble_glue(lam, lam_prime, p, pairs) -> GlueData:
 # The embedding pipeline
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    extension: ExtensionResult
-    # source basis -> ambient coords: the rational matrix embedding / embedding_den
-    embedding: tuple[tuple[int, ...], ...]
-    embedding_den: int
-    index_d: int
-    prime: int
-    lambda_in_source: Sublattice
-    # in lambda_in_source's basis: v isotropic, a orthogonal to v with q(a) < 0
-    v: tuple[int, ...]
-    a: tuple[int, ...]
+class EmbeddingReport(namedtuple("EmbeddingReport", "extension embedding embedding_den "
+                                                    "index_d prime lambda_in_source v a")):
+    """The ExtensionResult; source basis -> ambient coords as the rational
+    matrix embedding / embedding_den; the Sublattice lambda_in_source and,
+    in its basis, v isotropic and a orthogonal to v with q(a) < 0."""
+
+    __slots__ = ()
 
 
 def _coordinates_first(source: QuadLattice, ext: ExtensionResult, ambient: QuadLattice):

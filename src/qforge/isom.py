@@ -9,7 +9,7 @@ Jordan cell at a root of unity (parabolic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -44,33 +44,32 @@ class Tag(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(namedtuple("Isometry", "lattice matrix")):
     """Integer matrix g with g^T G g == G (columns are basis images)."""
 
-    lattice: QuadLattice
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_isometry(self.matrix, self.lattice):
+    def __new__(cls, lattice: QuadLattice, matrix: tuple[tuple[int, ...], ...]):
+        if not is_isometry(matrix, lattice):
             raise PreconditionError("matrix does not preserve the Gram matrix")
+        return super().__new__(cls, lattice, matrix)
 
     def apply(self, v) -> Vector:
         return mat_vec(self.matrix, v)
 
 
-@dataclass(frozen=True)
-class IsomClass:
-    """Trichotomy tag with its defining evidence."""
+class IsomClass(namedtuple("IsomClass", "tag order quasi_unipotent_order fixed_isotropic "
+                                        "dominant_factor dominant_interval cyclotomic_orders "
+                                        "preserves_positive_cone",
+                           defaults=(None, None, None, None, None, (), None))):
+    """Trichotomy tag with its defining evidence: elliptic, the exact finite
+    order; parabolic, the least k with g^k unipotent (quasi_unipotent_order)
+    and the fixed line of g^k; hyperbolic, the non-cyclotomic factor of the
+    characteristic polynomial and a Fraction interval isolating the root
+    |lambda| > 1; every tag, the (m, multiplicity) cyclotomic factors and
+    whether g preserves the positive cone."""
 
-    tag: Tag
-    order: int | None = None  # elliptic: exact finite order
-    quasi_unipotent_order: int | None = None  # parabolic: least k with g^k unipotent
-    fixed_isotropic: Vector | None = None  # parabolic: fixed line of g^k
-    dominant_factor: tuple[int, ...] | None = None  # hyperbolic: non-cyclotomic part
-    dominant_interval: tuple[Fraction, Fraction] | None = None  # isolates |lambda| > 1
-    cyclotomic_orders: tuple[tuple[int, int], ...] = ()  # (m, multiplicity) factors
-    preserves_positive_cone: bool | None = None
+    __slots__ = ()
 
 
 def is_isometry(matrix, latt: QuadLattice) -> bool:

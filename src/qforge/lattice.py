@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -22,19 +22,17 @@ Vector = tuple[int, ...]
 ENUM_BUDGET = 100_000_000  # vectors a box enumeration may visit by default
 
 
-@dataclass(frozen=True)
-class QuadLattice:
-    """Free abelian group of finite rank with an integer Gram matrix."""
+class QuadLattice(namedtuple("QuadLattice", "gram label", defaults=(None,))):
+    """Free abelian group of finite rank with an integer Gram matrix. No
+    __slots__, so that the cached properties have an instance __dict__."""
 
-    gram: tuple[tuple[int, ...], ...]
-    label: str | None = None
-
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+    def __new__(cls, gram: tuple[tuple[int, ...], ...], label: str | None = None):
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise PreconditionError("gram matrix must be square")
-        if list(zip(*self.gram)) != list(map(tuple, self.gram)):
+        if list(zip(*gram)) != list(map(tuple, gram)):
             raise PreconditionError("gram matrix must be symmetric")
+        return super().__new__(cls, gram, label)
 
     @property
     def rank(self) -> int:
@@ -102,20 +100,17 @@ def rescale(latt: QuadLattice, c: int, label: str | None = None) -> QuadLattice:
     return from_rows([[c * x for x in row] for row in latt.gram], label=label)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(namedtuple("Sublattice", "ambient basis")):
     """Span of linearly independent vectors inside an ambient lattice. The
     basis is taken as independent, not checked: every caller makes it so,
     and a basis read from outside goes through linalg.saturation, which
     rejects dependent rows."""
 
-    ambient: QuadLattice
-    basis: tuple[Vector, ...]
-
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient.rank:
+    def __new__(cls, ambient: QuadLattice, basis: tuple[Vector, ...]):
+        for v in basis:
+            if len(v) != ambient.rank:
                 raise PreconditionError("basis vector length != ambient rank")
+        return super().__new__(cls, ambient, basis)
 
     @property
     def rank(self) -> int:

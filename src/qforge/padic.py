@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -117,13 +117,13 @@ def is_local_square(x: Fraction | int, place: Place) -> bool:
 # The invariant triple
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
-    """Complete invariant of a non-degenerate form over Q."""
+class InvariantTriple(namedtuple("InvariantTriple", "signature disc minus_places")):
+    """Complete invariant of a non-degenerate form over Q: the signature
+    (r, s), disc the signed squarefree representative of the discriminant
+    class, and minus_places the sorted tuple of places with local
+    signature -1."""
 
-    signature: tuple[int, int]
-    disc: int  # signed squarefree representative of the discriminant class
-    minus_places: tuple[Place, ...]  # places with local signature -1, sorted
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -747,6 +747,33 @@ def test_verify_report_rechecks_claims_on_the_input_gram(reports, name):
     assert failure in verify_report(report, _source(report))
 
 
+def _zero_gram(report):
+    report["sublattice"]["gram"] = [[0] * len(row) for row in report["sublattice"]["gram"]]
+
+
+def _shorten_v1(report):
+    report["sublattice"]["v1"].pop()
+
+
+_MALFORMED_TAMPERS = {
+    "zero parabolic Gram": ("parabolic K3", _zero_gram,
+                            "the report is malformed: form is degenerate"),
+    "short v1": ("hyperbolic K3", _shorten_v1,
+                 "the report is malformed: matrix product shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_TAMPERS))
+def test_verify_report_lists_malformed_entries(reports, name):
+    """An entry no qforge run writes (a degenerate Gram whose signature is
+    read, a vector one entry short) is a listed failure, not a raised
+    PreconditionError."""
+    mode, tamper, failure = _MALFORMED_TAMPERS[name]
+    report = copy.deepcopy(reports[mode])
+    tamper(report)
+    assert failure in verify_report(report, _source(report))
+
+
 @pytest.mark.parametrize("mode", ["hyperbolic K3", "parabolic K3"])
 def test_verify_report_rejects_another_input(reports, mode):
     other = resolve("K3+<-2>")

@@ -18,6 +18,7 @@ from oracle_utils import (
 )
 from qforge.catalog import resolve
 from qforge.errors import PreconditionError, SearchExhaustedError
+from qforge.isom import IsomClass, Tag
 from qforge.linalg import mat_mul, rational_rank, transpose
 from qforge.lattice import (
     QuadLattice,
@@ -39,8 +40,28 @@ from qforge.lattice import (
     signature,
     span,
 )
+from qforge.padic import invariant_triple
 
 U = from_rows([[0, 1], [1, 0]], label="U")
+
+
+@pytest.mark.parametrize("record, field", [
+    (U, "gram"), (U, "label"), (invariant_triple(U), "disc"),
+    (IsomClass(Tag.ELLIPTIC, order=2), "tag"),
+])
+def test_public_records_are_immutable(record, field):
+    """All public types are immutable: a record's fields are read-only."""
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_equal_lattices_hash_equal():
+    """cli._lattice_hash is lru_cached on the lattice: equal Grams built
+    apart are one key, whatever either has cached."""
+    a, b = from_rows([[2, 1], [1, -3]]), QuadLattice(((2, 1), (1, -3)))
+    assert a.pivots and "pivots" not in vars(b)  # cached on a alone
+    assert a == b and hash(a) == hash(b)
+    assert b != from_rows([[2, 1], [1, -3]], label="x")
 
 
 def test_signature_hyperbolic_plane():

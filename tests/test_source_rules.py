@@ -148,14 +148,16 @@ def test_parabolic_run_loads_no_sympy():
 
 def test_hyperbolic_run_loads_no_argparse():
     """A hyperbolic --verify run reads its command line from the command
-    table, so argparse, and the gettext and locale it loads, stay out."""
+    table, so argparse, and the gettext and locale it loads, stay out; the
+    records are namedtuples, so dataclasses, and the inspect it loads, too."""
     script = (
         "import contextlib, io, sys\n"
         "import qforge.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = qforge.cli.main(['hyperbolic', '--lattice', 'catalog:K3',\n"
         "                          '--n-bound', '10', '--verify'])\n"
-        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect')\n"
+        "                 if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
