@@ -60,6 +60,16 @@ assert all(f"  {c} " in text for c in commands.split()), text' "$tmp/help.txt"
 "$qforge" hyperbolic --lattice "catalog:K3+<-2>" --n-bound 1000 --verify | check 'o["verified"] is True'
 # no basis vector qualifies as w, so w is constructed: a long cycle of reduced forms
 timeout 60 "$qforge" hyperbolic --lattice "catalog:diag(1,1,-1,-1,-1)" --n-bound 1000 --verify
+# no signature is read off the input: a definite form has no isotropic vector, exit 2
+rc=0; "$qforge" hyperbolic --lattice catalog:E8 --n-bound 2 > "$tmp/definite.json" || rc=$?
+test "$rc" -eq 2
+check 'o["error"]["message"] == "the form is anisotropic at the real place"' < "$tmp/definite.json"
+# ... and a degenerate one without an isotropic basis vector ends at its radical, exit 2
+echo '{"gram": [[2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]}' \
+  > "$tmp/degenerate.json"
+rc=0; "$qforge" hyperbolic --lattice "$tmp/degenerate.json" --n-bound 2 > "$tmp/degenerate-out.json" || rc=$?
+test "$rc" -eq 2
+check 'o["error"]["message"] == "form is degenerate"' < "$tmp/degenerate-out.json"
 # a certificate with n = 10^12 is rejected at once, exit 0
 echo '{"p": 5, "alpha": [30, -10], "beta": [6, -2], "n": [1000000000000, 0]}' > "$tmp/huge-n.json"
 timeout 10 "$qforge" certify --certificate "$tmp/huge-n.json" --n-bound 4 | check 'o["valid"] is False'

@@ -61,7 +61,7 @@ from .lattice import (
     signature,
     span,
 )
-from .linalg import freeze, rational_rank, saturation
+from .linalg import freeze, rational_rank, saturation, transpose
 from .padic import invariant_triple, isotropic_vector, rationally_equivalent
 from .forge import SmallnessCertificate, check_certificate
 
@@ -162,93 +162,74 @@ def _classification_obj(cls) -> dict:
 # Report-producing commands
 
 
+def _report(args, t0: float, iso, cls, checks: list[str], **body) -> dict:
+    """A construction's report: the head every mode shares around `body`."""
+    latt = args.source
+    return {
+        "tool": {"name": "qforge", "version": __version__},
+        "mode": args.command,
+        "input": {"lattice": args.lattice, "label": latt.label, "hash": _lattice_hash(latt),
+                  "rank": latt.rank, "n_bound": args.n_bound},
+        **body,
+        "isometry": {"matrix": encode_matrix(iso.matrix), "classification": _classification_obj(cls)},
+        "checks": checks,
+        "timings": {"seconds": round(time.monotonic() - t0, 3)},
+    }
+
+
 def cmd_hyperbolic(args) -> dict:
     latt = args.source = _load_lattice(args.lattice)  # main verifies the report against it
     t0 = time.monotonic()
     result = forge.find_rank2_avoiding(latt, args.n_bound)
     sub_latt = result.lattice.as_lattice()
     iso, cls = isom.find_hyperbolic(sub_latt, result.automorph)
-    elapsed = time.monotonic() - t0
-    report = {
-        "tool": {"name": "qforge", "version": __version__},
-        "mode": "hyperbolic",
-        "input": {
-            "lattice": args.lattice,
-            "label": latt.label,
-            "hash": _lattice_hash(latt),
-            "rank": latt.rank,
-            "n_bound": args.n_bound,
-        },
-        "sublattice": {
-            "basis": [encode_vector(v) for v in result.lattice.basis],
-            "gram": encode_matrix(result.lattice.gram()),
-            "v1": encode_vector(result.v1),
-            "w": encode_vector(result.w),
-            "certificate": _certificate_obj(result.certificate),
-            "certificate_valid": check_certificate(result.certificate, args.n_bound)[0],
-            "saturation_index_of_span": encode_int(result.saturation_index),
-        },
-        "isometry": {
-            "matrix": encode_matrix(iso.matrix),
-            "classification": _classification_obj(cls),
-        },
-        "oracle": {
-            "min_nonzero_abs": encode_int(result.minimum),
-            "min_witness": encode_vector(result.witness),
-            "all_values_divisible_by_p": gram_divisible_by(sub_latt.gram, result.certificate.p),
-        },
-        "checks": [
-            f"qforge certify --certificate <sublattice.certificate> --n-bound {args.n_bound}",
-            "qforge classify --lattice <sublattice.gram> --matrix <isometry.matrix>",
-            f"qforge enumerate --lattice <sublattice.gram> --height-bound {CROSS_CHECK_HEIGHT}",
-        ],
+    checks = [
+        f"qforge certify --certificate <sublattice.certificate> --n-bound {args.n_bound}",
+        "qforge classify --lattice <sublattice.gram> --matrix <isometry.matrix>",
+        f"qforge enumerate --lattice <sublattice.gram> --height-bound {CROSS_CHECK_HEIGHT}",
+    ]
+    sublattice = {
+        "basis": [encode_vector(v) for v in result.lattice.basis],
+        "gram": encode_matrix(result.lattice.gram()),
+        "v1": encode_vector(result.v1),
+        "w": encode_vector(result.w),
+        "certificate": _certificate_obj(result.certificate),
+        "certificate_valid": check_certificate(result.certificate, args.n_bound)[0],
+        "saturation_index_of_span": encode_int(result.saturation_index),
     }
-    report["timings"] = {"seconds": round(elapsed, 3)}
-    return report
+    oracle = {
+        "min_nonzero_abs": encode_int(result.minimum),
+        "min_witness": encode_vector(result.witness),
+        "all_values_divisible_by_p": gram_divisible_by(sub_latt.gram, result.certificate.p),
+    }
+    return _report(args, t0, iso, cls, checks, sublattice=sublattice, oracle=oracle)
 
 
 def cmd_parabolic(args) -> dict:
     latt = args.source = _load_lattice(args.lattice)  # main verifies the report against it
     t0 = time.monotonic()
     rep = glue.embed_pipeline(latt, args.n_bound)
-    out: dict = {
-        "tool": {"name": "qforge", "version": __version__},
-        "mode": "parabolic",
-        "input": {
-            "lattice": args.lattice,
-            "label": latt.label,
-            "hash": _lattice_hash(latt),
-            "rank": latt.rank,
-            "n_bound": args.n_bound,
-        },
-        "extension": _extension_obj(rep.extension),
-        # the pipeline has no invariant-only outcome; the key stays for report readers
-        "certificate_level": False,
-    }
-    out["embedding"] = {
+    final = rep.lambda_in_source.as_lattice()
+    iso, cls = isom.find_parabolic(final, rep.v, rep.a)
+    checks = [
+        "qforge equiv --lattice <augmented diag> --other <standard diag>",
+        "qforge classify --lattice <sublattice.gram> --matrix <isometry.matrix>",
+    ]
+    embedding = {
         "matrix": encode_fraction_matrix(rep.embedding, rep.embedding_den),
         "index_d": encode_int(rep.index_d),
         "d_squared_n": encode_int(rep.index_d**2 * args.n_bound),
         "prime": rep.prime,
     }
-    out["sublattice"] = {
+    sublattice = {
         "basis": [encode_vector(v) for v in rep.lambda_in_source.basis],
         "gram": encode_matrix(rep.lambda_in_source.gram()),
-        "signature": list(signature(rep.lambda_in_source.as_lattice())),
+        "signature": list(signature(final)),
     }
-    out["oracle"] = {"gram_divisible_by": rep.prime}
-    final = rep.lambda_in_source.as_lattice()
-    iso, cls = isom.find_parabolic(final, rep.v, rep.a)
-    out["isometry"] = {
-        "matrix": encode_matrix(iso.matrix),
-        "classification": _classification_obj(cls),
-    }
-    out["checks"] = [
-        "qforge equiv --lattice <augmented diag> --other <standard diag>",
-        "qforge classify --lattice <sublattice.gram> --matrix <isometry.matrix>",
-    ]
-    out["timings"] = {"seconds": round(time.monotonic() - t0, 3)}
-    return out
+    # the pipeline has no invariant-only outcome; certificate_level stays for report readers
+    return _report(args, t0, iso, cls, checks, extension=_extension_obj(rep.extension),
+                   certificate_level=False, embedding=embedding, sublattice=sublattice,
+                   oracle={"gram_divisible_by": rep.prime})
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +328,13 @@ def verify_report(report: dict, source: QuadLattice) -> list[str]:
     """Re-check the matrix congruences, certificates and oracle claims of a
     report against its input lattice `source` (the Gram G that input.hash
     names); returns a list of failures (empty = verified). An entry no
-    qforge run writes, such as a ragged vector or a degenerate Gram where a
-    signature is read, is listed as a failure, not raised."""
-    if _lattice_hash(source) != report["input"]["hash"]:
-        return ["the input Gram does not match input.hash"]
+    qforge run writes, such as a ragged vector, a missing key, an entry of
+    the wrong JSON type or a degenerate Gram where a signature is read, is
+    listed as a failure, not raised."""
     failures: list[str] = []
     try:
+        if _lattice_hash(source) != report["input"]["hash"]:
+            return ["the input Gram does not match input.hash"]
         sub = report.get("sublattice")
         if sub and "gram" in sub:
             gram = _decode_matrix(sub["gram"])
@@ -392,7 +374,14 @@ def verify_report(report: dict, source: QuadLattice) -> list[str]:
                 d = jsonio.decode_int(emb["index_d"])
                 if not is_prime(prime) or prime <= d * d * n_bound:
                     failures.append("P is not a prime above d^2 N")
-                if glue._embedding_index(*jsonio.decode_fraction_matrix(emb["matrix"])) != d:
+                if jsonio.decode_int(emb["d_squared_n"]) != d * d * n_bound:
+                    failures.append("d_squared_n is not d^2 N")
+                m, den = jsonio.decode_fraction_matrix(emb["matrix"])
+                ambient = glue.standard_lattice(3, source.rank)
+                if gram_of(ambient, transpose(m)) != freeze([[den * den * x for x in row]
+                                                               for row in source.gram]):
+                    failures.append("the embedding does not carry G onto I(3, rank)")
+                elif glue._embedding_index(m, den) != d:
                     failures.append("index d does not match the embedding matrix")
                 want = [1, report["input"]["rank"] // 2 - 3]
                 if list(signature(latt)) != want or sub["signature"] != want:
@@ -404,12 +393,12 @@ def verify_report(report: dict, source: QuadLattice) -> list[str]:
             if iso_obj:
                 try:
                     iso = isom.Isometry(latt, _decode_matrix(iso_obj["matrix"]))
-                    tag = isom.classify(iso).tag.value
+                    cls = _classification_obj(isom.classify(iso))
                 except QforgeError as exc:
                     failures.append(f"isometry does not verify: {exc}")
                 else:
-                    if tag != iso_obj["classification"]["tag"]:
-                        failures.append("classification tag mismatch")
+                    if cls != iso_obj["classification"]:
+                        failures.append("classification differs from the recomputed one")
         ext = report.get("extension")
         if ext:
             b = [jsonio.decode_int(x) for x in ext["b"]]
@@ -419,8 +408,9 @@ def verify_report(report: dict, source: QuadLattice) -> list[str]:
                     [*map(Fraction, minors, (1, *minors[:-1])), *b]) != invariant_triple(
                     [1] * r + [-1] * t):
                 failures.append("G plus diag(b) is not rationally the standard form of the target")
-    except PreconditionError as exc:
-        failures.append(f"the report is malformed: {exc}")
+    except (PreconditionError, LookupError, TypeError, ValueError) as exc:
+        why = f"no entry {exc}" if isinstance(exc, KeyError) else exc
+        failures.append(f"the report is malformed: {why}")
     return failures
 
 

@@ -91,8 +91,8 @@ def find_isotropic_pair(latt: QuadLattice) -> tuple[Vector, Vector]:
     division)."""
     v = isotropic_vector(latt.gram)
     i, c = next(((i, c) for i, c in enumerate(mat_vec(latt.gram, v)) if c), (0, 0))
-    if c == 0:
-        raise PreconditionError("the isotropic vector lies in the radical")
+    if c == 0:  # v is in the radical
+        raise PreconditionError("form is degenerate")
     vp = [2 * c * (j == i) - latt.gram[i][i] * x for j, x in enumerate(v)]
     return v, tuple(x // math.gcd(*vp) for x in vp)
 
@@ -202,15 +202,15 @@ def find_rank2_avoiding(
     nonzero number of absolute value < n_bound, with its certificate.
 
     Requires an indefinite non-degenerate lattice of rank >= 5 (which
-    guarantees isotropic vectors exist). p is the least prime > max(N, 2)
-    not dividing 2 b(v, v') det(comp): comp, of rank >= 3, is then
-    non-degenerate and so isotropic mod p, and w exists. Without an
-    isotropic basis vector the construction runs in an LLL-reduced basis.
+    guarantees isotropic vectors exist): a definite one fails in
+    padic.isotropic_vector, a degenerate one at v or in comp's pivots. p
+    is the least prime > max(N, 2) not dividing 2 b(v, v') det(comp):
+    comp, of rank >= 3, is then non-degenerate and so isotropic mod p, and
+    w exists. Without an isotropic basis vector the construction runs in
+    an LLL-reduced basis.
     """
     if latt.rank < 5:
         raise PreconditionError("rank >= 5 required")
-    if 0 in signature(latt):  # raises PreconditionError on a degenerate form
-        raise PreconditionError("ambient lattice must be indefinite")
     if n_bound < 0:
         raise PreconditionError("bound must be >= 0")
     if all(latt.gram[i][i] for i in range(latt.rank)):

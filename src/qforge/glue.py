@@ -60,7 +60,6 @@ from .linalg import (
     lll_gram,
     mat_mul,
     mat_vec,
-    rational_rank,
     saturation,
     solve_scaled,
     transpose,
@@ -753,13 +752,15 @@ def _embedding_index(m, den: int) -> int:
     into L = Z^n, m integral and den > 0, not necessarily in lowest terms:
     H ∩ L is {x : m x = 0 mod den}, so with f_i the invariant factors of m,
     d = prod den / gcd(den, f_i) = den^k / [Z^k : rows(m) + den Z^k]. The
-    embedding is injective exactly when m has rank k, and that index is the
-    diagonal product of the Hermite form of [m mod den; den I_k], since
-    den Z^k lies in the lattice."""
+    embedding is injective exactly when m has rank k. Then the Hermite form
+    R of m is k x k with the same rows, and that index is the diagonal
+    product of the Hermite form of [R mod den; den I_k], since den Z^k lies
+    in the lattice."""
     k = len(m[0])
-    if rational_rank(m) != k:
+    r, rank = hermite_rows(m)
+    if rank != k:
         raise InternalInconsistencyError("embedding is not injective")
-    h, _ = hermite_rows([*([x % den for x in row] for row in m),
+    h, _ = hermite_rows([*([x % den for x in row] for row in r),
                          *([den * (i == j) for j in range(k)] for i in range(k))])
     return den ** k // math.prod(h[i][i] for i in range(k))
 

@@ -289,6 +289,33 @@ def test_hyperbolic_rejects_degenerate_form(capsys):
     assert obj["error"] == {"type": "PreconditionError", "message": "form is degenerate"}
 
 
+_DEGENERATE_ZERO_DIAGONAL = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 2, 2, 0], [0, 0, 2, 2, 0],
+                             [0, 0, 0, 0, -1]]
+_DEGENERATE_NO_ZERO_DIAGONAL = [[2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0],
+                                [0, 0, 0, 0, -1]]
+
+
+@pytest.mark.parametrize("source, message", [
+    ("catalog:E8", "the form is anisotropic at the real place"),
+    ("catalog:diag(1,1,1,1,1)", "the form is anisotropic at the real place"),
+    # e_0 is isotropic and pairs with e_1, so the radical e_2 - e_3 is left in the complement
+    (_DEGENERATE_ZERO_DIAGONAL, "form is degenerate"),
+    # no isotropic basis vector: the LLL route, whose isotropic vector is the radical e_0 - e_1
+    (_DEGENERATE_NO_ZERO_DIAGONAL, "form is degenerate"),
+])
+def test_hyperbolic_refuses_definite_and_degenerate_inputs(tmp_path, capsys, source, message):
+    """No signature is read off the input: a definite form has no isotropic
+    vector, and a degenerate one fails at v or in the complement's pivots,
+    on both routes of the construction. Each exits 2 with the reason."""
+    if not isinstance(source, str):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"gram": source}))
+        source = str(path)
+    rc, obj = run_cli(capsys, ["hyperbolic", "--lattice", source, "--n-bound", "2"])
+    assert rc == 2
+    assert obj["error"] == {"type": "PreconditionError", "message": message}
+
+
 def test_parabolic_rejects_small_rank(capsys):
     rc, obj = run_cli(
         capsys,
@@ -639,6 +666,17 @@ def test_each_gram_is_eliminated_at_most_twice(monkeypatch, capsys, command, n_b
     assert {callers[0] for _, callers in pivots} == {("qforge.lattice", "pivots")}
 
 
+def test_hyperbolic_never_eliminates_the_input_gram(monkeypatch, capsys):
+    """A K3 --verify run diagonalizes no rank-22 Gram: the construction
+    checks definiteness and degeneracy where it needs them, so the largest
+    Gram it eliminates is the complement's, of rank 20."""
+    pivots = _record_callers(monkeypatch, lattice, "_diagonal_pivots")
+    argv = ["hyperbolic", "--lattice", "catalog:K3", "--n-bound", "13", "--verify"]
+    rc, obj = run_cli(capsys, argv)
+    assert rc == 0 and obj["verified"] is True
+    assert pivots and max(len(gram) for gram, _ in pivots) == 20
+
+
 @pytest.fixture(scope="module")
 def reports():
     """Two hyperbolic and three explicit parabolic reports, without --verify;
@@ -689,6 +727,22 @@ def _negate_gram(report):
     report["sublattice"]["gram"] = [[-x for x in row] for row in report["sublattice"]["gram"]]
 
 
+def _negate_embedding_column(report):
+    # K3's first column is integral; d does not change, but the image of the
+    # first basis vector now pairs with the others by the opposite sign
+    for row in report["embedding"]["matrix"]:
+        row[0] = -row[0]
+
+
+def _bump_d_squared_n(report):
+    report["embedding"]["d_squared_n"] += 1
+
+
+def _flip_positive_cone(report):
+    cls = report["isometry"]["classification"]
+    cls["preserves_positive_cone"] = not cls["preserves_positive_cone"]
+
+
 _ORACLE_TAMPERS = {
     "understated minimum": ("hyperbolic", _shift_minimum(-1), "oracle minimum understated"),
     "overstated minimum": ("hyperbolic", _shift_minimum(1), "oracle minimum overstated"),
@@ -701,6 +755,11 @@ _ORACLE_TAMPERS = {
                           "index d does not match the embedding matrix"),
     "negated parabolic Gram": ("parabolic", _negate_gram,
                                "sublattice signature is not (1, rank/2 - 3)"),
+    "negated embedding column": ("parabolic K3", _negate_embedding_column,
+                                 "the embedding does not carry G onto I(3, rank)"),
+    "d^2 N misstated": ("parabolic U", _bump_d_squared_n, "d_squared_n is not d^2 N"),
+    "flipped positive cone": ("hyperbolic", _flip_positive_cone,
+                              "classification differs from the recomputed one"),
 }
 
 
@@ -760,14 +819,18 @@ _MALFORMED_TAMPERS = {
                             "the report is malformed: form is degenerate"),
     "short v1": ("hyperbolic K3", _shorten_v1,
                  "the report is malformed: matrix product shape mismatch"),
+    "integer v1": ("hyperbolic K3", lambda report: report["sublattice"].update(v1=7),
+                   "the report is malformed: 'int' object is not iterable"),
+    "no oracle": ("hyperbolic K3", lambda report: report.pop("oracle"),
+                  "the report is malformed: no entry 'oracle'"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED_TAMPERS))
 def test_verify_report_lists_malformed_entries(reports, name):
     """An entry no qforge run writes (a degenerate Gram whose signature is
-    read, a vector one entry short) is a listed failure, not a raised
-    PreconditionError."""
+    read, a vector one entry short or an integer, a missing key) is a
+    listed failure, not a raised PreconditionError, TypeError or KeyError."""
     mode, tamper, failure = _MALFORMED_TAMPERS[name]
     report = copy.deepcopy(reports[mode])
     tamper(report)

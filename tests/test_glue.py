@@ -14,7 +14,7 @@ from oracle_utils import (
     nondegenerate_flag_fractions,
     within,
 )
-from qforge import glue, padic
+from qforge import glue, linalg, padic
 from qforge.catalog import resolve
 from qforge.errors import InternalInconsistencyError, PreconditionError, SearchExhaustedError
 from qforge.glue import (
@@ -316,6 +316,19 @@ def test_embedding_index_matches_the_unreduced_reference(data):
             _embedding_index(m, den)
     else:
         assert _embedding_index(m, den) == want
+
+
+def test_embedding_index_runs_no_bareiss(monkeypatch):
+    """The rank of m comes from its Hermite form, which is then reduced mod
+    den: no Bareiss elimination runs, on K3's embedding or on a refused m."""
+    rep = embed_pipeline(resolve("K3"), 2)
+    calls = []
+    original = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda *args: calls.append(args) or original(*args))
+    assert _embedding_index(rep.embedding, rep.embedding_den) == rep.index_d
+    with pytest.raises(InternalInconsistencyError, match="not injective"):
+        _embedding_index([[1, 2], [2, 4], [3, 6]], 5)
+    assert calls == []
 
 
 @given(_rational_embedding(), st.integers(1, 12))
